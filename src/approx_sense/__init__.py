@@ -73,6 +73,8 @@ from .radgeom import (
     union_ellipse_bound,
 )
 from .learners import (
+    AnalyticSensitivity,
+    EmpiricalSensitivity,
     LearnerOutput,
     SearchDomain,
     ThresholdSchedule,

@@ -42,6 +42,8 @@ from .core import (
 from .dataio import append_csv_row, format_float, read_matrix_csv, read_sample_csv, write_sample_csv
 from .errors import ApproxSenseError, ConfigError, InvalidParameterError, MissingInputError
 from .learners import (
+    AnalyticSensitivity,
+    EmpiricalSensitivity,
     SearchDomain,
     ThresholdSchedule,
     analytic_lambda_erm,
@@ -251,12 +253,22 @@ BOUND_SCHEMA = {
 }
 
 
+_VALIDATORS: dict[int, object] = {}
+
+
 def _validate_config(config: dict, schema: dict) -> None:
-    try:
-        jsonschema.validate(config, schema)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path!r}: {exc.message}", field=path) from exc
+    # jsonschema.validate without re-checking the schema on every call: each
+    # schema is checked once, when its validator is first built (the
+    # validator keeps its schema alive, so the id key stays unique)
+    validator = _VALIDATORS.get(id(schema))
+    if validator is None:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[id(schema)] = cls(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config field {path!r}: {error.message}", field=path) from error
 
 
 def _load_config(path: str) -> dict:
@@ -442,21 +454,12 @@ def cmd_train(args) -> int:
     elif algorithm == "sensitivity_regularized_erm":
         rho = lcfg.get("rho", loss.lipschitz)
         if lcfg.get("sensitivity", "empirical") == "empirical":
-            sample = need_unlabelled()
-
-            def sens_fn(h):
-                return empirical_sensitivity(h, op, sample, p=p).value
-
-            label = "empirical"
+            sensitivity, label = EmpiricalSensitivity(need_unlabelled(), p), "empirical"
         else:
             budget = lcfg.get("input_norm_budget", 1.0)
-
-            def sens_fn(h):
-                return analytic_sensitivity_upper(h, op, budget).value
-
-            label = "analytic_upper"
+            sensitivity, label = AnalyticSensitivity(budget), "analytic_upper"
         output = sensitivity_regularized_erm(
-            labelled, op, sens_fn, rho, loss, domain, feature_map=fmap, sensitivity_label=label
+            labelled, op, sensitivity, rho, loss, domain, feature_map=fmap, sensitivity_label=label
         )
     elif algorithm == "lambda_erm":
         if "lambda" not in lcfg:
@@ -467,12 +470,11 @@ def cmd_train(args) -> int:
     elif algorithm == "analytic_lambda_erm":
         if "lambda" not in lcfg:
             raise ConfigError("analytic_lambda_erm needs 'lambda'", field="learner/lambda")
-        budget = lcfg.get("input_norm_budget", 1.0)
         output = analytic_lambda_erm(
             labelled,
             op,
             lcfg["lambda"],
-            lambda h: analytic_sensitivity_upper(h, op, budget).value,
+            AnalyticSensitivity(lcfg.get("input_norm_budget", 1.0)),
             loss,
             domain,
             feature_map=fmap,

@@ -270,7 +270,8 @@ class UniformQuantizer:
 class MagnitudePruner:
     """Keep the ``keep`` largest-magnitude coordinates, zero the rest.
 
-    Equal magnitudes are resolved in favour of the lower index.
+    Equal magnitudes are resolved in favour of the lower index.  A 2-d
+    argument is pruned row by row.
     """
 
     keep: int
@@ -281,16 +282,15 @@ class MagnitudePruner:
             raise InvalidParameterError("keep count must be >= 0")
 
     def transform_weights(self, w: np.ndarray, rng=None) -> np.ndarray:
-        if self.keep > w.shape[0]:
+        if self.keep > w.shape[-1]:
             raise InvalidParameterError(
-                f"keep count {self.keep} exceeds weight dimension {w.shape[0]}"
+                f"keep count {self.keep} exceeds weight dimension {w.shape[-1]}"
             )
         out = np.zeros_like(w)
         if self.keep == 0:
             return out
-        order = np.argsort(-np.abs(w), kind="stable")
-        kept = order[: self.keep]
-        out[kept] = w[kept]
+        kept = np.argsort(-np.abs(w), axis=-1, kind="stable")[..., : self.keep]
+        np.put_along_axis(out, kept, np.take_along_axis(w, kept, axis=-1), axis=-1)
         return out
 
 

@@ -22,30 +22,38 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def read_sample_csv(path: str | Path) -> LabelledSample | UnlabelledSample:
-    """Load a sample; the presence of a final ``target`` column decides its kind."""
+def _read_table(path: str | Path, what: str) -> tuple[list[str], np.ndarray]:
+    """Header and numeric rows of a CSV; every row must match the header width."""
     path = Path(path)
     if not path.exists():
-        raise MissingInputError(f"sample file not found: {path}", path=str(path))
+        raise MissingInputError(f"{what} file not found: {path}", path=str(path))
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise InvalidParameterError(f"empty CSV file: {path}") from None
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise InvalidParameterError(f"CSV file has a header but no data rows: {path}")
-    labelled = header[-1] == TARGET_COLUMN
-    try:
-        data = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    except ValueError as exc:
-        raise InvalidParameterError(f"non-numeric cell in {path}: {exc}") from exc
-    if data.shape[1] != len(header):
-        raise InvalidParameterError(
-            f"row width {data.shape[1]} does not match header width {len(header)} in {path}"
-        )
-    if labelled:
+    data = np.empty((len(rows), len(header)))
+    for i, (line, row) in enumerate(rows):
+        if len(row) != len(header):
+            raise InvalidParameterError(
+                f"line {line} has {len(row)} cells but the header has {len(header)}: {path}"
+            )
+        try:
+            data[i] = [float(v) for v in row]
+        except ValueError as exc:
+            raise InvalidParameterError(f"non-numeric cell on line {line} of {path}: {exc}") from exc
+    return header, data
+
+
+def read_sample_csv(path: str | Path) -> LabelledSample | UnlabelledSample:
+    """Load a sample; the presence of a final ``target`` column decides its kind."""
+    path = Path(path)
+    header, data = _read_table(path, "sample")
+    if header[-1] == TARGET_COLUMN:
         if data.shape[1] < 2:
             raise InvalidParameterError(f"labelled CSV needs at least one feature column: {path}")
         return LabelledSample(inputs=data[:, :-1], targets=data[:, -1], source_id=str(path))
@@ -71,16 +79,7 @@ def write_sample_csv(sample: LabelledSample | UnlabelledSample, path: str | Path
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     """Load a plain numeric matrix CSV (header row, no target column)."""
-    path = Path(path)
-    if not path.exists():
-        raise MissingInputError(f"matrix file not found: {path}", path=str(path))
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise InvalidParameterError(f"CSV file has no data rows: {path}")
-    return np.array(rows, dtype=float)
+    return _read_table(path, "matrix")[1]
 
 
 def append_csv_row(path: str | Path, header: list[str], row: list[str]) -> None:

@@ -5,6 +5,31 @@ constant in the weights; search is therefore exhaustive on small grids (the
 oracle mode used by the tests) and seeded random sampling or coordinate
 descent in higher dimension.  Ties always resolve to the lowest enumeration
 index, which keeps every learner deterministic.
+
+Search screens candidates in blocks, then re-scores a few of them exactly:
+
+* **Screen.**  A block of candidates (consecutive grid or random rows, or
+  every axis value of one coordinate in a descent sweep) is scored at once:
+  emp_err(Q(w)) once per distinct Q(w) in the block, the empirical
+  sensitivity as one product U @ (C - Q(C)).T, the analytic bound as a row
+  norm.  These values differ from a per-candidate evaluation by rounding
+  only (about 1e-13 here).  Each block carries a margin, SCREEN_MARGIN times
+  the magnitudes its values are summed from, that bounds this difference
+  with a wide safety factor.
+* **Re-score.**  In enumeration order, the scalar objective is run only on
+  candidates whose screened value lies within twice the margin of the
+  running screened minimum, and the first strict minimum is kept.  Every
+  skipped candidate is strictly beaten by an earlier one, so the weights,
+  the objective value and the trace equal those of the scalar loop over all
+  candidates, and ties still go to the lowest enumeration index.
+* **Discrete decisions are exact.**  A candidate whose screened sensitivity
+  lies within the margin of a threshold (feasibility dhat < t, the SRM
+  index d <= t_k + eps_u) takes the scalar check, so boundary hits, clamps
+  and the infeasibility payload match the scalar loop too.
+
+User-supplied objectives and sensitivity callbacks have no block form; they
+are evaluated one candidate at a time, which is the scalar path the
+re-score uses.
 """
 
 from __future__ import annotations
@@ -29,6 +54,10 @@ from .errors import InfeasibleThresholdError, InvalidParameterError
 from .radgeom import RadEstimate, mc_rademacher_rows
 
 GRID_POINT_CAP = 1_000_000
+#: Screening margin relative to the magnitudes a screened value is summed from.
+SCREEN_MARGIN = 1e-9
+#: Float64 elements in one block temporary (sample rows x candidates): ~1 MB.
+BLOCK_ELEMENTS = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +133,19 @@ class SearchResult:
     n_evaluated: int
 
 
-def _search(objective, domain: SearchDomain, feasibility=None, diagnostic=None) -> SearchResult:
+# Objectives are objects with
+#   screen(block) -> (values, margin): every row evaluated, inf where
+#       infeasible, each value within ``margin`` of exact(row); screening
+#       counts as evaluating the rows (diagnostics and counters update here);
+#   exact(w) -> float: the scalar objective, free of side effects;
+#   block_size and min_diag (smallest sensitivity seen, for the
+#       infeasibility error; inf when the objective has no constraint).
+
+
+def _search(objective, domain: SearchDomain) -> SearchResult:
     if domain.mode in ("grid", "random"):
-        return _search_enumerated(objective, domain, feasibility, diagnostic)
-    return _search_coordinate_descent(objective, domain, feasibility, diagnostic)
+        return _search_enumerated(objective, domain)
+    return _search_coordinate_descent(objective, domain)
 
 
 def _raise_infeasible(min_diag: float) -> None:
@@ -117,66 +155,78 @@ def _raise_infeasible(min_diag: float) -> None:
     )
 
 
-def _search_enumerated(objective, domain, feasibility, diagnostic) -> SearchResult:
+def _scan(objective, block: np.ndarray, best: float) -> list[tuple[int, float]]:
+    """Strict improvements on ``best`` over the block's rows, in row order.
+
+    A row is re-scored only when its screened lower bound undercuts every
+    screened upper bound before it (and ``best``); any other row is strictly
+    beaten by an earlier one.
+    """
+    if len(block) == 0:
+        return []
+    values, margin = objective.screen(block)
+    upper = np.minimum.accumulate(np.concatenate(([best], values[:-1] + margin)))
+    found = []
+    for i in np.flatnonzero(values - margin < upper):
+        val = float(values[i]) if margin == 0 else objective.exact(block[i])
+        if val < best:
+            best = val
+            found.append((int(i), val))
+    return found
+
+
+def _search_enumerated(objective, domain) -> SearchResult:
     candidates = domain.candidate_matrix()
-    best_w = None
+    step = objective.block_size
+    best_i = None
     best_val = math.inf
     trace: list[float] = []
-    min_diag = math.inf
-    for w in candidates:
-        if feasibility is not None:
-            if diagnostic is not None:
-                min_diag = min(min_diag, diagnostic(w))
-            if not feasibility(w):
-                continue
-        val = float(objective(w))
-        if val < best_val:
-            best_val = val
-            best_w = w
+    for lo in range(0, len(candidates), step):
+        for i, val in _scan(objective, candidates[lo : lo + step], best_val):
+            best_i, best_val = lo + i, val
             trace.append(val)
-    if best_w is None:
-        _raise_infeasible(min_diag)
+    if best_i is None:
+        _raise_infeasible(objective.min_diag)
     return SearchResult(
-        weights=best_w.copy(), value=best_val, trace=tuple(trace), n_evaluated=len(candidates)
+        weights=candidates[best_i].copy(),
+        value=best_val,
+        trace=tuple(trace),
+        n_evaluated=len(candidates),
     )
 
 
-def _search_coordinate_descent(objective, domain, feasibility, diagnostic) -> SearchResult:
+def _search_coordinate_descent(objective, domain) -> SearchResult:
     axis = domain.axis_values()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=domain.seed, spawn_key=(8,)))
     starts = rng.uniform(-domain.halfwidth, domain.halfwidth, size=(domain.restarts, domain.dim))
     best_w = None
     best_val = math.inf
     trace: list[float] = []
-    min_diag = math.inf
     evaluated = 0
 
-    def try_point(w: np.ndarray) -> float:
-        nonlocal min_diag, evaluated
-        evaluated += 1
-        if feasibility is not None:
-            if diagnostic is not None:
-                min_diag = min(min_diag, diagnostic(w))
-            if not feasibility(w):
-                return math.inf
-        return float(objective(w))
+    def sweep(w: np.ndarray, val: float, j: int, values: np.ndarray):
+        """Try w with coordinate j set to each of ``values`` in turn."""
+        nonlocal evaluated
+        evaluated += len(values)
+        block = np.repeat(w[None, :], len(values), axis=0)
+        block[:, j] = values
+        found = _scan(objective, block, val)
+        if not found:
+            return w, val, False
+        i, val = found[-1]
+        return block[i].copy(), val, True
 
     for start in starts:
         w = axis[np.argmin(np.abs(axis[None, :] - start[:, None]), axis=1)]
-        val = try_point(w)
+        w, val, _ = sweep(w, math.inf, 0, w[:1])  # the start point itself
         for _ in range(domain.iterations):
             improved = False
             for j in range(domain.dim):
-                for a in axis:
-                    if a == w[j]:
-                        continue
-                    cand = w.copy()
-                    cand[j] = a
-                    v = try_point(cand)
-                    if v < val:
-                        val = v
-                        w = cand
-                        improved = True
+                # the current value is skipped only until the coordinate first moves
+                here = int(np.flatnonzero(axis == w[j])[0])
+                w, val, moved = sweep(w, val, j, axis[:here])
+                w, val, later = sweep(w, val, j, axis[here:] if moved else axis[here + 1 :])
+                improved = improved or moved or later
             if not improved:
                 break
         if val < best_val:
@@ -184,10 +234,34 @@ def _search_coordinate_descent(objective, domain, feasibility, diagnostic) -> Se
             best_w = w
             trace.append(val)
     if best_w is None or math.isinf(best_val):
-        _raise_infeasible(min_diag)
+        _raise_infeasible(objective.min_diag)
     return SearchResult(
         weights=best_w.copy(), value=best_val, trace=tuple(trace), n_evaluated=evaluated
     )
+
+
+class _Scalar:
+    """A per-candidate objective under an optional feasibility predicate.
+
+    Screened values are exact (margin 0), so nothing is evaluated twice.
+    """
+
+    block_size = 1024
+    min_diag = math.inf
+
+    def __init__(self, fn, feasibility=None):
+        self.fn = fn
+        self.feasibility = feasibility
+
+    def exact(self, w: np.ndarray) -> float:
+        return float(self.fn(w))
+
+    def screen(self, block: np.ndarray):
+        values = np.full(len(block), math.inf)
+        for i, w in enumerate(block):
+            if self.feasibility is None or self.feasibility(w):
+                values[i] = self.exact(w)
+        return values, 0.0
 
 
 def optimize(objective, domain: SearchDomain, feasibility=None) -> np.ndarray:
@@ -196,7 +270,7 @@ def optimize(objective, domain: SearchDomain, feasibility=None) -> np.ndarray:
     Grid mode returns the exact lattice minimiser under the feasibility
     predicate, with ties broken toward the lower enumeration index.
     """
-    return _search(objective, domain, feasibility).weights
+    return _search(_Scalar(objective, feasibility), domain).weights
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +307,27 @@ class ThresholdSchedule:
         return len(self.thresholds)
 
 
+@dataclass(frozen=True)
+class EmpiricalSensitivity:
+    """Regulariser: the empirical p-sensitivity of f under the learner's
+    operator on ``sample``, as ``empirical_sensitivity`` computes it."""
+
+    sample: UnlabelledSample
+    p: float = 1.0
+
+
+@dataclass(frozen=True)
+class AnalyticSensitivity:
+    """Regulariser: ||w - Q(w)||_2 * input_norm_budget under the learner's
+    operator, as ``analytic_sensitivity_upper`` computes it."""
+
+    input_norm_budget: float
+
+    def __post_init__(self):
+        if self.input_norm_budget < 0:
+            raise InvalidParameterError("input_norm_budget must be >= 0")
+
+
 @dataclass
 class LearnerOutput:
     """What a learner returns: the minimiser, its approximation, and the trail."""
@@ -255,13 +350,24 @@ def _resolve_feature_map(feature_map: FeatureMap | None, input_dim: int) -> Feat
     return feature_map if feature_map is not None else IdentityMap(input_dim=input_dim)
 
 
+def _reach(feats: np.ndarray | None) -> float:
+    """Largest absolute row sum: bounds |<row, w>| per unit of max |w_j|."""
+    return 0.0 if feats is None else float(np.abs(feats).sum(axis=1).max())
+
+
+def _abs_max(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values), initial=0.0))
+
+
 class _Workspace:
-    """Precomputed feature matrices plus memoised per-weight statistics."""
+    """Precomputed feature matrices, memoised per-weight statistics, and
+    their block forms with the margins that bound block-versus-scalar
+    rounding."""
 
     def __init__(
         self,
         op: ApproxOperator,
-        loss: LossSpec,
+        loss: LossSpec | None,
         feature_map: FeatureMap,
         labelled: LabelledSample | None,
         unlabelled: UnlabelledSample | None,
@@ -274,17 +380,33 @@ class _Workspace:
         self.op = op
         self.loss = loss
         self.feature_map = feature_map
-        self.p = p
+        self.p = float(p)
         self.lab_feats = None if labelled is None else feature_map.transform(labelled.inputs)
         self.targets = None if labelled is None else labelled.targets
         self.unlab_feats = None if unlabelled is None else feature_map.transform(unlabelled.inputs)
         self._dhat_cache: dict[bytes, float] = {}
+        self._emp_cache: dict[bytes, float] = {}
+        rows = max(f.shape[0] for f in (self.lab_feats, self.unlab_feats) if f is not None)
+        self.block_size = max(1, BLOCK_ELEMENTS // rows)
+        # rounding of a sum of n terms differs by at most ~n eps between orders
+        self.rel_margin = max(
+            SCREEN_MARGIN, 64 * np.finfo(float).eps * (rows + feature_map.feature_dim)
+        )
+        self.lab_reach = _reach(self.lab_feats)
+        self.unlab_reach = _reach(self.unlab_feats)
 
     def emp_error(self, w: np.ndarray) -> float:
         return float(loss_values(self.loss, self.lab_feats @ w, self.targets).mean())
 
     def approx_emp_error(self, w: np.ndarray) -> float:
-        return self.emp_error(self.op.transform_weights(w))
+        # memoised per Q(w): tied candidates of a piecewise-constant
+        # objective share one evaluation
+        qw = self.op.transform_weights(w)
+        key = qw.tobytes()
+        cached = self._emp_cache.get(key)
+        if cached is None:
+            cached = self._emp_cache[key] = self.emp_error(qw)
+        return cached
 
     def dhat(self, w: np.ndarray) -> float:
         # matches empirical_sensitivity bit for bit (same matmul shapes)
@@ -297,6 +419,39 @@ class _Workspace:
             self._dhat_cache[key] = cached
         return cached
 
+    # -- block forms --------------------------------------------------------
+
+    def emp_errors(self, W: np.ndarray) -> np.ndarray:
+        """emp_error of every row of W."""
+        return loss_values(self.loss, self.lab_feats @ W.T, self.targets[:, None]).mean(axis=0)
+
+    def approx_emp_errors(self, Q: np.ndarray) -> np.ndarray:
+        """emp_error of every row of Q, computed once per distinct row."""
+        distinct, inverse = np.unique(Q, axis=0, return_inverse=True)
+        return self.emp_errors(distinct)[inverse.reshape(-1)]
+
+    def dhats(self, C: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """dhat of every row of C, given Q = Q(C)."""
+        gaps = self.unlab_feats @ (C - Q).T
+        np.abs(gaps, out=gaps)
+        if self.p != 1.0:  # x ** 1.0 == x: skipping the pass changes no bit
+            gaps **= self.p
+        return np.mean(gaps, axis=0) ** (1.0 / self.p)
+
+    def emp_scale(self, W: np.ndarray) -> float:
+        """Magnitude the emp_errors of W are summed from (losses are <= 1 and
+        rho-Lipschitz in the prediction)."""
+        return 1.0 + self.loss.lipschitz * self.lab_reach * _abs_max(W)
+
+    def dhat_scale(self, C: np.ndarray, Q: np.ndarray) -> float:
+        """Magnitude the dhats of C are summed from: it bounds every gap, and
+        the p-mean is 1-Lipschitz in the gaps."""
+        return self.unlab_reach * (_abs_max(C) + _abs_max(Q))
+
+    def margin(self, values: np.ndarray, scale: float) -> float:
+        """Bound on |screened - exact| for values summed from ``scale``."""
+        return self.rel_margin * (scale + _abs_max(values[np.isfinite(values)]))
+
     def output(self, result: SearchResult, **extras) -> LearnerOutput:
         h = Hypothesis(weights=result.weights, feature_map=self.feature_map)
         return LearnerOutput(
@@ -306,6 +461,114 @@ class _Workspace:
             objective_trace=result.trace,
             **extras,
         )
+
+
+class _Regularised:
+    """emp_err(Q(w)) + coef * S(w) for a built-in sensitivity S: the empirical
+    one on the workspace's unlabelled sample, or with ``budget`` the analytic
+    bound."""
+
+    min_diag = math.inf
+
+    def __init__(self, ws: _Workspace, coef: float, budget: float | None = None):
+        self.ws = ws
+        self.coef = coef
+        self.budget = budget
+        self.block_size = ws.block_size
+
+    def sensitivity(self, w: np.ndarray) -> float:
+        if self.budget is None:
+            return self.ws.dhat(w)
+        # analytic_sensitivity_upper's arithmetic, bit for bit
+        return float(np.linalg.norm(w - self.ws.op.transform_weights(w))) * self.budget
+
+    def exact(self, w: np.ndarray) -> float:
+        return self.ws.approx_emp_error(w) + self.coef * self.sensitivity(w)
+
+    def screen(self, C: np.ndarray):
+        ws = self.ws
+        Q = ws.op.transform_weights(C)
+        scale = ws.emp_scale(Q)
+        if self.budget is None:
+            sens = ws.dhats(C, Q)
+            scale += self.coef * ws.dhat_scale(C, Q)
+        else:
+            # a row norm is off by a relative few eps, covered by the values
+            sens = np.linalg.norm(C - Q, axis=1) * self.budget
+        values = ws.approx_emp_errors(Q) + self.coef * sens
+        return values, ws.margin(values, scale)
+
+
+class _Constrained:
+    """emp_err(Q(w)) over candidates whose dhat is strictly below t."""
+
+    def __init__(self, ws: _Workspace, t: float):
+        self.ws = ws
+        self.t = t
+        self.block_size = ws.block_size
+        self.min_diag = math.inf
+
+    def exact(self, w: np.ndarray) -> float:
+        return self.ws.approx_emp_error(w)
+
+    def screen(self, C: np.ndarray):
+        ws = self.ws
+        Q = ws.op.transform_weights(C)
+        d = ws.dhats(C, Q)
+        tol = ws.rel_margin * ws.dhat_scale(C, Q)
+        feasible = d < self.t
+        for i in np.flatnonzero(np.abs(d - self.t) <= tol):
+            feasible[i] = ws.dhat(C[i]) < self.t
+        lowest = float(d.min())
+        if lowest - tol < self.min_diag:
+            near = np.flatnonzero(d <= lowest + 2.0 * tol)
+            self.min_diag = min(self.min_diag, *(ws.dhat(C[i]) for i in near))
+        values = np.full(len(C), math.inf)
+        if feasible.any():
+            values[feasible] = ws.approx_emp_errors(Q[feasible])
+        return values, ws.margin(values, ws.emp_scale(Q))
+
+
+class _Structural:
+    """emp_err(w) + penalties[k], k the first index with dhat(w) <= limits[k]
+    (clamped to the last); counts boundary hits and clamps per evaluation."""
+
+    min_diag = math.inf
+
+    def __init__(self, ws: _Workspace, limits: list[float], penalties: list[float]):
+        self.ws = ws
+        self.limits = limits
+        self.penalties = penalties
+        self.block_size = ws.block_size
+        self.boundary_hits = 0
+        self.clamps = 0
+
+    def level(self, w: np.ndarray) -> tuple[int, bool]:
+        """Unclamped index of w (len(limits) above them all), and whether its
+        dhat equals that limit."""
+        d = self.ws.dhat(w)
+        for k, limit in enumerate(self.limits):
+            if d <= limit:
+                return k, d == limit
+        return len(self.limits), False
+
+    def exact(self, w: np.ndarray) -> float:
+        k, _ = self.level(w)
+        return self.ws.emp_error(w) + self.penalties[min(k, len(self.limits) - 1)]
+
+    def screen(self, C: np.ndarray):
+        ws = self.ws
+        Q = ws.op.transform_weights(C)
+        d = ws.dhats(C, Q)
+        tol = ws.rel_margin * ws.dhat_scale(C, Q)
+        limits = np.asarray(self.limits)
+        k = np.searchsorted(limits, d, side="left")
+        for i in np.flatnonzero(np.any(np.abs(d[:, None] - limits) <= tol, axis=1)):
+            k[i], hit = self.level(C[i])
+            self.boundary_hits += hit
+        self.clamps += int(np.count_nonzero(k == len(limits)))
+        values = ws.emp_errors(C) + np.asarray(self.penalties)[np.minimum(k, len(limits) - 1)]
+        return values, ws.margin(values, ws.emp_scale(C))
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +596,7 @@ def constrained_erm(
         raise InvalidParameterError("t must be positive")
     fm = _resolve_feature_map(feature_map, labelled.dim)
     ws = _Workspace(op, loss, fm, labelled, unlabelled, p)
-    result = _search(
-        ws.approx_emp_error,
-        domain,
-        feasibility=lambda w: ws.dhat(w) < t,
-        diagnostic=ws.dhat,
-    )
-    return ws.output(result, chosen_t=t)
+    return ws.output(_search(_Constrained(ws, t), domain), chosen_t=t)
 
 
 def srm_learner(
@@ -379,30 +636,52 @@ def srm_learner(
             2.0 * rho * rad_value + 3.0 * math.sqrt(math.log(1.0 / w_k) / (2.0 * m))
         )
 
-    stats = {"boundary_hits": 0, "clamped": 0}
-
-    def khat(w: np.ndarray) -> int:
-        d = ws.dhat(w)
-        for k, t_k in enumerate(schedule.thresholds):
-            if d <= t_k + epsilon_u:
-                if d == t_k + epsilon_u:
-                    stats["boundary_hits"] += 1
-                return k
-        stats["clamped"] += 1
-        return len(schedule) - 1
-
-    def objective(w: np.ndarray) -> float:
-        return ws.emp_error(w) + penalties[khat(w)]
-
+    objective = _Structural(ws, [t_k + epsilon_u for t_k in schedule.thresholds], penalties)
     result = _search(objective, domain)
-    chosen = khat(result.weights)
+    level, hit = objective.level(result.weights)
+    chosen = min(level, len(schedule) - 1)
     return ws.output(
         result,
         chosen_k=chosen + 1,
         chosen_t=schedule.thresholds[chosen],
-        boundary_hits=stats["boundary_hits"],
-        clamped=stats["clamped"] > 0,
+        boundary_hits=objective.boundary_hits + hit,
+        clamped=objective.clamps > 0 or level == len(schedule),
     )
+
+
+def _regularized_erm(
+    labelled: LabelledSample,
+    op: ApproxOperator,
+    loss: LossSpec,
+    domain: SearchDomain,
+    feature_map: FeatureMap | None,
+    coef: float,
+    sensitivity,
+    **extras,
+) -> LearnerOutput:
+    """Minimise emp_err(Af) + coef * sensitivity(f), the core of every
+    regularised learner.
+
+    ``sensitivity`` is an EmpiricalSensitivity or AnalyticSensitivity, which
+    are screened in blocks, or any callable mapping a Hypothesis to a value,
+    which is evaluated one candidate at a time.
+    """
+    fm = _resolve_feature_map(feature_map, labelled.dim)
+    if isinstance(sensitivity, EmpiricalSensitivity):
+        ws = _Workspace(op, loss, fm, labelled, sensitivity.sample, sensitivity.p)
+        objective = _Regularised(ws, coef)
+    else:
+        ws = _Workspace(op, loss, fm, labelled, None, 1.0)
+        if isinstance(sensitivity, AnalyticSensitivity):
+            objective = _Regularised(ws, coef, sensitivity.input_norm_budget)
+        else:
+
+            def value(w: np.ndarray) -> float:
+                h = Hypothesis(weights=w, feature_map=fm)
+                return ws.approx_emp_error(w) + coef * float(sensitivity(h))
+
+            objective = _Scalar(value)
+    return ws.output(_search(objective, domain), **extras)
 
 
 def sensitivity_regularized_erm(
@@ -419,19 +698,15 @@ def sensitivity_regularized_erm(
 
     ``sensitivity_fn`` maps a Hypothesis to a sensitivity value: the true
     (Monte Carlo) sensitivity, the empirical one, or an analytic upper bound.
+    The built-in EmpiricalSensitivity and AnalyticSensitivity are evaluated
+    in blocks; any other callable once per candidate.
     """
     if rho < 0:
         raise InvalidParameterError("rho must be >= 0")
-    fm = _resolve_feature_map(feature_map, labelled.dim)
-    ws = _Workspace(op, loss, fm, labelled, None, 1.0)
-
-    def objective(w: np.ndarray) -> float:
-        h = Hypothesis(weights=w, feature_map=fm)
-        return ws.approx_emp_error(w) + rho * float(sensitivity_fn(h))
-
-    result = _search(objective, domain)
     label = sensitivity_label or getattr(sensitivity_fn, "__name__", "custom")
-    return ws.output(result, sensitivity_kind=label)
+    return _regularized_erm(
+        labelled, op, loss, domain, feature_map, rho, sensitivity_fn, sensitivity_kind=label
+    )
 
 
 def lambda_erm(
@@ -447,10 +722,9 @@ def lambda_erm(
     """Minimise emp_err(Af) + lambda * empirical sensitivity of f."""
     if lam < 0:
         raise InvalidParameterError("lambda must be >= 0")
-    fm = _resolve_feature_map(feature_map, labelled.dim)
-    ws = _Workspace(op, loss, fm, labelled, unlabelled, p)
-    result = _search(lambda w: ws.approx_emp_error(w) + lam * ws.dhat(w), domain)
-    return ws.output(result, lam=lam)
+    return _regularized_erm(
+        labelled, op, loss, domain, feature_map, lam, EmpiricalSensitivity(unlabelled, p), lam=lam
+    )
 
 
 def analytic_lambda_erm(
@@ -465,19 +739,15 @@ def analytic_lambda_erm(
     """Minimise emp_err(Af) + lambda * analytic sensitivity upper bound.
 
     Needs no unlabelled data: ``overline_fn`` maps a Hypothesis to its
-    certified sensitivity over-estimate.
+    certified sensitivity over-estimate, or is an AnalyticSensitivity, which
+    is evaluated in blocks.
     """
     if lam < 0:
         raise InvalidParameterError("lambda must be >= 0")
-    fm = _resolve_feature_map(feature_map, labelled.dim)
-    ws = _Workspace(op, loss, fm, labelled, None, 1.0)
-
-    def objective(w: np.ndarray) -> float:
-        h = Hypothesis(weights=w, feature_map=fm)
-        return ws.approx_emp_error(w) + lam * float(overline_fn(h))
-
-    result = _search(objective, domain)
-    return ws.output(result, lam=lam, sensitivity_kind="analytic_upper")
+    return _regularized_erm(
+        labelled, op, loss, domain, feature_map, lam, overline_fn,
+        lam=lam, sensitivity_kind="analytic_upper",
+    )
 
 
 def lambda_grid_srm(
@@ -548,13 +818,12 @@ def make_restricted_rad_estimator(
     prediction rows on the labelled inputs.
     """
     fm = _resolve_feature_map(feature_map, labelled.dim)
+    ws = _Workspace(op, None, fm, labelled, unlabelled, p)
     candidates = domain.candidate_matrix()
-    lab_feats = fm.transform(labelled.inputs)
-    unlab_feats = fm.transform(unlabelled.inputs)
-    residuals = candidates - np.apply_along_axis(op.transform_weights, 1, candidates)
-    gaps = np.abs(unlab_feats @ residuals.T)
-    dhats = (np.mean(gaps**p, axis=0)) ** (1.0 / p)
-    pred_rows = (lab_feats @ candidates.T).T
+    step = ws.block_size
+    blocks = [candidates[lo : lo + step] for lo in range(0, len(candidates), step)]
+    dhats = np.concatenate([ws.dhats(block, op.transform_weights(block)) for block in blocks])
+    pred_rows = (ws.lab_feats @ candidates.T).T
 
     def estimator(threshold: float) -> RadEstimate:
         mask = dhats <= threshold

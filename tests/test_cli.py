@@ -278,6 +278,41 @@ def test_rademacher_cap_error(tmp_path, capsys):
     assert json.loads(err)["code"] == "invalid_parameter"
 
 
+BAD_CSV = {
+    "non_numeric": ("x0,x1\n0.5,0.25\nabc,0.5\n", "non-numeric cell on line 3"),
+    "ragged": ("x0,x1\n0.5,0.25\n0.5,0.25,0.75\n", "line 3 has 3 cells but the header has 2"),
+}
+
+
+def _read_as_pointset(tmp_path, csv_path):
+    return ("rademacher", "--pointset", csv_path, "--out", str(tmp_path / "out"))
+
+
+def _read_as_sample(tmp_path, csv_path):
+    config = {
+        "schema_version": 1,
+        "weights": [0.3, -0.6],
+        "operator": {"kind": "uniform_quantizer", "step": 0.5, "clamp": 1.0},
+        "kind": "empirical",
+        "sample_path": csv_path,
+    }
+    path = write_json(tmp_path / "sens.json", config)
+    return ("sensitivity", "--config", path, "--out", str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("reader", [_read_as_pointset, _read_as_sample])
+@pytest.mark.parametrize("fault", sorted(BAD_CSV))
+def test_malformed_csv_structured_error(tmp_path, capsys, reader, fault):
+    text, message = BAD_CSV[fault]
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(*reader(tmp_path, str(csv_path)), capsys=capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["code"] == "invalid_parameter"
+    assert message in payload["message"]
+
+
 # ---------------------------------------------------------------------------
 # bound
 # ---------------------------------------------------------------------------
@@ -385,6 +420,17 @@ def test_validate_deterministic_and_thread_independent(tmp_path):
     assert b1 == (tmp_path / "v3" / "validate_crude_sandwich.json").read_bytes()
     payload = json.loads(b1)
     assert payload["passed"] is True and payload["violations"] == 0
+
+
+def test_validate_lemma1_thread_independent(tmp_path):
+    # fast_rate_violations is summed from per-trial results, not from a
+    # counter the worker threads share
+    args = ["validate", "--suite", "lemma1", "--trials", "40", "--seed", "2"]
+    assert run_cli(*args, "--threads", "1", "--out", str(tmp_path / "t1"))[0] == 0
+    assert run_cli(*args, "--threads", "4", "--out", str(tmp_path / "t4"))[0] == 0
+    one = (tmp_path / "t1" / "validate_lemma1.json").read_bytes()
+    assert one == (tmp_path / "t4" / "validate_lemma1.json").read_bytes()
+    assert "fast_rate_violations" in json.loads(one)["stats"]
 
 
 def test_validate_unknown_suite(tmp_path, capsys):

@@ -118,6 +118,18 @@ def test_pruner_keep_zero_and_bounds():
         MagnitudePruner(keep=3).transform_weights(np.array([1.0, 2.0]))
 
 
+def test_pruner_row_wise_matches_each_row():
+    # ties in magnitude included: each row keeps its lower indices
+    rng = np.random.default_rng(4)
+    rows = np.round(rng.uniform(-1.0, 1.0, size=(50, 5)), 1)
+    for keep in range(6):
+        op = MagnitudePruner(keep=keep)
+        expected = np.array([op.transform_weights(row) for row in rows])
+        assert np.array_equal(op.transform_weights(rows), expected)
+    with pytest.raises(InvalidParameterError):
+        MagnitudePruner(keep=6).transform_weights(rows)
+
+
 def test_stochastic_rounder_two_point_support():
     op = StochasticRounder(step=1.0, clamp=1.0)
     h = linear_hypothesis([0.3])

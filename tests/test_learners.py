@@ -6,19 +6,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approx_sense import (
+    AnalyticSensitivity,
+    EmpiricalSensitivity,
     InfeasibleThresholdError,
     InvalidParameterError,
     IsotropicGaussian,
+    LabelledSample,
     LossSpec,
+    MagnitudePruner,
     SearchDomain,
     SyntheticTask,
     ThresholdSchedule,
     UniformQuantizer,
+    UnlabelledSample,
     analytic_lambda_erm,
     analytic_sensitivity_upper,
+    apply_operator,
     constrained_erm,
+    empirical_error,
     empirical_sensitivity,
     generate,
     lambda_erm,
@@ -438,3 +447,271 @@ def test_analytic_lambda_equivalence_analogue():
         if e_lam.value - e_t.value <= rhs:
             holds += 1
     assert holds >= math.ceil(0.95 * trials)
+
+
+# ---------------------------------------------------------------------------
+# blocked search equals the per-candidate search
+# ---------------------------------------------------------------------------
+
+
+def scalar_search(domain, objective, feasibility=None, diagnostic=None):
+    """Reference loop: one objective call per candidate, in the search order
+    of ``domain`` (enumeration, or the coordinate-descent sweeps), keeping
+    the first strict minimum; returns (weights, value, trace)."""
+    min_diag = math.inf
+
+    def try_point(w):
+        nonlocal min_diag
+        if feasibility is not None:
+            if diagnostic is not None:
+                min_diag = min(min_diag, diagnostic(w))
+            if not feasibility(w):
+                return math.inf
+        return float(objective(w))
+
+    best_w, best_val, trace = None, math.inf, []
+    if domain.mode != "coordinate_descent":
+        for w in domain.candidate_matrix():
+            val = try_point(w)
+            if val < best_val:
+                best_w, best_val = w, val
+                trace.append(val)
+    else:
+        axis = domain.axis_values()
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=domain.seed, spawn_key=(8,)))
+        starts = rng.uniform(-domain.halfwidth, domain.halfwidth, size=(domain.restarts, domain.dim))
+        for start in starts:
+            w = axis[np.argmin(np.abs(axis[None, :] - start[:, None]), axis=1)]
+            val = try_point(w)
+            for _ in range(domain.iterations):
+                improved = False
+                for j in range(domain.dim):
+                    for a in axis:
+                        if a == w[j]:
+                            continue
+                        cand = w.copy()
+                        cand[j] = a
+                        v = try_point(cand)
+                        if v < val:
+                            val, w, improved = v, cand, True
+                if not improved:
+                    break
+            if val < best_val:
+                best_w, best_val = w, val
+                trace.append(val)
+    if best_w is None or math.isinf(best_val):
+        raise InfeasibleThresholdError(
+            "no feasible point in the search domain",
+            min_sensitivity=None if math.isinf(min_diag) else min_diag,
+        )
+    return best_w, best_val, tuple(trace)
+
+
+def assert_same_search(out, weights, value, trace):
+    assert np.array_equal(out.hypothesis.weights, weights)
+    assert out.objective_value == value
+    assert out.objective_trace == trace
+
+
+def assert_same_output(a, b):
+    assert_same_search(a, b.hypothesis.weights, b.objective_value, b.objective_trace)
+    for name in ("chosen_t", "chosen_k", "lam", "sensitivity_kind", "boundary_hits", "clamped"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+@st.composite
+def problems(draw):
+    """A small learning problem: data, operator, loss, p and a search domain
+    in any of the three modes."""
+    mode = draw(st.sampled_from(["grid", "random", "coordinate_descent"]))
+    seed = draw(st.integers(0, 2**16))
+    if mode == "grid":
+        domain = SearchDomain(
+            dim=2,
+            halfwidth=draw(st.sampled_from([0.85, 1.0, 1.3])),
+            points_per_axis=draw(st.integers(3, 17)),
+        )
+    elif mode == "random":
+        domain = SearchDomain(
+            dim=draw(st.integers(2, 4)), halfwidth=1.0, mode="random",
+            n_samples=draw(st.integers(20, 120)), seed=seed,
+        )
+    else:
+        domain = SearchDomain(
+            dim=draw(st.integers(2, 4)), halfwidth=1.0, mode="coordinate_descent",
+            points_per_axis=draw(st.integers(3, 11)), restarts=2, iterations=3, seed=seed,
+        )
+    op = draw(
+        st.one_of(
+            st.sampled_from([0.25, 0.5]).map(lambda step: UniformQuantizer(step=step, clamp=1.0)),
+            st.integers(0, 2).map(lambda keep: MagnitudePruner(keep=keep)),
+        )
+    )
+    loss = LossSpec(kind=draw(st.sampled_from(["clipped_absolute", "clipped_hinge", "clipped_squared"])))
+    p = draw(st.sampled_from([1.0, 2.0]))
+    rng = np.random.default_rng(seed)
+    d = domain.dim
+    x = rng.normal(0.0, 0.6, size=(30, d))
+    y = x @ rng.uniform(-0.9, 0.9, size=d) + rng.normal(0.0, 0.1, size=30)
+    labelled = LabelledSample(inputs=x, targets=y)
+    unlabelled = UnlabelledSample(inputs=rng.normal(0.0, 0.6, size=(40, d)))
+    return labelled, unlabelled, op, loss, p, domain
+
+
+EQUIVALENCE = settings(max_examples=40, deadline=None)
+LAMBDAS = st.sampled_from([0.0, 0.05, 0.3, 1.0, 25.0])
+
+
+@EQUIVALENCE
+@given(problems(), LAMBDAS)
+def test_lambda_erm_equals_scalar_callback(problem, lam):
+    labelled, unlabelled, op, loss, p, domain = problem
+    out = lambda_erm(labelled, unlabelled, op, lam, p, loss, domain)
+    scalar = sensitivity_regularized_erm(
+        labelled, op, lambda h: empirical_sensitivity(h, op, unlabelled, p).value, lam, loss, domain
+    )
+    assert_same_search(out, scalar.hypothesis.weights, scalar.objective_value, scalar.objective_trace)
+
+
+@EQUIVALENCE
+@given(problems(), LAMBDAS)
+def test_sensitivity_regularized_built_ins_equal_scalar_callbacks(problem, rho):
+    labelled, unlabelled, op, loss, p, domain = problem
+    budget = 1.3
+    pairs = [
+        (EmpiricalSensitivity(unlabelled, p), lambda h: empirical_sensitivity(h, op, unlabelled, p).value),
+        (AnalyticSensitivity(budget), lambda h: analytic_sensitivity_upper(h, op, budget).value),
+    ]
+    for built_in, callback in pairs:
+        batched = sensitivity_regularized_erm(
+            labelled, op, built_in, rho, loss, domain, sensitivity_label="s"
+        )
+        scalar = sensitivity_regularized_erm(
+            labelled, op, callback, rho, loss, domain, sensitivity_label="s"
+        )
+        assert_same_output(batched, scalar)
+    batched = analytic_lambda_erm(labelled, op, rho, AnalyticSensitivity(budget), loss, domain)
+    scalar = analytic_lambda_erm(labelled, op, rho, pairs[1][1], loss, domain)
+    assert_same_output(batched, scalar)
+
+
+def _approx_error(op, labelled, loss):
+    return lambda w: empirical_error(apply_operator(op, linear_hypothesis(w)), labelled, loss)
+
+
+@EQUIVALENCE
+@given(problems(), st.sampled_from([1e-12, 0.01, 0.05, 0.2, math.inf]))
+def test_constrained_erm_equals_scalar_loop(problem, t):
+    # piecewise-constant objective: ties everywhere, and tiny t is often infeasible
+    labelled, unlabelled, op, loss, p, domain = problem
+
+    def dhat(w):
+        return empirical_sensitivity(linear_hypothesis(w), op, unlabelled, p).value
+
+    try:
+        expected = scalar_search(
+            domain, _approx_error(op, labelled, loss), lambda w: dhat(w) < t, dhat
+        )
+    except InfeasibleThresholdError as err:
+        with pytest.raises(InfeasibleThresholdError) as got:
+            constrained_erm(labelled, unlabelled, op, t, p, loss, domain)
+        assert got.value.to_dict() == err.to_dict()
+        return
+    out = constrained_erm(labelled, unlabelled, op, t, p, loss, domain)
+    assert_same_search(out, *expected)
+
+
+def scalar_srm(labelled, unlabelled, op, limits, penalties, loss, p, domain):
+    """The SRM objective evaluated per candidate, counting boundary hits and
+    clamps on every evaluation; returns (weights, value, trace, k, hits, clamped)."""
+    stats = {"hits": 0, "clamps": 0}
+
+    def khat(w):
+        d = empirical_sensitivity(linear_hypothesis(w), op, unlabelled, p).value
+        for k, limit in enumerate(limits):
+            if d <= limit:
+                stats["hits"] += d == limit
+                return k
+        stats["clamps"] += 1
+        return len(limits) - 1
+
+    def objective(w):
+        return empirical_error(linear_hypothesis(w), labelled, loss) + penalties[khat(w)]
+
+    weights, value, trace = scalar_search(domain, objective)
+    k = khat(weights)
+    return weights, value, trace, k + 1, stats["hits"], stats["clamps"] > 0
+
+
+def _srm_pair(problem, thresholds, epsilon_u):
+    labelled, unlabelled, op, loss, p, domain = problem
+    schedule = ThresholdSchedule(thresholds=thresholds)
+    out = srm_learner(
+        labelled, unlabelled, op, schedule, epsilon_u, lambda t: 0.2 * t, loss, domain, p=p
+    )
+    penalties = [
+        2.0 * loss.lipschitz * 0.2 * (t + epsilon_u)
+        + 3.0 * math.sqrt(math.log(1.0 / w) / (2.0 * labelled.m))
+        for t, w in zip(schedule.thresholds, schedule.weights)
+    ]
+    limits = [t + epsilon_u for t in schedule.thresholds]
+    weights, value, trace, k, hits, clamped = scalar_srm(
+        labelled, unlabelled, op, limits, penalties, loss, p, domain
+    )
+    assert_same_search(out, weights, value, trace)
+    assert (out.chosen_k, out.boundary_hits, out.clamped) == (k, hits, clamped)
+    return out
+
+
+@EQUIVALENCE
+@given(
+    problems(),
+    st.sampled_from([(0.02, 0.05, 0.1), (1e-9, 2e-9), (0.05, 0.3, 2.0)]),
+    st.sampled_from([0.0, 0.01]),
+)
+def test_srm_learner_equals_scalar_loop(problem, thresholds, epsilon_u):
+    _srm_pair(problem, thresholds, epsilon_u)
+
+
+def test_blocked_search_exact_at_thresholds():
+    # thresholds and t set to a candidate's exact dhat: the blocked screen
+    # must leave these borderline decisions to the scalar comparison
+    _, labelled, unlabelled = _make_data(seed=21)
+    domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=21)
+    problem = (labelled, unlabelled, OP, LOSS, 1.0, domain)
+    cands = domain.candidate_matrix()
+    d = [empirical_sensitivity(linear_hypothesis(w), OP, unlabelled, 1).value for w in cands]
+    on = sorted(set(d))[3]
+    out = _srm_pair(problem, (on, 4 * on), 0.0)
+    assert out.boundary_hits >= d.count(on)
+
+    def dhat(w):
+        return empirical_sensitivity(linear_hypothesis(w), OP, unlabelled, 1).value
+
+    expected = scalar_search(domain, _approx_error(OP, labelled, LOSS), lambda w: dhat(w) < on, dhat)
+    assert_same_search(constrained_erm(labelled, unlabelled, OP, on, 1.0, LOSS, domain), *expected)
+
+
+def test_constrained_erm_borderline_feasibility_is_scalar():
+    # t equals the scalar dhat of the unconstrained minimiser, whose blocked
+    # value U @ (w - Q(w)) rounds below it: that candidate is infeasible
+    # (dhat < t is false), however the blocked screen rounds
+    domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=21)
+    cands = domain.candidate_matrix()
+    for seed in range(60):
+        _, labelled, unlabelled = _make_data(seed=200 + seed)
+        approx = _approx_error(OP, labelled, LOSS)
+        best = cands[int(np.argmin([approx(w) for w in cands]))]
+        t = empirical_sensitivity(linear_hypothesis(best), OP, unlabelled, 1).value
+        blocked = float(np.mean(np.abs(unlabelled.inputs @ (best - OP.transform_weights(best)))))
+        if blocked < t:
+            break
+    else:
+        pytest.fail("no seed rounds the blocked sensitivity below the scalar one")
+
+    def dhat(w):
+        return empirical_sensitivity(linear_hypothesis(w), OP, unlabelled, 1).value
+
+    out = constrained_erm(labelled, unlabelled, OP, t, 1.0, LOSS, domain)
+    assert not np.array_equal(out.hypothesis.weights, best)
+    assert_same_search(out, *scalar_search(domain, approx, lambda w: dhat(w) < t, dhat))

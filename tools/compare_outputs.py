@@ -1,0 +1,77 @@
+"""Check that two checkouts write byte-identical outputs for the benchmark's ops.
+
+    python tools/compare_outputs.py run CHECKOUT OUT [--workloads a,b] [--seeds 1,2]
+    python tools/compare_outputs.py diff OUT_A OUT_B
+
+``run`` builds each workload's inputs from its seed with CHECKOUT's
+``perfbench/workloads.py`` (under OUT/../cmp_inputs, so two runs read the same
+input paths), calls CHECKOUT's ``approx_sense.cli.main`` once per op with a
+fresh ``--out`` directory, and records the exit codes.  ``diff`` compares
+every output file byte for byte and exits 1 on any difference.  Run ``run``
+once per checkout, each in its own interpreter, with OPENBLAS_NUM_THREADS=1
+as the benchmark does.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+DEFAULT_WORKLOADS = ("train_grid", "train_descent", "validate_coverage")
+
+
+def run(checkout: Path, out: Path, workloads, seeds) -> None:
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import workloads as wl
+    from approx_sense.cli import main
+
+    codes = {}
+    for workload in workloads:
+        for seed in seeds:
+            inputs = out.parent / "cmp_inputs" / f"{workload}_{seed}"
+            for op in wl.build(workload, seed, inputs):
+                key = f"{workload}/{seed}/{op.name}"
+                codes[key] = main(list(op.argv) + ["--out", str(out / "outputs" / key)])
+    (out / "codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True))
+
+
+def _digests(root: Path) -> dict[str, str]:
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def diff(a: Path, b: Path) -> int:
+    da, db = _digests(a / "outputs"), _digests(b / "outputs")
+    ca = json.loads((a / "codes.json").read_text())
+    cb = json.loads((b / "codes.json").read_text())
+    bad = 0
+    for key in sorted(set(da) | set(db)):
+        same = da.get(key) == db.get(key)
+        bad += not same
+        print(("same  " if same else "DIFF  ") + key)
+    for key in sorted(set(ca) | set(cb)):
+        if ca.get(key) != cb.get(key):
+            bad += 1
+            print(f"EXIT  {key}: {ca.get(key)} vs {cb.get(key)}")
+    print(f"{len(da)} files vs {len(db)} files, {bad} differences, "
+          f"exit codes {sorted(set(ca.values()))} vs {sorted(set(cb.values()))}")
+    return 1 if bad else 0
+
+
+def _option(args: list[str], name: str, default: str) -> list[str]:
+    return (args[args.index(name) + 1] if name in args else default).split(",")
+
+
+if __name__ == "__main__":
+    command, *args = sys.argv[1:]
+    if command == "run":
+        workloads = _option(args, "--workloads", ",".join(DEFAULT_WORKLOADS))
+        seeds = [int(s) for s in _option(args, "--seeds", "1,2")]
+        run(Path(args[0]).resolve(), Path(args[1]).resolve(), workloads, seeds)
+    else:
+        sys.exit(diff(Path(args[0]), Path(args[1])))
