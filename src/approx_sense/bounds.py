@@ -43,9 +43,19 @@ def hoeffding_term(c: float, arg: float, m: int) -> float:
     return ConfidenceTerm(c=c, arg=arg, m=m).value
 
 
+@dataclass(frozen=True)
+class Constituent:
+    """A constituent value with an explicit certified flag, as read from a
+    file (a Monte Carlo value is uncertified even when its standard error
+    is 0)."""
+
+    value: float
+    certified: bool
+
+
 def _constituent(x) -> tuple[float, bool]:
     """Normalise a constituent to (value, certified)."""
-    if isinstance(x, RadEstimate):
+    if isinstance(x, (Constituent, RadEstimate)):
         return x.value, x.certified
     if isinstance(x, SensitivityEstimate):
         return x.value, not x.standard_error

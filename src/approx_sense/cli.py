@@ -1,24 +1,28 @@
 """Command-line driver.
 
 Subcommands: generate, train, sensitivity, rademacher, bound, validate.
-Configs are JSON with an explicit schema_version; unknown keys are rejected.
-One top-level seed fixes every output byte-for-byte; --threads (or the
-APPROX_SENSE_THREADS variable) only changes the execution schedule.
+Configs are JSON with an explicit schema_version, checked against one table
+per config section; unknown keys are rejected with their field path.  One
+top-level seed fixes every output byte-for-byte; validate's --threads (or
+the APPROX_SENSE_THREADS variable) only changes the execution schedule.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass, replace
+from inspect import signature
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
 from .bounds import (
+    Constituent,
     joint_bounds,
     lambda_equivalence_bound,
     regularized_bound,
@@ -72,213 +76,157 @@ from .validation import run_suite
 SCHEMA_VERSION = 1
 
 # ---------------------------------------------------------------------------
-# Config schema
+# Config description: one table per section, checked by _check
 # ---------------------------------------------------------------------------
 
-_FEATURE_MAP_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["identity", "polynomial", "rbf"]},
-        "input_dim": {"type": "integer", "minimum": 1},
-        "degree": {"type": "integer", "minimum": 1},
-        "centers": {"type": "array"},
-        "width": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
 
-_INPUT_LAW_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["uniform_box", "isotropic_gaussian", "gaussian_mixture"]},
-        "halfwidth": {"type": "number", "exclusiveMinimum": 0},
-        "sd": {"type": "number", "exclusiveMinimum": 0},
-        "centers": {"type": "array"},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
+@dataclass(frozen=True)
+class Field:
+    """A config value: a JSON type ("integer", "number", "string", "boolean",
+    "array", "object", or alternatives joined by "|"), an optional lower
+    bound (exclusive when ``strict``), the allowed values, and a rule for
+    the items of an array or the values of an object."""
 
-_TASK_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["synthetic", "csv"]},
-        "teacher_weights": {"type": "array", "items": {"type": "number"}},
-        "feature_map": _FEATURE_MAP_SCHEMA,
-        "input_law": _INPUT_LAW_SCHEMA,
-        "label_noise_sd": {"type": "number", "minimum": 0},
-        "m_labelled": {"type": "integer", "minimum": 1},
-        "m_unlabelled": {"type": "integer", "minimum": 1},
-        "labelled_path": {"type": "string"},
-        "unlabelled_path": {"type": "string"},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_OPERATOR_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["uniform_quantizer", "magnitude_pruner", "stochastic_rounder"]},
-        "step": {"type": "number", "exclusiveMinimum": 0},
-        "clamp": {"type": "number", "exclusiveMinimum": 0},
-        "keep": {"type": "integer", "minimum": 0},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_LOSS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["clipped_absolute", "clipped_hinge", "clipped_squared"]},
-        "lipschitz": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_DOMAIN_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "dim": {"type": "integer", "minimum": 1},
-        "halfwidth": {"type": "number", "exclusiveMinimum": 0},
-        "mode": {"enum": ["grid", "random", "coordinate_descent"]},
-        "points_per_axis": {"type": "integer", "minimum": 2},
-        "n_samples": {"type": "integer", "minimum": 1},
-        "restarts": {"type": "integer", "minimum": 1},
-        "iterations": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-    },
-    "required": ["dim", "halfwidth"],
-    "additionalProperties": False,
-}
-
-_LEARNER_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "algorithm": {
-            "enum": [
-                "constrained_erm",
-                "srm",
-                "sensitivity_regularized_erm",
-                "lambda_erm",
-                "analytic_lambda_erm",
-                "lambda_grid_srm",
-            ]
-        },
-        "t": {"type": "number", "exclusiveMinimum": 0},
-        "p": {"type": "number", "minimum": 1},
-        "lambda": {"type": "number", "minimum": 0},
-        "lambdas": {"type": "array", "items": {"type": "number", "minimum": 0}},
-        "weights": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
-        "thresholds": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
-        "epsilon_u": {"type": "number", "minimum": 0},
-        "sensitivity": {"enum": ["empirical", "analytic"]},
-        "input_norm_budget": {"type": "number", "minimum": 0},
-        "rho": {"type": "number", "minimum": 0},
-        "n_sigma": {"type": "integer", "minimum": 1},
-        "domain": _DOMAIN_SCHEMA,
-    },
-    "required": ["algorithm", "domain"],
-    "additionalProperties": False,
-}
-
-TRAIN_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "seed": {"type": "integer"},
-        "task": _TASK_SCHEMA,
-        "operator": _OPERATOR_SCHEMA,
-        "loss": _LOSS_SCHEMA,
-        "learner": _LEARNER_SCHEMA,
-    },
-    "required": ["schema_version", "seed", "task", "operator", "loss", "learner"],
-    "additionalProperties": False,
-}
-
-GENERATE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "seed": {"type": "integer"},
-        "task": _TASK_SCHEMA,
-        "m": {"type": "integer", "minimum": 1},
-        "labelled": {"type": "boolean"},
-    },
-    "required": ["schema_version", "seed", "task", "m", "labelled"],
-    "additionalProperties": False,
-}
-
-SENSITIVITY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "seed": {"type": "integer"},
-        "weights": {"type": "array", "items": {"type": "number"}},
-        "feature_map": _FEATURE_MAP_SCHEMA,
-        "operator": _OPERATOR_SCHEMA,
-        "sample_path": {"type": "string"},
-        "p": {"type": "number", "minimum": 1},
-        "kind": {"enum": ["empirical", "analytic_upper", "expected_stochastic"]},
-        "input_norm_budget": {"type": "number", "minimum": 0},
-        "n_omega": {"type": "integer", "minimum": 1},
-    },
-    "required": ["schema_version", "weights", "operator", "kind"],
-    "additionalProperties": False,
-}
-
-BOUND_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "bound": {
-            "enum": [
-                "uniform_restricted",
-                "srm_uniform",
-                "joint",
-                "regularized",
-                "lambda_equivalence",
-                "stochastic",
-                "srm_selection",
-            ]
-        },
-        "params": {"type": "object"},
-        "constituents": {"type": "object", "additionalProperties": {"type": "string"}},
-    },
-    "required": ["schema_version", "bound", "params"],
-    "additionalProperties": False,
-}
+    type: str = "number"
+    low: float | None = None
+    strict: bool = False
+    enum: tuple = ()
+    items: Field | None = None
+    min_items: int = 0
 
 
-_VALIDATORS: dict[int, object] = {}
+@dataclass(frozen=True)
+class Section:
+    """A JSON object: its fields (a Field or a nested Section each), the keys
+    every config needs, and for a section keyed by ``key`` the keys each
+    kind needs.  The kinds are the allowed values of ``key``."""
+
+    fields: dict
+    required: tuple = ()
+    key: str | None = None
+    kinds: dict | None = None
 
 
-def _validate_config(config: dict, schema: dict) -> None:
-    # jsonschema.validate without re-checking the schema on every call: each
-    # schema is checked once, when its validator is first built (the
-    # validator keeps its schema alive, so the id key stays unique)
-    validator = _VALIDATORS.get(id(schema))
-    if validator is None:
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        validator = _VALIDATORS[id(schema)] = cls(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path!r}: {error.message}", field=path) from error
+_NUM, _STR = Field("number"), Field("string")
+_POSITIVE, _NONNEG, _EXPONENT = Field(low=0, strict=True), Field(low=0), Field(low=1)
+_COUNT, _UINT = Field("integer", low=1), Field("integer", low=0)
+_LIST = Field("array", items=_NUM, min_items=1)
+_CENTERS = Field("array", items=Field("number|array", items=_NUM), min_items=1)
+
+_FEATURE_MAP = Section(
+    {"input_dim": _COUNT, "degree": _COUNT, "centers": _CENTERS, "width": _POSITIVE},
+    key="kind", kinds={"identity": (), "polynomial": ("degree",), "rbf": ("centers", "width")},
+)
+_INPUT_LAW = Section(
+    {"halfwidth": _POSITIVE, "sd": _POSITIVE, "centers": _CENTERS}, key="kind",
+    kinds={"uniform_box": (), "isotropic_gaussian": (), "gaussian_mixture": ("centers",)},
+)
+_TASK = Section(
+    {"teacher_weights": _LIST, "feature_map": _FEATURE_MAP,
+     "input_law": _INPUT_LAW, "label_noise_sd": _NONNEG, "m_labelled": _COUNT,
+     "m_unlabelled": _COUNT, "labelled_path": _STR, "unlabelled_path": _STR},
+    key="kind", kinds={"synthetic": ("teacher_weights",), "csv": ("labelled_path",)},
+)
+_OPERATOR = Section(
+    {"step": _POSITIVE, "clamp": _POSITIVE, "keep": _UINT}, key="kind",
+    kinds={"uniform_quantizer": ("step", "clamp"), "magnitude_pruner": ("keep",),
+           "stochastic_rounder": ("step", "clamp")},
+)
+_LOSS = Section({"lipschitz": _POSITIVE}, key="kind",
+                kinds=dict.fromkeys(("clipped_absolute", "clipped_hinge", "clipped_squared"), ()))
+_DOMAIN = Section(
+    {"dim": _COUNT, "halfwidth": _POSITIVE,
+     "mode": Field("string", enum=("grid", "random", "coordinate_descent")),
+     "points_per_axis": Field("integer", low=2), "n_samples": _COUNT, "restarts": _COUNT,
+     "iterations": _COUNT, "seed": _UINT},
+    required=("dim", "halfwidth"),
+)
+_LEARNER = Section(
+    {"t": _POSITIVE, "p": _EXPONENT, "lambda": _NONNEG,
+     "lambdas": Field("array", items=_NONNEG), "weights": Field("array", items=_POSITIVE),
+     "thresholds": Field("array", items=_POSITIVE), "epsilon_u": _NONNEG,
+     "sensitivity": Field("string", enum=("empirical", "analytic")),
+     "input_norm_budget": _NONNEG, "rho": _NONNEG, "n_sigma": _COUNT, "domain": _DOMAIN},
+    required=("domain",), key="algorithm",
+    kinds={"constrained_erm": ("t",), "srm": ("thresholds",), "sensitivity_regularized_erm": (),
+           "lambda_erm": ("lambda",), "analytic_lambda_erm": ("lambda",),
+           "lambda_grid_srm": ("lambdas", "weights")},
+)
+_TOP = {"schema_version": Field("integer", enum=(SCHEMA_VERSION,)), "seed": _UINT}
+TRAIN = Section(dict(_TOP, task=_TASK, operator=_OPERATOR, loss=_LOSS, learner=_LEARNER),
+                required=("schema_version", "seed", "task", "operator", "loss", "learner"))
+GENERATE = Section(
+    dict(_TOP, task=replace(_TASK, kinds={"synthetic": ("teacher_weights",)}), m=_COUNT,
+         labelled=Field("boolean")),
+    required=("schema_version", "seed", "task", "m", "labelled"),
+)
+SENSITIVITY = Section(
+    dict(_TOP, weights=_LIST, feature_map=_FEATURE_MAP, operator=_OPERATOR, sample_path=_STR,
+         p=_EXPONENT, input_norm_budget=_NONNEG, n_omega=_COUNT),
+    required=("schema_version", "weights", "operator"), key="kind",
+    kinds={"empirical": ("sample_path",), "analytic_upper": (),
+           "expected_stochastic": ("sample_path",)},
+)
+
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
+               "array": list, "object": dict}
 
 
-def _load_config(path: str) -> dict:
+def _fail(path: tuple, message: str):
+    field = "/".join(map(str, path)) or "<root>"
+    raise ConfigError(f"config field {field!r}: {message}", field=field)
+
+
+def _check(value, spec: Field | Section, path: tuple = ()) -> None:
+    """Raise ConfigError naming the field path of the first part of
+    ``value`` that ``spec`` does not allow.  The value is left unchanged."""
+    if isinstance(spec, Section):
+        if not isinstance(value, dict):
+            _fail(path, f"{json.dumps(value)} is not an object")
+        fields, required = spec.fields, spec.required
+        if spec.key is not None:
+            fields = dict(fields, **{spec.key: Field("string", enum=tuple(spec.kinds))})
+        for key, item in value.items():
+            if key not in fields:
+                _fail((*path, key), "unknown key")
+            _check(item, fields[key], (*path, key))
+        if spec.key is not None:  # the kind is valid here, if present
+            required = (spec.key, *required, *spec.kinds.get(value.get(spec.key), ()))
+        for key in required:
+            if key not in value:
+                _fail((*path, key), "required key is missing")
+        return
+    # a bool is an int in Python but not a JSON number; 7.0 is not an integer
+    types = spec.type.split("|")
+    if not any(isinstance(value, _JSON_TYPES[t]) and (t == "boolean") == isinstance(value, bool)
+               for t in types):
+        _fail(path, f"{json.dumps(value)} is not of type {' or '.join(types)}")
+    if isinstance(value, float) and not math.isfinite(value):  # Python's json reads NaN
+        _fail(path, f"{value} is not a finite number")
+    if spec.enum and value not in spec.enum:
+        _fail(path, f"{json.dumps(value)} is not one of {list(spec.enum)}")
+    if spec.low is not None and isinstance(value, (int, float)):
+        if value < spec.low or (spec.strict and value == spec.low):
+            _fail(path, f"{value} must be {'>' if spec.strict else '>='} {spec.low}")
+    if isinstance(value, (list, dict)) and len(value) < spec.min_items:
+        _fail(path, f"needs at least {spec.min_items} item(s)")
+    # numpy reads nested lists as arrays only when they are rectangular
+    if isinstance(value, list) and len({len(v) if isinstance(v, list) else -1 for v in value}) > 1:
+        _fail(path, "items must be all numbers or all lists of one length")
+    if spec.items is not None and isinstance(value, (list, dict)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _check(item, spec.items, (*path, key))
+
+
+def _load_json(path: str, what: str = "config", **details):
     p = Path(path)
     if not p.exists():
-        raise MissingInputError(f"config file not found: {p}", path=str(p))
+        raise MissingInputError(f"{what} file not found: {p}", path=str(p), **details)
     try:
         return json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+        message = f"{what} is not valid JSON (line {exc.lineno}): {exc.msg}"
+        raise ConfigError(message, **details) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -310,27 +258,8 @@ def _build_operator(cfg: dict):
     return StochasticRounder(step=cfg["step"], clamp=cfg["clamp"])
 
 
-def _build_loss(cfg: dict) -> LossSpec:
-    return LossSpec(kind=cfg["kind"], lipschitz=cfg.get("lipschitz", 1.0))
-
-
-def _build_domain(cfg: dict) -> SearchDomain:
-    return SearchDomain(
-        dim=cfg["dim"],
-        halfwidth=cfg["halfwidth"],
-        mode=cfg.get("mode", "grid"),
-        points_per_axis=cfg.get("points_per_axis", 11),
-        n_samples=cfg.get("n_samples", 200),
-        restarts=cfg.get("restarts", 4),
-        iterations=cfg.get("iterations", 20),
-        seed=cfg.get("seed", 0),
-    )
-
-
 def _build_samples(task_cfg: dict, seed: int) -> tuple[LabelledSample, UnlabelledSample | None]:
     if task_cfg["kind"] == "csv":
-        if "labelled_path" not in task_cfg:
-            raise ConfigError("csv task needs 'labelled_path'", field="task/labelled_path")
         labelled = read_sample_csv(task_cfg["labelled_path"])
         if not isinstance(labelled, LabelledSample):
             raise ConfigError("labelled_path does not contain a 'target' column")
@@ -347,8 +276,6 @@ def _build_samples(task_cfg: dict, seed: int) -> tuple[LabelledSample, Unlabelle
 
 
 def _build_task(task_cfg: dict, seed: int) -> SyntheticTask:
-    if "teacher_weights" not in task_cfg:
-        raise ConfigError("synthetic task needs 'teacher_weights'", field="task/teacher_weights")
     weights = np.asarray(task_cfg["teacher_weights"], dtype=float)
     fmap = _build_feature_map(task_cfg.get("feature_map"), input_dim=weights.shape[0])
     teacher = Hypothesis(weights=weights, feature_map=fmap)
@@ -386,8 +313,8 @@ def _print(message: str) -> None:
 
 
 def cmd_generate(args) -> int:
-    config = _load_config(args.config)
-    _validate_config(config, GENERATE_SCHEMA)
+    config = _load_json(args.config)
+    _check(config, GENERATE)
     seed = args.seed if args.seed is not None else config["seed"]
     task = _build_task(config["task"], seed)
     sample = generate(task, config["m"], labelled=config["labelled"])
@@ -400,14 +327,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
-    _validate_config(config, TRAIN_SCHEMA)
+    config = _load_json(args.config)
+    _check(config, TRAIN)
     seed = args.seed if args.seed is not None else config["seed"]
     labelled, unlabelled = _build_samples(config["task"], seed)
     op = _build_operator(config["operator"])
-    loss = _build_loss(config["loss"])
+    loss = LossSpec(**config["loss"])  # the loss and domain tables hold their fields only
     lcfg = config["learner"]
-    domain = _build_domain(lcfg["domain"])
+    domain = SearchDomain(**lcfg["domain"])
     fmap = _build_feature_map(config["task"].get("feature_map"), input_dim=labelled.dim)
     p = lcfg.get("p", 1.0)
     algorithm = lcfg["algorithm"]
@@ -418,14 +345,10 @@ def cmd_train(args) -> int:
         return unlabelled
 
     if algorithm == "constrained_erm":
-        if "t" not in lcfg:
-            raise ConfigError("constrained_erm needs 't'", field="learner/t")
         output = constrained_erm(
             labelled, need_unlabelled(), op, lcfg["t"], p, loss, domain, feature_map=fmap
         )
     elif algorithm == "srm":
-        if "thresholds" not in lcfg:
-            raise ConfigError("srm needs 'thresholds'", field="learner/thresholds")
         schedule = ThresholdSchedule(
             thresholds=tuple(lcfg["thresholds"]), weights=tuple(lcfg.get("weights", ()))
         )
@@ -462,14 +385,10 @@ def cmd_train(args) -> int:
             labelled, op, sensitivity, rho, loss, domain, feature_map=fmap, sensitivity_label=label
         )
     elif algorithm == "lambda_erm":
-        if "lambda" not in lcfg:
-            raise ConfigError("lambda_erm needs 'lambda'", field="learner/lambda")
         output = lambda_erm(
             labelled, need_unlabelled(), op, lcfg["lambda"], p, loss, domain, feature_map=fmap
         )
     elif algorithm == "analytic_lambda_erm":
-        if "lambda" not in lcfg:
-            raise ConfigError("analytic_lambda_erm needs 'lambda'", field="learner/lambda")
         output = analytic_lambda_erm(
             labelled,
             op,
@@ -480,8 +399,6 @@ def cmd_train(args) -> int:
             feature_map=fmap,
         )
     else:  # lambda_grid_srm
-        if "lambdas" not in lcfg or "weights" not in lcfg:
-            raise ConfigError("lambda_grid_srm needs 'lambdas' and 'weights'", field="learner")
         output = lambda_grid_srm(
             labelled,
             need_unlabelled(),
@@ -518,8 +435,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    config = _load_config(args.config)
-    _validate_config(config, SENSITIVITY_SCHEMA)
+    config = _load_json(args.config)
+    _check(config, SENSITIVITY)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     weights = np.asarray(config["weights"], dtype=float)
     fmap = _build_feature_map(config.get("feature_map"), input_dim=weights.shape[0])
@@ -530,8 +447,6 @@ def cmd_sensitivity(args) -> int:
     if kind == "analytic_upper":
         estimate = analytic_sensitivity_upper(h, op, config.get("input_norm_budget", 1.0))
     else:
-        if "sample_path" not in config:
-            raise ConfigError(f"{kind} sensitivity needs 'sample_path'", field="sample_path")
         loaded = read_sample_csv(config["sample_path"])
         sample = UnlabelledSample(inputs=loaded.inputs, source_id=loaded.source_id)
         if kind == "empirical":
@@ -549,11 +464,7 @@ def cmd_rademacher(args) -> int:
     if (args.geometry is None) == (args.pointset is None):
         raise ConfigError("pass exactly one of --geometry or --pointset")
     if args.geometry is not None:
-        path = Path(args.geometry)
-        if not path.exists():
-            raise MissingInputError(f"geometry file not found: {path}", path=str(path))
-        model = GeometryModel.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        estimate = model.rademacher()
+        estimate = GeometryModel.from_dict(_load_json(args.geometry, "geometry")).rademacher()
     else:
         points = read_matrix_csv(args.pointset)
         ps = SensitivityPointSet(points=points)
@@ -571,108 +482,73 @@ def cmd_rademacher(args) -> int:
     return 0
 
 
-def _resolve_constituent(params: dict, constituents: dict, key: str):
-    """A bound input comes inline from params or from a JSON file with 'value'."""
-    if key in params:
-        return params[key]
-    if key in constituents:
-        path = Path(constituents[key])
-        if not path.exists():
-            raise MissingInputError(
-                f"constituent {key!r} file not found: {path}", constituent=key, path=str(path)
-            )
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if "value" not in payload:
-            raise ConfigError(f"constituent file {path} has no 'value' field", constituent=key)
-        if payload.get("standard_error") or payload.get("method") == "monte_carlo":
-            return (float(payload["value"]), float(payload.get("standard_error", 0.0)) or 1e-300)
-        return float(payload["value"])
-    raise MissingInputError(f"missing constituent {key!r}", constituent=key)
+_NUMBERS = replace(_LIST, type="number|array")
+# bound kind -> the calculator's name in this module (looked up when called,
+# so it can be wrapped) and the parameters that take a list
+_BOUNDS = {
+    "uniform_restricted": ("uniform_restricted_bound", {}),
+    "srm_uniform": ("srm_uniform_bound", {}),
+    "joint": ("joint_bounds", {}),
+    "regularized": ("regularized_bound", {"err_star_t": _NUMBERS, "t": _NUMBERS}),
+    "lambda_equivalence": ("lambda_equivalence_bound", {}),
+    "stochastic": ("stochastic_bound", {}),
+    "srm_selection": ("srm_selection_bound",
+                      {"err_star_k": _LIST, "rad_Ht_k": _LIST, "w_k": _LIST}),
+}
+# calculator parameters given in params only; every other parameter is a
+# constituent, given in params or read from the JSON file that constituents
+# names
+_BOUND_PARAMS = {"rho": _NUM, "m": _COUNT, "delta": _POSITIVE, "t": _NUM, "w_k": _NUM,
+                 "lam": _NUM, "epsilon_u": _NUM}
+BOUND = Section(
+    {"schema_version": _TOP["schema_version"], "params": Field("object"),
+     "constituents": Field("object", items=_STR)},
+    required=("schema_version", "params"), key="bound", kinds=dict.fromkeys(_BOUNDS, ()),
+)
+
+
+def _read_constituent(key: str, path: str):
+    """The 'value' of a constituent file; a value that carries a standard
+    error or comes from Monte Carlo is marked uncertified."""
+    payload = _load_json(path, f"constituent {key!r}", constituent=key)
+    value = payload.get("value") if isinstance(payload, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"constituent file {path} has no numeric 'value' field", constituent=key)
+    if payload.get("standard_error") or payload.get("method") == "monte_carlo":
+        return Constituent(float(value), certified=False)
+    return float(value)
 
 
 def cmd_bound(args) -> int:
-    config = _load_config(args.config)
-    _validate_config(config, BOUND_SCHEMA)
-    params = dict(config["params"])
-    constituents = config.get("constituents", {})
-
-    def get(key):
-        return _resolve_constituent(params, constituents, key)
-
+    config = _load_json(args.config)
+    _check(config, BOUND)
     kind = config["bound"]
-    if kind == "uniform_restricted":
-        report = uniform_restricted_bound(
-            get("emp_err"), get("rad_Ht"), params["rho"], params["m"], params["delta"]
-        )
-        reports = [report]
-    elif kind == "srm_uniform":
-        reports = [
-            srm_uniform_bound(
-                get("emp_err"),
-                get("rad_Ht_k"),
-                params["w_k"],
-                params["rho"],
-                params["m"],
-                params["delta"],
-            )
-        ]
-    elif kind == "joint":
-        reports = list(
-            joint_bounds(
-                get("err_min_approx"),
-                get("err_star"),
-                get("rad_HA"),
-                params["rho"],
-                params["t"],
-                params["m"],
-                params["delta"],
-            )
-        )
-    elif kind == "regularized":
-        reports = [
-            regularized_bound(
-                get("err_star_t"),
-                params["rho"],
-                params["t"],
-                get("rad_HA"),
-                params["m"],
-                params["delta"],
-                epsilon_u=params.get("epsilon_u"),
-            )
-        ]
-    elif kind == "lambda_equivalence":
-        reports = [
-            lambda_equivalence_bound(
-                params["rho"],
-                get("rad_HA"),
-                params["m"],
-                params["delta"],
-                params["lambda"],
-                epsilon_u=params.get("epsilon_u"),
-            )
-        ]
-    elif kind == "stochastic":
-        reports = [
-            stochastic_bound(
-                get("exp_emp_err"),
-                get("exp_sensitivity"),
-                get("exp_rad"),
-                params["rho"],
-                params["m"],
-                params["delta"],
-            )
-        ]
-    else:  # srm_selection
-        reports = [
-            srm_selection_bound(
-                get("err_star_k"),
-                get("rad_Ht_k"),
-                params["w_k"],
-                params["rho"],
-                params["m"],
-                params["delta"],
-            )
-        ]
+    name, lists = _BOUNDS[kind]
+    params, files = config["params"], config.get("constituents", {})
+    calculator = globals()[name]
+    parameters = {"lambda" if p.name == "lam" else p.name: p
+                  for p in signature(calculator).parameters.values()}
+    unknown = [("params", k) for k in params if k not in parameters]
+    unknown += [("constituents", k) for k in files if k not in parameters]
+    if unknown:
+        _fail(unknown[0], f"not an input of the {kind} bound")
+    kwargs = {}
+    for key, parameter in parameters.items():
+        spec = lists.get(key) or _BOUND_PARAMS.get(parameter.name, _NUM)
+        typed = parameter.name in _BOUND_PARAMS
+        if key in files and (typed or "number" not in spec.type):
+            _fail(("constituents", key), f"{key} cannot be read from a file")
+        if key in params:
+            _check(params[key], spec, ("params", key))
+            kwargs[parameter.name] = params[key]
+        elif key in files:
+            kwargs[parameter.name] = _read_constituent(key, files[key])
+        elif parameter.default is parameter.empty:
+            if typed:
+                _fail(("params", key), "required parameter is missing")
+            raise MissingInputError(f"missing constituent {key!r}", constituent=key)
+    result = calculator(**kwargs)
+    reports = list(result) if isinstance(result, tuple) else [result]
 
     out = Path(args.out)
     for report in reports:
@@ -692,7 +568,16 @@ def cmd_bound(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    report = run_suite(args.suite, trials=args.trials, seed=args.seed or 0, threads=args.threads)
+    threads = args.threads
+    if threads is None:
+        setting = os.environ.get("APPROX_SENSE_THREADS", "1")
+        try:
+            threads = int(setting)
+        except ValueError:
+            raise InvalidParameterError(
+                f"APPROX_SENSE_THREADS must be an integer, got {setting!r}"
+            ) from None
+    report = run_suite(args.suite, trials=args.trials, seed=args.seed or 0, threads=threads)
     path = _write_json(report.to_dict(), Path(args.out), f"validate_{args.suite}.json")
     status = "PASS" if report.passed else "FAIL"
     _print(
@@ -717,17 +602,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
+    def common(p, config=True, seed=True):
+        if config:
             p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=int(os.environ.get("APPROX_SENSE_THREADS", "1")),
-            help="worker threads for concurrent trials",
-        )
 
     common(sub.add_parser("generate", help="draw a synthetic sample to CSV"))
     common(sub.add_parser("train", help="run a learner"))
@@ -738,14 +618,16 @@ def _build_parser() -> argparse.ArgumentParser:
     rad.add_argument("--pointset", default=None, help="point-set CSV path")
     rad.add_argument("--method", choices=["exact", "mc"], default="exact")
     rad.add_argument("--n-sigma", type=int, default=2000)
-    common(rad, config_required=False)
+    common(rad, config=False)
 
-    common(sub.add_parser("bound", help="evaluate a bound from constituents"))
+    common(sub.add_parser("bound", help="evaluate a bound from constituents"), seed=False)
 
     val = sub.add_parser("validate", help="run a named validation suite")
     val.add_argument("--suite", required=True)
     val.add_argument("--trials", type=int, default=None)
-    common(val, config_required=False)
+    val.add_argument("--threads", type=int, default=None,
+                     help="worker threads for trials (default: APPROX_SENSE_THREADS, else 1)")
+    common(val, config=False)
 
     return parser
 
@@ -763,6 +645,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except ApproxSenseError as exc:
         sys.stderr.write(json.dumps(exc.to_dict(), sort_keys=True) + "\n")

@@ -50,7 +50,7 @@ from .core import (
     apply_operator,
     loss_values,
 )
-from .errors import InfeasibleThresholdError, InvalidParameterError
+from .errors import DimensionMismatchError, InfeasibleThresholdError, InvalidParameterError
 from .radgeom import RadEstimate, mc_rademacher_rows
 
 GRID_POINT_CAP = 1_000_000
@@ -362,7 +362,8 @@ def _abs_max(values: np.ndarray) -> float:
 class _Workspace:
     """Precomputed feature matrices, memoised per-weight statistics, and
     their block forms with the margins that bound block-versus-scalar
-    rounding."""
+    rounding.  Every learner builds one, so its checks are the learners'
+    shared input checks."""
 
     def __init__(
         self,
@@ -372,7 +373,13 @@ class _Workspace:
         labelled: LabelledSample | None,
         unlabelled: UnlabelledSample | None,
         p: float,
+        domain: SearchDomain,
     ):
+        if domain.dim != feature_map.feature_dim:
+            raise DimensionMismatchError(
+                f"search domain has dim {domain.dim}, "
+                f"but the feature map has {feature_map.feature_dim} features"
+            )
         if not op.deterministic:
             raise InvalidParameterError("learners require a deterministic operator")
         if p < 1:
@@ -595,7 +602,7 @@ def constrained_erm(
     if t <= 0:
         raise InvalidParameterError("t must be positive")
     fm = _resolve_feature_map(feature_map, labelled.dim)
-    ws = _Workspace(op, loss, fm, labelled, unlabelled, p)
+    ws = _Workspace(op, loss, fm, labelled, unlabelled, p, domain)
     return ws.output(_search(_Constrained(ws, t), domain), chosen_t=t)
 
 
@@ -625,7 +632,7 @@ def srm_learner(
     if epsilon_u < 0:
         raise InvalidParameterError("epsilon_u must be >= 0")
     fm = _resolve_feature_map(feature_map, labelled.dim)
-    ws = _Workspace(op, loss, fm, labelled, unlabelled, p)
+    ws = _Workspace(op, loss, fm, labelled, unlabelled, p, domain)
     m = labelled.m
     rho = loss.lipschitz
     penalties = []
@@ -668,10 +675,10 @@ def _regularized_erm(
     """
     fm = _resolve_feature_map(feature_map, labelled.dim)
     if isinstance(sensitivity, EmpiricalSensitivity):
-        ws = _Workspace(op, loss, fm, labelled, sensitivity.sample, sensitivity.p)
+        ws = _Workspace(op, loss, fm, labelled, sensitivity.sample, sensitivity.p, domain)
         objective = _Regularised(ws, coef)
     else:
-        ws = _Workspace(op, loss, fm, labelled, None, 1.0)
+        ws = _Workspace(op, loss, fm, labelled, None, 1.0, domain)
         if isinstance(sensitivity, AnalyticSensitivity):
             objective = _Regularised(ws, coef, sensitivity.input_norm_budget)
         else:
@@ -775,7 +782,7 @@ def lambda_grid_srm(
     if any(w <= 0 for w in weights) or sum(weights) > 1.0 + 1e-12:
         raise InvalidParameterError("weights must be positive and sum to at most 1")
     fm = _resolve_feature_map(feature_map, labelled.dim)
-    ws = _Workspace(op, loss, fm, labelled, unlabelled, p)
+    ws = _Workspace(op, loss, fm, labelled, unlabelled, p, domain)
     m = labelled.m
 
     table = []
@@ -818,7 +825,7 @@ def make_restricted_rad_estimator(
     prediction rows on the labelled inputs.
     """
     fm = _resolve_feature_map(feature_map, labelled.dim)
-    ws = _Workspace(op, None, fm, labelled, unlabelled, p)
+    ws = _Workspace(op, None, fm, labelled, unlabelled, p, domain)
     candidates = domain.candidate_matrix()
     step = ws.block_size
     blocks = [candidates[lo : lo + step] for lo in range(0, len(candidates), step)]

@@ -428,6 +428,37 @@ def operator_norm_lower_estimate(
 # ---------------------------------------------------------------------------
 
 
+# the field each geometry variant reads besides "variant" and "p"
+_GEOMETRY_FIELDS = {"pball": "radius", "ellipse": "mu", "axis_union": "mus",
+                    "rotated_union": "components", "clustered": "components"}
+
+
+def _geometry_field(d, key, at: str = "", numeric: bool = True):
+    """``d[key]`` as a float array, or as a list when not ``numeric``;
+    InvalidParameterError names the field when it is missing or neither."""
+    field = f"{at}{key}"
+    try:
+        value = d[key]
+    except (KeyError, IndexError, TypeError):
+        raise InvalidParameterError(f"geometry field {field!r} is missing", field=field) from None
+    if not numeric and isinstance(value, list) and value:
+        return value
+    if numeric:
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            pass
+    kind = "numeric" if numeric else "a non-empty list"
+    raise InvalidParameterError(f"geometry field {field!r} is not {kind}", field=field)
+
+
+def _geometry_number(d: dict, key: str) -> float:
+    value = _geometry_field(d, key)
+    if value.ndim or not np.isfinite(value):
+        raise InvalidParameterError(f"geometry field {key!r} must be a finite number", field=key)
+    return float(value)
+
+
 @dataclass(frozen=True)
 class GeometryModel:
     """Structured description of a sensitivity point set.
@@ -444,7 +475,7 @@ class GeometryModel:
 
     def __post_init__(self):
         conjugate_exponent(self.p)
-        if self.variant not in ("pball", "ellipse", "axis_union", "rotated_union", "clustered"):
+        if self.variant not in _GEOMETRY_FIELDS:
             raise InvalidParameterError(f"unknown geometry variant {self.variant!r}")
 
     @property
@@ -500,37 +531,33 @@ class GeometryModel:
 
     @staticmethod
     def from_dict(d: dict) -> "GeometryModel":
-        if not isinstance(d, dict) or "variant" not in d or "p" not in d:
-            raise InvalidParameterError("geometry JSON needs 'variant' and 'p' fields")
-        variant = d["variant"]
-        p = float(d["p"])
+        variant = d.get("variant") if isinstance(d, dict) else None
+        if not isinstance(variant, str) or variant not in _GEOMETRY_FIELDS:
+            raise InvalidParameterError(
+                f"unknown geometry variant {variant!r}; choose one of {sorted(_GEOMETRY_FIELDS)}",
+                field="variant",
+            )
+        p = _geometry_number(d, "p")
+        key = _GEOMETRY_FIELDS[variant]
         if variant == "pball":
-            model = GeometryModel(variant=variant, p=p, radius=float(d["radius"]))
-        elif variant == "ellipse":
-            mu = _check_mu(np.asarray(d["mu"], dtype=float))
-            model = GeometryModel(variant=variant, p=p, mu=mu)
-        elif variant == "axis_union":
-            mus = tuple(_check_mu(np.asarray(mu, dtype=float)) for mu in d["mus"])
+            return GeometryModel(variant, p, radius=_geometry_number(d, key))
+        if variant == "ellipse":
+            return GeometryModel(variant, p, mu=_check_mu(_geometry_field(d, key)))
+        if variant == "axis_union":
+            mus = _geometry_field(d, key, numeric=False)
+            mus = tuple(_check_mu(_geometry_field(mus, i, "mus/")) for i in range(len(mus)))
             if len({len(mu) for mu in mus}) > 1:
                 raise InvalidParameterError("all union members must share the sample size")
-            model = GeometryModel(variant=variant, p=p, mus=mus)
-        elif variant == "rotated_union":
-            comps = []
-            for comp in d["components"]:
-                mu = _check_mu(np.asarray(comp["mu"], dtype=float))
-                V = _check_rotation(np.asarray(comp["V"], dtype=float), len(mu))
-                comps.append((V, mu))
-            model = GeometryModel(variant=variant, p=p, components=tuple(comps))
-        elif variant == "clustered":
-            comps = []
-            for comp in d["components"]:
-                mu = _check_mu(np.asarray(comp["mu"], dtype=float))
-                V = _check_rotation(np.asarray(comp["V"], dtype=float), len(mu))
-                c = np.asarray(comp["center"], dtype=float)
+            return GeometryModel(variant, p, mus=mus)
+        comps = []
+        for i, comp in enumerate(_geometry_field(d, key, numeric=False)):
+            mu = _check_mu(_geometry_field(comp, "mu", f"components/{i}/"))
+            V = _check_rotation(_geometry_field(comp, "V", f"components/{i}/"), len(mu))
+            if variant == "clustered":
+                c = _geometry_field(comp, "center", f"components/{i}/")
                 if c.shape != mu.shape:
                     raise InvalidParameterError("cluster center must match the sample size")
                 comps.append((c, V, mu))
-            model = GeometryModel(variant=variant, p=p, components=tuple(comps))
-        else:
-            raise InvalidParameterError(f"unknown geometry variant {variant!r}")
-        return model
+            else:
+                comps.append((V, mu))
+        return GeometryModel(variant, p, components=tuple(comps))

@@ -25,7 +25,7 @@ from .core import (
     linear_hypothesis,
     loss_values,
 )
-from .errors import UnknownSuiteError
+from .errors import InvalidParameterError, UnknownSuiteError
 from .learners import SearchDomain, constrained_erm, lambda_erm, sensitivity_regularized_erm
 from .radgeom import (
     cluster_bound,
@@ -595,4 +595,6 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, threads: int 
             f"unknown suite {name!r}; choose one of {sorted(SUITES)}", suite=name
         )
     trials = DEFAULT_TRIALS[name] if trials is None else trials
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     return SUITES[name](trials=trials, seed=seed, threads=threads)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from pathlib import Path
@@ -361,6 +362,15 @@ def test_bound_constituent_from_mc_file_flips_certified(tmp_path):
         0.1 + 0.1 + 3.0 * math.sqrt(math.log(40.0) / 100.0), rel=1e-12
     )
 
+    # a Monte Carlo value stays uncertified when its standard error is 0
+    write_json(
+        tmp_path / "rad.json",
+        {"value": 0.05, "method": "monte_carlo", "m": 10, "standard_error": 0.0},
+    )
+    assert run_cli("bound", "--config", config, "--out", str(tmp_path / "out0"))[0] == 0
+    payload = json.loads((tmp_path / "out0" / "bound_uniform_restricted.json").read_text())
+    assert payload["certified"] is False
+
 
 def test_bound_missing_constituent_named(tmp_path, capsys):
     config = write_json(
@@ -447,3 +457,94 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert run_cli(*args, "--out", str(tmp_path / "v"))[0] == 0
     payload = json.loads((tmp_path / "v" / "validate_stochastic_unbiased.json").read_text())
     assert payload["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# malformed input: always exit 2 with a structured error, never a traceback
+# ---------------------------------------------------------------------------
+
+DROP = object()
+BOUND_CONFIG = {
+    "schema_version": 1,
+    "bound": "uniform_restricted",
+    "params": {"emp_err": 0.1, "rad_Ht": 0.05, "rho": 1.0, "m": 50, "delta": 0.05},
+}
+GEOMETRY = {"variant": "ellipse", "p": 2.0, "mu": [3.0, 4.0]}
+
+# id: (command, edits, environment, code, field).  Edits set (or DROP) the
+# value at a path of the command's base config, the train_config fixture,
+# BOUND_CONFIG or GEOMETRY; validate's edits are extra arguments.
+MALFORMED = {
+    "quantizer_without_step": ("train", {"operator/step": DROP}, {}, "config_invalid",
+                               "operator/step"),
+    "rounder_without_step": ("train", {"operator": {"kind": "stochastic_rounder", "clamp": 1.0}},
+                             {}, "config_invalid", "operator/step"),
+    "pruner_without_keep": ("train", {"operator": {"kind": "magnitude_pruner"}}, {},
+                            "config_invalid", "operator/keep"),
+    "polynomial_without_degree": ("train", {"task/feature_map": {"kind": "polynomial"}}, {},
+                                  "config_invalid", "task/feature_map/degree"),
+    "rbf_without_centers": ("train", {"task/feature_map": {"kind": "rbf", "width": 0.5}}, {},
+                            "config_invalid", "task/feature_map/centers"),
+    "mixture_without_centers": ("train", {"task/input_law": {"kind": "gaussian_mixture"}}, {},
+                                "config_invalid", "task/input_law/centers"),
+    "integral_float_seed": ("train", {"seed": 7.0}, {}, "config_invalid", "seed"),
+    "integral_float_points_per_axis": ("train", {"learner/domain/points_per_axis": 5.0}, {},
+                                       "config_invalid", "learner/domain/points_per_axis"),
+    "domain_dim_mismatch": ("train", {"learner/domain/dim": 3}, {}, "dimension_mismatch", None),
+    "empty_teacher_weights": ("train", {"task/teacher_weights": []}, {}, "config_invalid",
+                              "task/teacher_weights"),
+    "bound_without_m": ("bound", {"params/m": DROP}, {}, "config_invalid", "params/m"),
+    "bound_m_not_a_number": ("bound", {"params/m": "x"}, {}, "config_invalid", "params/m"),
+    "geometry_without_mu": ("rademacher", {"mu": DROP}, {}, "invalid_parameter", "mu"),
+    "threads_env_not_integer": ("validate", (), {"APPROX_SENSE_THREADS": "abc"},
+                                "invalid_parameter", None),
+    "zero_trials": ("validate", ("--trials", "0"), {}, "invalid_parameter", None),
+    "negative_seed_flag": ("validate", ("--seed", "-1"), {}, "invalid_parameter", None),
+    # one case per rule the config tables enforce
+    "unknown_nested_key": ("train", {"learner/domain/spacing": 0.1}, {}, "config_invalid",
+                           "learner/domain/spacing"),
+    "wrong_type": ("train", {"loss/lipschitz": "1"}, {}, "config_invalid", "loss/lipschitz"),
+    "bool_for_number": ("train", {"task/label_noise_sd": True}, {}, "config_invalid",
+                        "task/label_noise_sd"),
+    "below_minimum": ("train", {"task/m_labelled": 0}, {}, "config_invalid", "task/m_labelled"),
+    "not_finite": ("train", {"operator/step": float("nan")}, {}, "config_invalid", "operator/step"),
+    "bad_enum": ("train", {"learner/domain/mode": "spiral"}, {}, "config_invalid",
+                 "learner/domain/mode"),
+    "schema_version_2": ("train", {"schema_version": 2}, {}, "config_invalid", "schema_version"),
+    "unknown_bound_param": ("bound", {"params/epsilon_U": 0.01}, {}, "config_invalid",
+                            "params/epsilon_U"),
+}
+
+
+def _edited(config: dict, edits: dict) -> dict:
+    config = copy.deepcopy(config)
+    for path, value in edits.items():
+        *parents, last = path.split("/")
+        node = config
+        for key in parents:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return config
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_structured_error(tmp_path, train_config, capsys, monkeypatch, case):
+    command, edits, env, code, field = MALFORMED[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if command == "validate":
+        argv = ["validate", "--suite", "stochastic_unbiased", *edits]
+    else:
+        base = {"train": json.loads(Path(train_config).read_text()), "bound": BOUND_CONFIG,
+                "rademacher": GEOMETRY}[command]
+        path = write_json(tmp_path / "malformed.json", _edited(base, edits))
+        argv = [command, "--geometry" if command == "rademacher" else "--config", path]
+    exit_code, _, err = run_cli(*argv, "--out", str(tmp_path / "out"), capsys=capsys)
+    assert exit_code == 2
+    payload = json.loads(err)
+    assert payload["code"] == code
+    if field is not None:
+        assert payload["field"] == field

@@ -444,3 +444,28 @@ def test_geometry_validation_errors():
         )
     with pytest.raises(InvalidParameterError):
         GeometryModel.from_dict({"variant": "torus", "p": 2.0})
+
+
+_COMPONENT = {"center": [0.1, 0.2], "V": [[1.0, 0.0], [0.0, 1.0]], "mu": [1.0, 2.0]}
+MALFORMED_GEOMETRY = {
+    # a missing or non-numeric field -> the field InvalidParameterError names
+    "mu": {"variant": "ellipse", "p": 2.0},
+    "mus": {"variant": "axis_union", "p": 2.0},
+    "components": {"variant": "rotated_union", "p": 2.0},
+    "radius": {"variant": "pball", "p": 2.0},
+    "components/0/V": {"variant": "rotated_union", "p": 2.0, "components": [{"mu": [1.0, 2.0]}]},
+    "components/0/mu": {"variant": "clustered", "p": 2.0,
+                        "components": [{"center": [0.1, 0.2], "V": _COMPONENT["V"]}]},
+    "components/1/center": {"variant": "clustered", "p": 2.0,
+                            "components": [_COMPONENT, {"V": _COMPONENT["V"], "mu": [1.0, 2.0]}]},
+    "p": {"variant": "ellipse", "p": "two", "mu": [3.0, 4.0]},
+    "mus/1": {"variant": "axis_union", "p": 2.0, "mus": [[1.0, 2.0], ["a", 1.0]]},
+}
+
+
+@pytest.mark.parametrize("field", sorted(MALFORMED_GEOMETRY))
+def test_geometry_from_dict_names_bad_field(field):
+    with pytest.raises(InvalidParameterError) as info:
+        GeometryModel.from_dict(MALFORMED_GEOMETRY[field])
+    assert info.value.details["field"] == field
+    assert repr(field) in info.value.message

@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-DEFAULT_WORKLOADS = ("train_grid", "train_descent", "validate_coverage")
+DEFAULT_WORKLOADS = ("train_grid", "train_descent", "validate_coverage", "oracles")
 
 
 def run(checkout: Path, out: Path, workloads, seeds) -> None:
