@@ -137,33 +137,37 @@ def uniform_restricted_bound(
 ) -> BoundReport:
     """emp_err + 2 rho rad + 3 sqrt(ln(2/delta) / 2m): the uniform bound over
     a sensitivity-restricted class."""
-    rad, certified = _constituent(rad_Ht)
-    _check_nonneg(emp_err=emp_err, rad_Ht=rad, rho=rho)
+    err, err_certified = _constituent(emp_err)
+    rad, rad_certified = _constituent(rad_Ht)
+    _check_nonneg(emp_err=err, rad_Ht=rad, rho=rho)
     terms = [
-        ("empirical_error", float(emp_err)),
+        ("empirical_error", err),
         ("complexity", 2.0 * rho * rad),
         ("confidence", hoeffding_term(3.0, 2.0 / delta, m)),
     ]
     inputs = {"emp_err": emp_err, "rad": rad, "rho": rho, "m": m, "delta": delta}
-    return _report("uniform_restricted", terms, delta, inputs, certified=certified)
+    return _report(
+        "uniform_restricted", terms, delta, inputs, certified=err_certified and rad_certified
+    )
 
 
 def srm_uniform_bound(
     emp_err: float, rad_Ht_k, w_k: float, rho: float, m: int, delta: float
 ) -> BoundReport:
     """Uniform bound holding simultaneously over the threshold schedule."""
-    rad, certified = _constituent(rad_Ht_k)
-    _check_nonneg(emp_err=emp_err, rad=rad, rho=rho)
+    err, err_certified = _constituent(emp_err)
+    rad, rad_certified = _constituent(rad_Ht_k)
+    _check_nonneg(emp_err=err, rad=rad, rho=rho)
     if not 0 < w_k <= 1:
         raise InvalidParameterError("w_k must lie in (0, 1]")
     terms = [
-        ("empirical_error", float(emp_err)),
+        ("empirical_error", err),
         ("complexity", 2.0 * rho * rad),
         ("weight_confidence", hoeffding_term(3.0, 1.0 / w_k, m)),
         ("confidence", hoeffding_term(3.0, 4.0 / delta, m)),
     ]
     inputs = {"emp_err": emp_err, "rad": rad, "w_k": w_k, "rho": rho, "m": m, "delta": delta}
-    return _report("srm_uniform", terms, delta, inputs, certified=certified)
+    return _report("srm_uniform", terms, delta, inputs, certified=err_certified and rad_certified)
 
 
 def joint_bounds(
@@ -183,8 +187,11 @@ def joint_bounds(
     The caller supplies the error estimates err_min_approx = min of the two
     best approximate errors, and err_star = best in-class error.
     """
-    rad, certified = _constituent(rad_HA)
-    _check_nonneg(err_min_approx=err_min_approx, err_star=err_star, rad=rad, rho=rho, t=t)
+    best_approx, best_approx_certified = _constituent(err_min_approx)
+    best, best_certified = _constituent(err_star)
+    rad, rad_certified = _constituent(rad_HA)
+    certified = best_approx_certified and best_certified and rad_certified
+    _check_nonneg(err_min_approx=best_approx, err_star=best, rad=rad, rho=rho, t=t)
     complexity = 2.0 * rho * rad
     confidence = hoeffding_term(4.0, 9.0 / delta, m)
     inputs = {
@@ -199,7 +206,7 @@ def joint_bounds(
     vs_best = _report(
         "joint_vs_best_approx",
         [
-            ("best_approx_error", float(err_min_approx)),
+            ("best_approx_error", best_approx),
             ("complexity", complexity),
             ("confidence", confidence),
         ],
@@ -210,7 +217,7 @@ def joint_bounds(
     approx = _report(
         "joint_approx_deployment",
         [
-            ("class_best_error", float(err_star)),
+            ("class_best_error", best),
             ("deployment_penalty", rho * t),
             ("complexity", complexity),
             ("confidence", confidence),
@@ -222,7 +229,7 @@ def joint_bounds(
     full = _report(
         "joint_full_precision",
         [
-            ("class_best_error", float(err_star)),
+            ("class_best_error", best),
             ("sensitivity_penalty", 2.0 * rho * t),
             ("complexity", complexity),
             ("confidence", confidence),
@@ -250,11 +257,14 @@ def regularized_bound(
     pays (4 + rho) sqrt(ln(16/delta) / 2m) + rho epsilon_u instead of
     4 sqrt(ln(8/delta) / 2m).
     """
-    errs = [float(v) for v in ([err_star_t] if isinstance(err_star_t, (int, float)) else err_star_t)]
+    scalar = isinstance(err_star_t, (int, float, Constituent, MCEstimate))
+    pairs = [_constituent(v) for v in ([err_star_t] if scalar else err_star_t)]
+    errs = [v for v, _ in pairs]
     ts = [float(v) for v in ([t] if isinstance(t, (int, float)) else t)]
     if len(errs) != len(ts) or not errs:
         raise InvalidParameterError("err_star_t and t must be non-empty and equal length")
-    rad, certified = _constituent(rad_HA)
+    rad, rad_certified = _constituent(rad_HA)
+    certified = rad_certified and all(c for _, c in pairs)
     _check_nonneg(rho=rho, rad=rad)
     _check_nonneg(**{f"err_star_t[{i}]": v for i, v in enumerate(errs)})
     _check_nonneg(**{f"t[{i}]": v for i, v in enumerate(ts)})

@@ -8,6 +8,7 @@ vector only, so the approximate predictor is x -> <Q(w), phi(x)>.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,6 +167,14 @@ class RbfMap:
         object.__setattr__(self, "centers", centers)
         if self.width <= 0:
             raise InvalidParameterError("rbf width must be positive")
+        try:
+            finite = math.isfinite(2.0 * self.width**2)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InvalidParameterError(
+                f"rbf width {self.width} is too large: 2 width^2 overflows"
+            )
 
     @property
     def input_dim(self) -> int:

@@ -115,13 +115,13 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def dual_norm(v: np.ndarray, p: float) -> float:
-    """||v|| in the conjugate exponent of p."""
+def dual_norm(v: np.ndarray, p: float) -> float | np.ndarray:
+    """||v|| in the conjugate exponent of p, over the last axis: a float for
+    a vector, an array of row norms for a matrix."""
     q = conjugate_exponent(p)
     v = np.abs(np.asarray(v, dtype=float))
-    if math.isinf(q):
-        return float(v.max())
-    return float((v**q).sum() ** (1.0 / q))
+    norm = v.max(axis=-1) if math.isinf(q) else (v**q).sum(axis=-1) ** (1.0 / q)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def _sign_block(start: int, stop: int, m: int) -> np.ndarray:

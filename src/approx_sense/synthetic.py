@@ -28,9 +28,6 @@ class MCEstimate:
     standard_error: float
     n: int
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.value, self.standard_error)
-
 
 # ---------------------------------------------------------------------------
 # Input laws

@@ -26,10 +26,17 @@ from .core import (
     loss_values,
 )
 from .errors import InvalidParameterError, UnknownSuiteError
-from .learners import SearchDomain, constrained_erm, lambda_erm, sensitivity_regularized_erm
+from .learners import (
+    BLOCK_ELEMENTS,
+    SearchDomain,
+    constrained_erm,
+    lambda_erm,
+    sensitivity_regularized_erm,
+)
 from .radgeom import (
     cluster_bound,
     crude_bounds,
+    dual_norm,
     ellipse_rademacher,
     exact_rademacher_rows,
     exact_rademacher_support,
@@ -107,6 +114,37 @@ def _report(name, results, target, floor, seed, stats=()) -> CoverageReport:
     )
 
 
+def _column_mean(n_rows: int, n_cols: int, block_values) -> np.ndarray:
+    """``block_values(slice(0, n_rows)).mean(axis=0)``, bit for bit, without
+    holding the n_rows x n_cols matrix: rows are evaluated one block at a time.
+
+    numpy sums a C-contiguous matrix of two or more columns along axis 0 row
+    by row, so carrying the running sum as row 0 of the next block's buffer
+    repeats the unblocked additions exactly (adding per-block partial sums
+    would not).  One column is summed pairwise instead, so it, and a matrix
+    that fits in one block, is averaged directly.
+    """
+    rows = max(1, BLOCK_ELEMENTS // n_cols)
+    if n_cols < 2 or n_rows <= rows:
+        return block_values(slice(0, n_rows)).mean(axis=0)
+    total = block_values(slice(0, rows)).sum(axis=0)
+    buffer = np.empty((rows + 1, n_cols))
+    for start in range(rows, n_rows, rows):
+        stop = min(start + rows, n_rows)
+        buffer[0] = total
+        buffer[1 : 1 + stop - start] = block_values(slice(start, stop))
+        total = buffer[: 1 + stop - start].sum(axis=0)
+    return total / n_rows
+
+
+def _mean_abs_gaps(big: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+    """``np.abs(big @ residuals.T).mean(axis=0)``, bit for bit, computed once
+    per distinct residual row and one row block of ``big`` at a time."""
+    distinct, inverse = np.unique(residuals, axis=0, return_inverse=True)
+    means = _column_mean(len(big), len(distinct), lambda rows: np.abs(big[rows] @ distinct.T))
+    return means[inverse.reshape(-1)]
+
+
 def _random_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(m, m)))
     return q * np.sign(np.diag(r))
@@ -127,22 +165,13 @@ def suite_ellipse_exact(trials: int = 100, seed: int = 0, threads: int = 1) -> C
         m = int(rng.integers(2, 13))
         p = p_choices[rng.integers(len(p_choices))]
         mu = rng.uniform(0.1, 3.0, size=m)
-        enum = exact_rademacher_support(lambda sig: _batch_dual(sig * mu, p), m, batch=True)
+        enum = exact_rademacher_support(lambda sig: dual_norm(sig * mu, p), m, batch=True)
         closed = ellipse_rademacher(mu, p, m).value
         gap = abs(enum - closed)
         return gap <= 1e-9, 1e-9 - gap
 
     results = _run_trials(trials, one, threads)
     return _report("ellipse_exact", results, 1.0, 1.0, seed)
-
-
-def _batch_dual(rows: np.ndarray, p: float) -> np.ndarray:
-    """Dual-exponent norm of each row."""
-    rows = np.abs(rows)
-    if p == 1:
-        return rows.max(axis=1)
-    q = p / (p - 1.0)
-    return (rows**q).sum(axis=1) ** (1.0 / q)
 
 
 def suite_union_exact(trials: int = 100, seed: int = 0, threads: int = 1) -> CoverageReport:
@@ -158,7 +187,7 @@ def suite_union_exact(trials: int = 100, seed: int = 0, threads: int = 1) -> Cov
 
         def support(sig_block: np.ndarray) -> np.ndarray:
             return np.max(
-                np.stack([_batch_dual(sig_block * mu, p) for mu in mus]), axis=0
+                np.stack([dual_norm(sig_block * mu, p) for mu in mus]), axis=0
             )
 
         enum = exact_rademacher_support(support, m, batch=True)
@@ -275,7 +304,7 @@ def suite_lemma1(trials: int = 500, seed: int = 0, threads: int = 1) -> Coverage
     residuals = grid - op.transform_weights(grid)
     # high-precision Monte Carlo reference for the true 1-sensitivity
     big = derived_rng(seed, 30).uniform(-1.0, 1.0, size=(400_000, 2))
-    d_true = np.abs(big @ residuals.T).mean(axis=0)
+    d_true = _mean_abs_gaps(big, residuals)
     # exact 2-sensitivity for the fast-rate variance term: ||r|| / sqrt(3)
     t_two = float(np.max(np.linalg.norm(residuals, axis=1)) / math.sqrt(3.0))
     sup_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
@@ -346,7 +375,11 @@ class _LinearTrialContext:
         d_true = self.true_d1(residuals)
         d_hat = np.abs(x_unlab @ residuals.T).mean(axis=0)
         y_mc = self.x_mc @ teacher + rng.normal(0.0, self.NOISE_SD, size=self.x_mc.shape[0])
-        err_cand = loss_values(self.loss, self.x_mc @ cands.T, y_mc[:, None]).mean(axis=0)
+        err_cand = _column_mean(
+            len(self.x_mc),
+            len(cands),
+            lambda rows: loss_values(self.loss, self.x_mc[rows] @ cands.T, y_mc[rows, None]),
+        )
         rad_rows = (x_lab @ np.unique(self.op.transform_weights(cands), axis=0).T).T
         rad_HA, _ = mc_rademacher_rows(rad_rows, n_sigma=600, seed=self.seed * 99_991 + i)
         return {
@@ -503,7 +536,7 @@ def suite_prop10(trials: int = 300, seed: int = 0, threads: int = 1) -> Coverage
     # uniform box inputs: 2-sensitivity is exactly ||r|| / sqrt(3) <= t
     assert float(np.max(np.linalg.norm(residuals, axis=1))) / math.sqrt(3.0) <= t
     big = derived_rng(seed, 60).uniform(-1.0, 1.0, size=(400_000, 2))
-    d_true = np.abs(big @ residuals.T).mean(axis=0)
+    d_true = _mean_abs_gaps(big, residuals)
     sup_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
 
     def one(i: int):

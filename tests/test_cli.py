@@ -372,6 +372,44 @@ def test_bound_constituent_from_mc_file_flips_certified(tmp_path):
     assert payload["certified"] is False
 
 
+# id: (bound, error input read from a file, the other inputs)
+MC_ERROR_INPUTS = {
+    "uniform_restricted": ("uniform_restricted", "emp_err", {"rad_Ht": 0.05}),
+    "srm_uniform": ("srm_uniform", "emp_err", {"rad_Ht_k": 0.05, "w_k": 0.5}),
+    "joint_err_min_approx": ("joint", "err_min_approx",
+                             {"err_star": 0.2, "rad_HA": 0.05, "t": 0.1}),
+    "joint_err_star": ("joint", "err_star", {"err_min_approx": 0.15, "rad_HA": 0.05, "t": 0.1}),
+    "regularized": ("regularized", "err_star_t", {"t": 0.1, "rad_HA": 0.05}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MC_ERROR_INPUTS))
+def test_bound_error_input_from_mc_file_flips_certified(tmp_path, case):
+    # an error input read from a Monte Carlo file leaves the values as they
+    # are inline and marks every report uncertified
+    kind, key, params = MC_ERROR_INPUTS[case]
+    params = {**params, "rho": 1.0, "m": 50, "delta": 0.05}
+    mc_file = write_json(
+        tmp_path / "err.json",
+        {"value": 0.1, "method": "monte_carlo", "n": 1000, "standard_error": 0.004},
+    )
+    inline = write_json(tmp_path / "inline.json", {
+        "schema_version": 1, "bound": kind, "params": {**params, key: 0.1},
+    })
+    from_file = write_json(tmp_path / "file.json", {
+        "schema_version": 1, "bound": kind, "params": params, "constituents": {key: mc_file},
+    })
+    assert run_cli("bound", "--config", inline, "--out", str(tmp_path / "a"))[0] == 0
+    assert run_cli("bound", "--config", from_file, "--out", str(tmp_path / "b"))[0] == 0
+    names = sorted(p.name for p in (tmp_path / "a").glob("bound_*.json"))
+    assert names == sorted(p.name for p in (tmp_path / "b").glob("bound_*.json"))
+    for name in names:
+        a = json.loads((tmp_path / "a" / name).read_text())
+        b = json.loads((tmp_path / "b" / name).read_text())
+        assert a["certified"] is True and b["certified"] is False
+        assert b["value"] == a["value"] and b["terms"] == a["terms"]
+
+
 def test_bound_missing_constituent_named(tmp_path, capsys):
     config = write_json(
         tmp_path / "b.json",
@@ -432,15 +470,21 @@ def test_validate_deterministic_and_thread_independent(tmp_path):
     assert payload["passed"] is True and payload["violations"] == 0
 
 
-def test_validate_lemma1_thread_independent(tmp_path):
-    # fast_rate_violations is summed from per-trial results, not from a
-    # counter the worker threads share
-    args = ["validate", "--suite", "lemma1", "--trials", "40", "--seed", "2"]
+COVERAGE_TRIALS = {"lemma1": 40, "prop10": 20, "prop2": 4}
+
+
+@pytest.mark.parametrize("suite", sorted(COVERAGE_TRIALS))
+def test_validate_coverage_thread_independent(tmp_path, suite):
+    # the blocked Monte Carlo references, and lemma1's fast_rate_violations
+    # (summed from per-trial results, not from a counter the worker threads
+    # share), must not depend on the thread count
+    args = ["validate", "--suite", suite, "--trials", str(COVERAGE_TRIALS[suite]), "--seed", "2"]
     assert run_cli(*args, "--threads", "1", "--out", str(tmp_path / "t1"))[0] == 0
     assert run_cli(*args, "--threads", "4", "--out", str(tmp_path / "t4"))[0] == 0
-    one = (tmp_path / "t1" / "validate_lemma1.json").read_bytes()
-    assert one == (tmp_path / "t4" / "validate_lemma1.json").read_bytes()
-    assert "fast_rate_violations" in json.loads(one)["stats"]
+    one = (tmp_path / "t1" / f"validate_{suite}.json").read_bytes()
+    assert one == (tmp_path / "t4" / f"validate_{suite}.json").read_bytes()
+    if suite == "lemma1":
+        assert "fast_rate_violations" in json.loads(one)["stats"]
 
 
 def test_validate_unknown_suite(tmp_path, capsys):
@@ -485,6 +529,9 @@ MALFORMED = {
                                   "config_invalid", "task/feature_map/degree"),
     "rbf_without_centers": ("train", {"task/feature_map": {"kind": "rbf", "width": 0.5}}, {},
                             "config_invalid", "task/feature_map/centers"),
+    "rbf_width_overflows": ("train", {"task/feature_map": {"kind": "rbf", "width": 1e300,
+                                                           "centers": [[0.0, 0.0], [1.0, 1.0]]}},
+                            {}, "invalid_parameter", None),
     "mixture_without_centers": ("train", {"task/input_law": {"kind": "gaussian_mixture"}}, {},
                                 "config_invalid", "task/input_law/centers"),
     "integral_float_seed": ("train", {"seed": 7.0}, {}, "config_invalid", "seed"),

@@ -170,6 +170,20 @@ def test_ellipse_closed_form_examples():
     assert ellipse_rademacher([3.0, 4.0], 1, 2).value == pytest.approx(2.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_dual_norm_reduces_over_last_axis(p):
+    rows = np.random.default_rng(3).normal(size=(6, 4))
+    each = [dual_norm(row, p) for row in rows]
+    assert all(type(v) is float for v in each)
+    assert np.array_equal(dual_norm(rows, p), np.array(each))
+    assert dual_norm(rows[None], p).shape == (1, 6)
+
+
+def test_dual_norm_values():
+    assert dual_norm([3.0, -4.0], 1.0) == 4.0
+    assert dual_norm([3.0, -4.0], 2.0) == 5.0
+
+
 def test_ellipse_rejects_nonpositive_mu():
     with pytest.raises(InvalidParameterError):
         ellipse_rademacher([1.0, 0.0], 2, 2)
