@@ -14,7 +14,7 @@ classes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import EnumerationCapError, InvalidParameterError
 from .sensitivity import pointwise_gaps
 
 EXACT_ENUMERATION_CAP = 22
+_CHUNK_BITS = 14  # sign patterns are enumerated 2^14 rows at a time
 ORTHOGONALITY_TOL = 1e-10
 
 RAD_METHODS = ("exact_enumeration", "monte_carlo", "closed_form", "certified_upper")
@@ -41,6 +42,8 @@ class RadEstimate:
     def __post_init__(self):
         if self.method not in RAD_METHODS:
             raise InvalidParameterError(f"unknown method {self.method!r}")
+        if not all(map(math.isfinite, (self.value, self.standard_error or 0.0))):
+            raise InvalidParameterError(f"{self.method} estimate is not finite: {self.to_dict()}")
         if self.method == "exact_enumeration" and self.m > EXACT_ENUMERATION_CAP:
             raise EnumerationCapError(
                 f"exact enumeration capped at m = {EXACT_ENUMERATION_CAP}, got {self.m}"
@@ -51,16 +54,7 @@ class RadEstimate:
         return self.method != "monte_carlo"
 
     def to_dict(self) -> dict:
-        d = {"value": self.value, "method": self.method, "m": self.m}
-        if self.standard_error is not None:
-            d["standard_error"] = self.standard_error
-        if self.n_sigma is not None:
-            d["n_sigma"] = self.n_sigma
-        if self.seed is not None:
-            d["seed"] = self.seed
-        if self.note is not None:
-            d["note"] = self.note
-        return d
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 @dataclass(frozen=True)
@@ -70,14 +64,11 @@ class SensitivityPointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise InvalidParameterError("point set must be a non-empty 2-d array")
+        pts = _check_rows(self.points).copy()
         if not np.all(np.isfinite(pts)):
             raise InvalidParameterError("point set contains non-finite entries")
         if np.any(pts < 0):
             raise InvalidParameterError("sensitivity points must be non-negative")
-        pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -124,10 +115,25 @@ def dual_norm(v: np.ndarray, p: float) -> float | np.ndarray:
     return float(norm) if norm.ndim == 0 else norm
 
 
-def _sign_block(start: int, stop: int, m: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)[:, None]
-    bits = (idx >> np.arange(m, dtype=np.int64)[None, :]) & 1
-    return bits.astype(float) * 2.0 - 1.0
+def _sign_chunks(m: int, half: bool = False):
+    """Sign patterns k < 2^m (sigma_j = +1 iff bit j of k is set), or with ``half``
+    k < 2^(m-1), in 2^14-row chunks.  The low-bit block is built once and each
+    chunk rewrites only its constant high columns of the same read-only buffer."""
+    n_patterns = 1 << (m - 1 if half else m)
+    low = np.arange(min(n_patterns, 1 << _CHUNK_BITS))[:, None]
+    block = ((low >> np.arange(m)) & 1) * 2.0 - 1.0
+    view = block.view()
+    view.flags.writeable = False
+    for c in range(n_patterns // len(block)):
+        block[:, _CHUNK_BITS:] = ((c >> np.arange(m - _CHUNK_BITS)) & 1) * 2.0 - 1.0
+        yield view
+
+
+def _check_rows(rows) -> np.ndarray:
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    if rows.ndim != 2 or 0 in rows.shape:
+        raise InvalidParameterError(f"need a non-empty 2-d row set, got shape {rows.shape}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +144,24 @@ def _sign_block(start: int, stop: int, m: int) -> np.ndarray:
 def exact_rademacher_rows(rows: np.ndarray) -> float:
     """Exact (1/m) 2^-m sum over sign patterns of max_i <sigma, row_i>.
 
-    Chunks are accumulated in a fixed order so the result is bit-stable.
+    Chunk n-1-c is chunk c negated, rows reversed, so only half the chunks are
+    multiplied out; partials stay in chunk order, so the result is bit-stable.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    rows = _check_rows(rows)
     m = rows.shape[1]
     if m > EXACT_ENUMERATION_CAP:
         raise EnumerationCapError(
             f"exact enumeration capped at m = {EXACT_ENUMERATION_CAP} "
             f"(got {m}); use the Monte Carlo estimator instead"
         )
-    total_patterns = 1 << m
-    chunk = min(total_patterns, 1 << 14)
-    partial_sums = []
-    for start in range(0, total_patterns, chunk):
-        sigma = _sign_block(start, min(start + chunk, total_patterns), m)
-        partial_sums.append(float((sigma @ rows.T).max(axis=1).sum()))
-    return math.fsum(partial_sums) / total_patterns / m
+    n_chunks = 1 << max(m - _CHUNK_BITS, 0)
+    partial_sums = [0.0] * n_chunks
+    for c, sigma in enumerate(_sign_chunks(m, half=n_chunks > 1)):
+        products = sigma @ rows.T
+        partial_sums[c] = float(products.max(axis=1).sum())
+        if n_chunks > 1:
+            partial_sums[-1 - c] = float((-products.min(axis=1))[::-1].sum())
+    return math.fsum(partial_sums) / (1 << m) / m
 
 
 def exact_rademacher_pointset(ps: SensitivityPointSet) -> RadEstimate:
@@ -165,26 +173,22 @@ def exact_rademacher_support(support_fn, m: int, batch: bool = False) -> float:
 
     ``support_fn(sigma)`` must return sup over the body of <sigma, x>; with
     ``batch=True`` it receives a block of sign rows and returns one value per
-    row.
+    row.  The rows are a read-only buffer that the next chunk overwrites.
     """
     if m > EXACT_ENUMERATION_CAP:
         raise EnumerationCapError(f"exact enumeration capped at m = {EXACT_ENUMERATION_CAP}")
-    total = 1 << m
-    vals = []
-    for start in range(0, total, 1 << 14):
-        sigma = _sign_block(start, min(start + (1 << 14), total), m)
-        if batch:
-            vals.append(float(np.sum(support_fn(sigma))))
-        else:
-            vals.append(math.fsum(float(support_fn(s)) for s in sigma))
-    return math.fsum(vals) / total / m
+    vals = [
+        float(np.sum(support_fn(sig))) if batch else math.fsum(float(support_fn(s)) for s in sig)
+        for sig in _sign_chunks(m)
+    ]
+    return math.fsum(vals) / (1 << m) / m
 
 
 def mc_rademacher_rows(rows: np.ndarray, n_sigma: int, seed: int) -> tuple[float, float]:
     """Unbiased Monte Carlo estimate (value, standard error) over sign draws."""
     if n_sigma < 1:
         raise InvalidParameterError("n_sigma must be >= 1")
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    rows = _check_rows(rows)
     m = rows.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(6,)))
     sigma = rng.integers(0, 2, size=(n_sigma, m)).astype(float) * 2.0 - 1.0
@@ -319,10 +323,8 @@ def positive_orthant_ball_sup(sigma, radius: float, p: float) -> float:
 
 def massart_bound(point_rows) -> float:
     """Finite-set bound: max row 2-norm times sqrt(2 ln N) / m."""
-    rows = np.atleast_2d(np.asarray(point_rows, dtype=float))
+    rows = _check_rows(point_rows)
     n, m = rows.shape
-    if n < 1:
-        raise InvalidParameterError("need at least one row")
     if n == 1:
         return 0.0
     return float(np.max(np.linalg.norm(rows, axis=1)) * np.sqrt(2.0 * np.log(n)) / m)
@@ -391,16 +393,13 @@ def operator_norm_lower_estimate(
         return dual_norm(M.T @ signs, p)
 
     if m <= exact_cap:
+        # the score is even in sigma: one of each +-sigma pair is enough
+        q = conjugate_exponent(p)
         best = 0.0
-        for start in range(0, 1 << m, 1 << 14):
-            sigma = _sign_block(start, min(start + (1 << 14), 1 << m), m)
-            vals = sigma @ M  # each row: M^T s
-            q = conjugate_exponent(p)
-            if math.isinf(q):
-                block_best = float(np.abs(vals).max())
-            else:
-                block_best = float((np.abs(vals) ** q).sum(axis=1).max() ** (1.0 / q))
-            best = max(best, block_best)
+        for sigma in _sign_chunks(m, half=True):
+            vals = np.abs(sigma @ M)  # each row: |M^T s|
+            block_best = vals.max() if math.isinf(q) else (vals**q).sum(axis=1).max() ** (1.0 / q)
+            best = max(best, float(block_best))
         return best
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))

@@ -514,10 +514,13 @@ BOUND_CONFIG = {
     "params": {"emp_err": 0.1, "rad_Ht": 0.05, "rho": 1.0, "m": 50, "delta": 0.05},
 }
 GEOMETRY = {"variant": "ellipse", "p": 2.0, "mu": [3.0, 4.0]}
+# finite entries whose sign sums overflow, so every estimate is NaN
+OVERFLOWING_POINTSET = "x0,x1,x2\n1e308,1e308,1e308\n"
 
 # id: (command, edits, environment, code, field).  Edits set (or DROP) the
 # value at a path of the command's base config, the train_config fixture,
-# BOUND_CONFIG or GEOMETRY; validate's edits are extra arguments.
+# BOUND_CONFIG or GEOMETRY; the edits of validate, and of pointset (rademacher
+# on OVERFLOWING_POINTSET), are extra arguments.
 MALFORMED = {
     "quantizer_without_step": ("train", {"operator/step": DROP}, {}, "config_invalid",
                                "operator/step"),
@@ -543,6 +546,8 @@ MALFORMED = {
     "bound_without_m": ("bound", {"params/m": DROP}, {}, "config_invalid", "params/m"),
     "bound_m_not_a_number": ("bound", {"params/m": "x"}, {}, "config_invalid", "params/m"),
     "geometry_without_mu": ("rademacher", {"mu": DROP}, {}, "invalid_parameter", "mu"),
+    "pointset_overflows_exact": ("pointset", ("--method", "exact"), {}, "invalid_parameter", None),
+    "pointset_overflows_mc": ("pointset", ("--method", "mc"), {}, "invalid_parameter", None),
     "threads_env_not_integer": ("validate", (), {"APPROX_SENSE_THREADS": "abc"},
                                 "invalid_parameter", None),
     "zero_trials": ("validate", ("--trials", "0"), {}, "invalid_parameter", None),
@@ -584,6 +589,10 @@ def test_malformed_input_structured_error(tmp_path, train_config, capsys, monkey
         monkeypatch.setenv(name, value)
     if command == "validate":
         argv = ["validate", "--suite", "stochastic_unbiased", *edits]
+    elif command == "pointset":
+        points = tmp_path / "points.csv"
+        points.write_text(OVERFLOWING_POINTSET, encoding="utf-8")
+        argv = ["rademacher", "--pointset", str(points), *edits]
     else:
         base = {"train": json.loads(Path(train_config).read_text()), "bound": BOUND_CONFIG,
                 "rademacher": GEOMETRY}[command]

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from approx_sense import (
     ellipse_rademacher,
     exact_rademacher_pointset,
     exact_rademacher_rows,
+    exact_rademacher_support,
     kernel_sensitivity_class_bound,
     linear_hypothesis,
     massart_bound,
@@ -44,6 +50,26 @@ def brute_force_rademacher(rows: np.ndarray) -> float:
     for signs in itertools.product((-1.0, 1.0), repeat=m):
         total += max(float(np.dot(signs, row)) for row in rows)
     return total / 2**m / m
+
+
+def reference_sign_block(start: int, stop: int, m: int) -> np.ndarray:
+    idx = np.arange(start, stop, dtype=np.int64)[:, None]
+    bits = (idx >> np.arange(m, dtype=np.int64)[None, :]) & 1
+    return bits.astype(float) * 2.0 - 1.0
+
+
+def reference_exact_rows(rows: np.ndarray) -> float:
+    """The full chunk loop: every 2^14-row sign block built afresh and
+    multiplied out, partial sums accumulated in chunk order."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    m = rows.shape[1]
+    total = 1 << m
+    chunk = min(total, 1 << 14)
+    partial_sums = []
+    for start in range(0, total, chunk):
+        sigma = reference_sign_block(start, min(start + chunk, total), m)
+        partial_sums.append(float((sigma @ rows.T).max(axis=1).sum()))
+    return math.fsum(partial_sums) / total / m
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -132,6 +158,108 @@ def test_exact_cap_raises():
         exact_rademacher_pointset(ps)
     with pytest.raises(EnumerationCapError):
         RadEstimate(value=0.0, method="exact_enumeration", m=23)
+
+
+def hex_cases() -> dict[str, np.ndarray]:
+    """Row sets for the bit-for-bit comparison with the full chunk loop."""
+    rng = np.random.default_rng(11)
+    cases = {}
+    for m in (1, 2, 3, 13, 14, 15, 16, 18, 20, 22):
+        n = 3 if m == 22 else 12
+        cases[f"m{m}_magnitudes"] = rng.uniform(0, 1, (n, m)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        if m <= 20:
+            cases[f"m{m}_one_row"] = rng.uniform(0, 1, (1, m))
+        if m <= 18:  # m = 20 and 22 are slow enough to keep to fewer sets
+            cases[f"m{m}_repeated"] = np.repeat(rng.uniform(0, 1, (3, m)), 2, axis=0)
+            cases[f"m{m}_zeros"] = np.zeros((4, m))
+    # the oracles workload's seed-2 m = 18 input
+    cases["oracles_seed2_m18"] = np.random.default_rng(
+        np.random.SeedSequence(2, spawn_key=(3,))
+    ).uniform(0, 1, (50, 18))
+    return cases
+
+
+def hex_pairs() -> dict[str, list[str]]:
+    return {
+        name: [exact_rademacher_rows(rows).hex(), reference_exact_rows(rows).hex()]
+        for name, rows in hex_cases().items()
+    }
+
+
+def test_exact_enumeration_matches_reference_hex():
+    # the mirrored chunks rely on BLAS negating exactly, so compare with
+    # the full loop in fresh interpreters at one and at two BLAS threads
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    script = "import json, test_radgeom; print(json.dumps(test_radgeom.hex_pairs()))"
+    runs = {
+        threads: subprocess.Popen(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for threads in ("1", "2")
+    }
+    for threads, run in runs.items():
+        out, _ = run.communicate(timeout=600)
+        assert run.returncode == 0, f"OPENBLAS_NUM_THREADS={threads}"
+        pairs = json.loads(out)
+        assert len(pairs) == len(hex_cases())
+        assert {name: new for name, (new, _) in pairs.items()} == {
+            name: ref for name, (_, ref) in pairs.items()
+        }, f"OPENBLAS_NUM_THREADS={threads}"
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_oracles_reject_empty_row_sets(shape):
+    rows = np.zeros(shape)
+    for oracle in (exact_rademacher_rows, lambda r: mc_rademacher_rows(r, 100, seed=1),
+                   massart_bound):
+        with pytest.raises(InvalidParameterError, match="non-empty"):
+            oracle(rows)
+
+
+def test_estimate_rejects_non_finite():
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        RadEstimate(value=math.nan, method="exact_enumeration", m=3)
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        RadEstimate(value=0.5, method="monte_carlo", m=3, standard_error=math.inf)
+
+
+def reference_support(support_fn, m: int, batch: bool) -> float:
+    """The per-chunk loop exact_rademacher_support ran on fresh sign blocks."""
+    total = 1 << m
+    vals = []
+    for start in range(0, total, 1 << 14):
+        sigma = reference_sign_block(start, min(start + (1 << 14), total), m)
+        if batch:
+            vals.append(float(np.sum(support_fn(sigma))))
+        else:
+            vals.append(math.fsum(float(support_fn(s)) for s in sigma))
+    return math.fsum(vals) / total / m
+
+
+@pytest.mark.parametrize("batch", [True, False])
+@pytest.mark.parametrize("shape", ["ellipse_exact", "union_exact", "crude_sandwich"])
+def test_support_enumeration_matches_reference(shape, batch):
+    # the support shapes of the exactness suites; per-sign calls at m = 15
+    # only for the orthant ball, the one suite that makes them
+    rng = np.random.default_rng(12)
+    for m in (2, 7, 12, 15) if batch or shape == "crude_sandwich" else (2, 7, 12):
+        p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+        mus = rng.uniform(0.1, 3.0, size=(int(rng.integers(1, 6)), m))
+        if shape == "ellipse_exact":
+            def support(sig, mu=mus[0], p=p):
+                return dual_norm(sig * mu, p)
+        elif shape == "union_exact":
+            def support(sig, mus=mus, p=p):
+                return np.max(np.stack([dual_norm(sig * mu, p) for mu in mus]), axis=0)
+        else:
+            def support(sig, full=float(rng.uniform(0.2, 2.0)) * m ** (1.0 / p), p=p):
+                return positive_orthant_ball_sup(sig, full, p)
+        got = exact_rademacher_support(support, m, batch=batch)
+        assert got == reference_support(support, m, batch), (shape, m, p)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +408,20 @@ def test_certified_dominates_numeric_operator_norm():
     assert operator_norm_lower_estimate(np.eye(3), mu, 2.0) == pytest.approx(
         dual_norm(mu, 2.0), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_operator_norm_half_enumeration_equals_full(p):
+    # the score is even in sigma, so half the sign patterns give the same max
+    rng = np.random.default_rng(13)
+    for m in (1, 2, 3, 8, 14, 15, 16):
+        mu = rng.uniform(0.2, 2.0, size=m)
+        V, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        M = V * mu[None, :]
+        vals = np.abs(reference_sign_block(0, 1 << m, m) @ M)
+        q = math.inf if p == 1.0 else p / (p - 1.0)
+        full = vals.max() if math.isinf(q) else (vals**q).sum(axis=1).max() ** (1.0 / q)
+        assert operator_norm_lower_estimate(V, mu, p) == float(full), m
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@
 input paths), calls CHECKOUT's ``approx_sense.cli.main`` once per op with a
 fresh ``--out`` directory, and records the exit codes.  ``diff`` compares
 every output file byte for byte and exits 1 on any difference.  Run ``run``
-once per checkout, each in its own interpreter, with OPENBLAS_NUM_THREADS=1
-as the benchmark does.
+once per checkout, each in its own interpreter; it reads OPENBLAS_NUM_THREADS
+from the environment and sets it to 1, as the benchmark does, when unset.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,6 +24,7 @@ DEFAULT_WORKLOADS = ("train_grid", "train_descent", "validate_coverage", "oracle
 
 
 def run(checkout: Path, out: Path, workloads, seeds) -> None:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy is imported
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads as wl
     from approx_sense.cli import main
