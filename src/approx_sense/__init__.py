@@ -23,9 +23,7 @@ from .core import (
     apply_operator,
     empirical_error,
     linear_hypothesis,
-    loss_value,
     loss_values,
-    predict,
     predictions,
 )
 from .synthetic import (
@@ -83,7 +81,6 @@ from .learners import (
     lambda_erm,
     lambda_grid_srm,
     make_restricted_rad_estimator,
-    optimize,
     sensitivity_regularized_erm,
     srm_learner,
 )

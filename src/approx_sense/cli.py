@@ -377,12 +377,11 @@ def cmd_train(args) -> int:
     elif algorithm == "sensitivity_regularized_erm":
         rho = lcfg.get("rho", loss.lipschitz)
         if lcfg.get("sensitivity", "empirical") == "empirical":
-            sensitivity, label = EmpiricalSensitivity(need_unlabelled(), p), "empirical"
+            sensitivity = EmpiricalSensitivity(need_unlabelled(), p)
         else:
-            budget = lcfg.get("input_norm_budget", 1.0)
-            sensitivity, label = AnalyticSensitivity(budget), "analytic_upper"
+            sensitivity = AnalyticSensitivity(lcfg.get("input_norm_budget", 1.0))
         output = sensitivity_regularized_erm(
-            labelled, op, sensitivity, rho, loss, domain, feature_map=fmap, sensitivity_label=label
+            labelled, op, sensitivity, rho, loss, domain, feature_map=fmap
         )
     elif algorithm == "lambda_erm":
         output = lambda_erm(
@@ -422,7 +421,6 @@ def cmd_train(args) -> int:
             "k": output.chosen_k,
             "lambda": output.lam,
         },
-        "feasible": output.feasible,
         "sensitivity_kind": output.sensitivity_kind,
         "boundary_hits": output.boundary_hits,
         "clamped": output.clamped,

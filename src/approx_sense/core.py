@@ -234,14 +234,6 @@ def linear_hypothesis(weights) -> Hypothesis:
     return Hypothesis(weights=w, feature_map=IdentityMap(input_dim=w.shape[0]))
 
 
-def predict(h: Hypothesis, x) -> float:
-    """Evaluate <weights, phi(x)> for a single input vector."""
-    feats = h.feature_map.transform(np.asarray(x, dtype=float))
-    if feats.ndim != 1:
-        raise DimensionMismatchError("predict expects a single input vector")
-    return float(feats @ h.weights)
-
-
 def predictions(h: Hypothesis, inputs: np.ndarray) -> np.ndarray:
     """Vectorised predictions for a matrix of input rows."""
     return h.feature_map.transform(np.asarray(inputs, dtype=float)) @ h.weights
@@ -400,10 +392,6 @@ def loss_values(spec: LossSpec, preds, targets) -> np.ndarray:
     else:  # clipped_squared
         raw = (rho**2 / (4.0 * clip)) * (a - y) ** 2
     return np.minimum(raw, clip)
-
-
-def loss_value(spec: LossSpec, prediction: float, target: float) -> float:
-    return float(loss_values(spec, prediction, target))
 
 
 def empirical_error(h: Hypothesis, sample: LabelledSample, spec: LossSpec) -> float:

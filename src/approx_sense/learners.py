@@ -26,10 +26,6 @@ Search screens candidates in blocks, then re-scores a few of them exactly:
   lies within the margin of a threshold (feasibility dhat < t, the SRM
   index d <= t_k + eps_u) takes the scalar check, so boundary hits, clamps
   and the infeasibility payload match the scalar loop too.
-
-User-supplied objectives and sensitivity callbacks have no block form; they
-are evaluated one candidate at a time, which is the scalar path the
-re-score uses.
 """
 
 from __future__ import annotations
@@ -168,7 +164,7 @@ def _scan(objective, block: np.ndarray, best: float) -> list[tuple[int, float]]:
     upper = np.minimum.accumulate(np.concatenate(([best], values[:-1] + margin)))
     found = []
     for i in np.flatnonzero(values - margin < upper):
-        val = float(values[i]) if margin == 0 else objective.exact(block[i])
+        val = objective.exact(block[i])
         if val < best:
             best = val
             found.append((int(i), val))
@@ -240,39 +236,6 @@ def _search_coordinate_descent(objective, domain) -> SearchResult:
     )
 
 
-class _Scalar:
-    """A per-candidate objective under an optional feasibility predicate.
-
-    Screened values are exact (margin 0), so nothing is evaluated twice.
-    """
-
-    block_size = 1024
-    min_diag = math.inf
-
-    def __init__(self, fn, feasibility=None):
-        self.fn = fn
-        self.feasibility = feasibility
-
-    def exact(self, w: np.ndarray) -> float:
-        return float(self.fn(w))
-
-    def screen(self, block: np.ndarray):
-        values = np.full(len(block), math.inf)
-        for i, w in enumerate(block):
-            if self.feasibility is None or self.feasibility(w):
-                values[i] = self.exact(w)
-        return values, 0.0
-
-
-def optimize(objective, domain: SearchDomain, feasibility=None) -> np.ndarray:
-    """Minimise a weight objective over the domain; returns the best weights.
-
-    Grid mode returns the exact lattice minimiser under the feasibility
-    predicate, with ties broken toward the lower enumeration index.
-    """
-    return _search(_Scalar(objective, feasibility), domain).weights
-
-
 # ---------------------------------------------------------------------------
 # Learner scaffolding
 # ---------------------------------------------------------------------------
@@ -314,6 +277,7 @@ class EmpiricalSensitivity:
 
     sample: UnlabelledSample
     p: float = 1.0
+    kind = "empirical"
 
 
 @dataclass(frozen=True)
@@ -322,6 +286,7 @@ class AnalyticSensitivity:
     operator, as ``analytic_sensitivity_upper`` computes it."""
 
     input_norm_budget: float
+    kind = "analytic_upper"
 
     def __post_init__(self):
         if self.input_norm_budget < 0:
@@ -336,7 +301,6 @@ class LearnerOutput:
     approx_hypothesis: Hypothesis
     objective_value: float
     objective_trace: tuple[float, ...]
-    feasible: bool = True
     chosen_t: float | None = None
     chosen_k: int | None = None
     lam: float | None = None
@@ -656,6 +620,14 @@ def srm_learner(
     )
 
 
+def _check_regulariser(sensitivity, *accepted: type) -> None:
+    if not isinstance(sensitivity, accepted):
+        names = " or ".join(t.__name__ for t in accepted)
+        raise InvalidParameterError(
+            f"the regulariser must be {names}, not {type(sensitivity).__name__}"
+        )
+
+
 def _regularized_erm(
     labelled: LabelledSample,
     op: ApproxOperator,
@@ -663,56 +635,39 @@ def _regularized_erm(
     domain: SearchDomain,
     feature_map: FeatureMap | None,
     coef: float,
-    sensitivity,
+    sensitivity: EmpiricalSensitivity | AnalyticSensitivity,
     **extras,
 ) -> LearnerOutput:
     """Minimise emp_err(Af) + coef * sensitivity(f), the core of every
-    regularised learner.
-
-    ``sensitivity`` is an EmpiricalSensitivity or AnalyticSensitivity, which
-    are screened in blocks, or any callable mapping a Hypothesis to a value,
-    which is evaluated one candidate at a time.
-    """
+    regularised learner."""
     fm = _resolve_feature_map(feature_map, labelled.dim)
     if isinstance(sensitivity, EmpiricalSensitivity):
         ws = _Workspace(op, loss, fm, labelled, sensitivity.sample, sensitivity.p, domain)
         objective = _Regularised(ws, coef)
     else:
         ws = _Workspace(op, loss, fm, labelled, None, 1.0, domain)
-        if isinstance(sensitivity, AnalyticSensitivity):
-            objective = _Regularised(ws, coef, sensitivity.input_norm_budget)
-        else:
-
-            def value(w: np.ndarray) -> float:
-                h = Hypothesis(weights=w, feature_map=fm)
-                return ws.approx_emp_error(w) + coef * float(sensitivity(h))
-
-            objective = _Scalar(value)
+        objective = _Regularised(ws, coef, sensitivity.input_norm_budget)
     return ws.output(_search(objective, domain), **extras)
 
 
 def sensitivity_regularized_erm(
     labelled: LabelledSample,
     op: ApproxOperator,
-    sensitivity_fn,
+    sensitivity: EmpiricalSensitivity | AnalyticSensitivity,
     rho: float,
     loss: LossSpec,
     domain: SearchDomain,
     feature_map: FeatureMap | None = None,
-    sensitivity_label: str | None = None,
 ) -> LearnerOutput:
-    """Minimise emp_err(Af) + rho * sensitivity_fn(f).
-
-    ``sensitivity_fn`` maps a Hypothesis to a sensitivity value: the true
-    (Monte Carlo) sensitivity, the empirical one, or an analytic upper bound.
-    The built-in EmpiricalSensitivity and AnalyticSensitivity are evaluated
-    in blocks; any other callable once per candidate.
-    """
+    """Minimise emp_err(Af) + rho * sensitivity(f), for the empirical
+    sensitivity or its analytic upper bound; the output's sensitivity_kind
+    names which."""
     if rho < 0:
         raise InvalidParameterError("rho must be >= 0")
-    label = sensitivity_label or getattr(sensitivity_fn, "__name__", "custom")
+    _check_regulariser(sensitivity, EmpiricalSensitivity, AnalyticSensitivity)
     return _regularized_erm(
-        labelled, op, loss, domain, feature_map, rho, sensitivity_fn, sensitivity_kind=label
+        labelled, op, loss, domain, feature_map, rho, sensitivity,
+        sensitivity_kind=sensitivity.kind,
     )
 
 
@@ -738,22 +693,22 @@ def analytic_lambda_erm(
     labelled: LabelledSample,
     op: ApproxOperator,
     lam: float,
-    overline_fn,
+    sensitivity: AnalyticSensitivity,
     loss: LossSpec,
     domain: SearchDomain,
     feature_map: FeatureMap | None = None,
 ) -> LearnerOutput:
     """Minimise emp_err(Af) + lambda * analytic sensitivity upper bound.
 
-    Needs no unlabelled data: ``overline_fn`` maps a Hypothesis to its
-    certified sensitivity over-estimate, or is an AnalyticSensitivity, which
-    is evaluated in blocks.
+    Needs no unlabelled data: the bound ||w - Q(w)||_2 * input_norm_budget
+    depends on the weights alone.
     """
     if lam < 0:
         raise InvalidParameterError("lambda must be >= 0")
+    _check_regulariser(sensitivity, AnalyticSensitivity)
     return _regularized_erm(
-        labelled, op, loss, domain, feature_map, lam, overline_fn,
-        lam=lam, sensitivity_kind="analytic_upper",
+        labelled, op, loss, domain, feature_map, lam, sensitivity,
+        lam=lam, sensitivity_kind=sensitivity.kind,
     )
 
 

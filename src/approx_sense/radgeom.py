@@ -165,7 +165,11 @@ def exact_rademacher_rows(rows: np.ndarray) -> float:
 
 
 def exact_rademacher_pointset(ps: SensitivityPointSet) -> RadEstimate:
-    return RadEstimate(value=exact_rademacher_rows(ps.points), method="exact_enumeration", m=ps.m)
+    # sign sums that overflow make the value non-finite, which RadEstimate
+    # rejects with a structured error: numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = exact_rademacher_rows(ps.points)
+    return RadEstimate(value=value, method="exact_enumeration", m=ps.m)
 
 
 def exact_rademacher_support(support_fn, m: int, batch: bool = False) -> float:
@@ -198,7 +202,8 @@ def mc_rademacher_rows(rows: np.ndarray, n_sigma: int, seed: int) -> tuple[float
 
 
 def mc_rademacher_pointset(ps: SensitivityPointSet, n_sigma: int, seed: int) -> RadEstimate:
-    value, se = mc_rademacher_rows(ps.points, n_sigma, seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in exact_rademacher_pointset
+        value, se = mc_rademacher_rows(ps.points, n_sigma, seed)
     return RadEstimate(
         value=value,
         method="monte_carlo",

@@ -28,6 +28,7 @@ from .core import (
 from .errors import InvalidParameterError, UnknownSuiteError
 from .learners import (
     BLOCK_ELEMENTS,
+    AnalyticSensitivity,
     SearchDomain,
     constrained_erm,
     lambda_erm,
@@ -350,6 +351,8 @@ class _LinearTrialContext:
         self.op = UniformQuantizer(step=0.5, clamp=1.0)
         self.loss = LossSpec(kind="clipped_absolute", lipschitz=1.0)
         self.x_mc = derived_rng(seed, stream, 0).normal(0.0, self.SD, size=(100_000, self.D))
+        # true_d1 as a learner regulariser: E|<x, r>| = ||r|| SD sqrt(2 / pi)
+        self.true_sensitivity = AnalyticSensitivity(self.SD * math.sqrt(2.0 / math.pi))
 
     def true_d1(self, residuals: np.ndarray) -> np.ndarray:
         """Exact 1-sensitivity under the isotropic gaussian input law."""
@@ -439,18 +442,8 @@ def suite_prop3(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
 
     def one(i: int):
         tr = ctx.trial(i)
-
-        def true_sensitivity(h) -> float:
-            return float(ctx.true_d1(h.weights - ctx.op.transform_weights(h.weights))[0])
-
         out = sensitivity_regularized_erm(
-            tr["labelled"],
-            ctx.op,
-            true_sensitivity,
-            rho,
-            ctx.loss,
-            tr["domain"],
-            sensitivity_label="mc_true",
+            tr["labelled"], ctx.op, ctx.true_sensitivity, rho, ctx.loss, tr["domain"]
         )
         err_af = ctx.mc_error(np.asarray(out.approx_hypothesis.weights), tr["y_mc"])
         best = math.inf

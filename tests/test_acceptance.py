@@ -12,6 +12,8 @@ import time
 import numpy as np
 
 from approx_sense import (
+    AnalyticSensitivity,
+    EmpiricalSensitivity,
     LossSpec,
     SearchDomain,
     ThresholdSchedule,
@@ -301,12 +303,7 @@ def test_criterion_11_learner_oracle_equality():
             expected = _exhaustive(domain, srm_objective)
         elif kind == 2:
             got = sensitivity_regularized_erm(
-                labelled,
-                op,
-                lambda h: empirical_sensitivity(h, op, unlabelled, p).value,
-                rho,
-                loss,
-                domain,
+                labelled, op, EmpiricalSensitivity(unlabelled, p), rho, loss, domain
             )
             expected = _exhaustive(domain, lambda w: emp_approx(w) + rho * dhat(w))
         elif kind == 3:
@@ -316,11 +313,7 @@ def test_criterion_11_learner_oracle_equality():
         elif kind == 4:
             lam = float(rng.uniform(0.0, 2.0))
             budget = float(rng.uniform(0.5, 2.0))
-
-            def overline(h):
-                return analytic_sensitivity_upper(h, op, budget).value
-
-            got = analytic_lambda_erm(labelled, op, lam, overline, loss, domain)
+            got = analytic_lambda_erm(labelled, op, lam, AnalyticSensitivity(budget), loss, domain)
 
             def overline_w(w):
                 return analytic_sensitivity_upper(

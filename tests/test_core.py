@@ -31,31 +31,32 @@ from approx_sense import (
     empirical_error,
     generate,
     linear_hypothesis,
-    loss_value,
     loss_values,
-    predict,
+    predictions,
     true_error_mc,
 )
 from approx_sense.dataio import read_sample_csv, write_sample_csv
 
 
 # ---------------------------------------------------------------------------
-# predict
+# predictions
 # ---------------------------------------------------------------------------
 
 
 def test_predict_zero_weights():
-    assert predict(linear_hypothesis([0.0, 0.0]), [3.0, -7.0]) == 0.0
+    got = predictions(linear_hypothesis([0.0, 0.0]), [[3.0, -7.0], [1.0, 2.0]])
+    np.testing.assert_array_equal(got, [0.0, 0.0])
 
 
 def test_predict_dot_product():
-    assert predict(linear_hypothesis([1.0, 2.0]), [3.0, 4.0]) == 11.0
-    assert predict(linear_hypothesis([1.0]), [-2.0]) == -2.0
+    got = predictions(linear_hypothesis([1.0, 2.0]), [[3.0, 4.0], [-1.0, 0.5]])
+    np.testing.assert_array_equal(got, [11.0, 0.0])
+    np.testing.assert_array_equal(predictions(linear_hypothesis([1.0]), [[-2.0]]), [-2.0])
 
 
 def test_predict_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        predict(linear_hypothesis([1.0, 2.0]), [3.0])
+        predictions(linear_hypothesis([1.0, 2.0]), [[3.0]])
 
 
 def test_polynomial_map_features():
@@ -63,7 +64,7 @@ def test_polynomial_map_features():
     assert fmap.feature_dim == 3  # 1, x, x^2
     np.testing.assert_allclose(fmap.transform(np.array([2.0])), [1.0, 2.0, 4.0])
     h = Hypothesis(weights=np.array([1.0, 0.0, 1.0]), feature_map=fmap)
-    assert predict(h, [3.0]) == 10.0
+    np.testing.assert_array_equal(predictions(h, [[3.0], [-1.0]]), [10.0, 2.0])
 
 
 def test_rbf_map_features():
@@ -181,9 +182,10 @@ def test_quantizer_contraction_and_idempotence(step, clamp, raw):
 
 def test_clipped_absolute_examples():
     spec = LossSpec(kind="clipped_absolute", lipschitz=1.0)
-    assert loss_value(spec, 0.3, 0.3) == 0.0
-    assert loss_value(spec, 5.0, 0.0) == 1.0 - CLIP_MARGIN
-    assert loss_value(spec, 0.4, 0.1) == pytest.approx(0.3, abs=1e-15)
+    got = loss_values(spec, [0.3, 5.0, 0.4], [0.3, 0.0, 0.1])
+    assert got[0] == 0.0
+    assert got[1] == 1.0 - CLIP_MARGIN
+    assert got[2] == pytest.approx(0.3, abs=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["clipped_absolute", "clipped_hinge", "clipped_squared"])

@@ -34,12 +34,12 @@ from approx_sense import (
     lambda_grid_srm,
     linear_hypothesis,
     make_restricted_rad_estimator,
-    optimize,
     sensitivity_regularized_erm,
     srm_learner,
     true_error_mc,
     true_sensitivity_mc,
 )
+from approx_sense.learners import _search
 
 OP = UniformQuantizer(step=0.5, clamp=1.0)
 LOSS = LossSpec(kind="clipped_absolute", lipschitz=1.0)
@@ -69,8 +69,32 @@ def exhaustive_argmin(domain, objective, feasibility=None):
 
 
 # ---------------------------------------------------------------------------
-# optimize / SearchDomain
+# search / SearchDomain
 # ---------------------------------------------------------------------------
+
+
+class PointObjective:
+    """A per-candidate objective in the screen/exact protocol of the learners'
+    search: screened values are exact (margin 0), inf where ``feasibility``
+    fails.  Blocks of 7 rows make every search span several blocks."""
+
+    block_size = 7
+    min_diag = math.inf
+
+    def __init__(self, fn, feasibility=None):
+        self.fn = fn
+        self.feasibility = feasibility
+
+    def exact(self, w):
+        return float(self.fn(w))
+
+    def screen(self, block):
+        ok = [self.feasibility is None or self.feasibility(w) for w in block]
+        return np.array([self.exact(w) if f else math.inf for w, f in zip(block, ok)]), 0.0
+
+
+def optimize(fn, domain, feasibility=None):
+    return _search(PointObjective(fn, feasibility), domain).weights
 
 
 def test_optimize_quadratic_snaps_to_grid():
@@ -243,10 +267,7 @@ def test_restricted_rad_estimator_monotone_and_empty():
 def test_sensitivity_regularized_rho_zero_is_plain_approx_erm():
     _, labelled, unlabelled = _make_data(seed=9)
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=11)
-
-    def dhat(h):
-        return empirical_sensitivity(h, OP, unlabelled, 1).value
-
+    dhat = EmpiricalSensitivity(unlabelled, 1.0)
     out = sensitivity_regularized_erm(labelled, OP, dhat, 0.0, LOSS, domain)
     base = constrained_erm(labelled, unlabelled, OP, math.inf, 1.0, LOSS, domain)
     assert np.array_equal(out.hypothesis.weights, base.hypothesis.weights)
@@ -255,13 +276,24 @@ def test_sensitivity_regularized_rho_zero_is_plain_approx_erm():
 def test_sensitivity_regularized_large_rho_prefers_zero_sensitivity():
     _, labelled, unlabelled = _make_data(seed=10)
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=11)
+    dhat = EmpiricalSensitivity(unlabelled, 1.0)
+    out = sensitivity_regularized_erm(labelled, OP, dhat, 1e6, LOSS, domain)
+    assert empirical_sensitivity(out.hypothesis, OP, unlabelled, 1).value == 0.0
+    assert out.sensitivity_kind == "empirical"
+
+
+def test_regularised_learners_reject_other_regularisers():
+    _, labelled, unlabelled = _make_data(seed=10)
+    domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=5)
 
     def dhat(h):
         return empirical_sensitivity(h, OP, unlabelled, 1).value
 
-    out = sensitivity_regularized_erm(labelled, OP, dhat, 1e6, LOSS, domain)
-    assert dhat(out.hypothesis) == 0.0
-    assert out.sensitivity_kind == "dhat"
+    with pytest.raises(InvalidParameterError, match="EmpiricalSensitivity or AnalyticSensitivity"):
+        sensitivity_regularized_erm(labelled, OP, dhat, 1.0, LOSS, domain)
+    for regulariser in (dhat, EmpiricalSensitivity(unlabelled, 1.0)):
+        with pytest.raises(InvalidParameterError, match="AnalyticSensitivity"):
+            analytic_lambda_erm(labelled, OP, 1.0, regulariser, LOSS, domain)
 
 
 def test_lambda_erm_zero_lambda_is_plain_approx_erm():
@@ -277,10 +309,7 @@ def test_lambda_erm_matches_regularized_at_lambda_rho():
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=11)
     rho = LOSS.lipschitz
     out_lambda = lambda_erm(labelled, unlabelled, OP, rho, 1.0, LOSS, domain)
-
-    def dhat(h):
-        return empirical_sensitivity(h, OP, unlabelled, 1).value
-
+    dhat = EmpiricalSensitivity(unlabelled, 1.0)
     out_reg = sensitivity_regularized_erm(labelled, OP, dhat, rho, LOSS, domain)
     assert np.array_equal(out_lambda.hypothesis.weights, out_reg.hypothesis.weights)
 
@@ -299,11 +328,7 @@ def test_lambda_sweep_sensitivity_nonincreasing():
 def test_analytic_lambda_erm_recovers_on_grid_teacher():
     task, labelled, _ = _make_data(seed=14, noise=0.0)
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=5)
-
-    def overline(h):
-        return analytic_sensitivity_upper(h, OP, 1.0).value
-
-    out = analytic_lambda_erm(labelled, OP, 0.5, overline, LOSS, domain)
+    out = analytic_lambda_erm(labelled, OP, 0.5, AnalyticSensitivity(1.0), LOSS, domain)
     np.testing.assert_array_equal(out.hypothesis.weights, task.teacher.weights)
     assert out.objective_value == 0.0
 
@@ -311,9 +336,7 @@ def test_analytic_lambda_erm_recovers_on_grid_teacher():
 def test_analytic_lambda_zero_is_plain_approx_erm():
     _, labelled, unlabelled = _make_data(seed=15)
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=11)
-    out = analytic_lambda_erm(
-        labelled, OP, 0.0, lambda h: analytic_sensitivity_upper(h, OP, 1.0).value, LOSS, domain
-    )
+    out = analytic_lambda_erm(labelled, OP, 0.0, AnalyticSensitivity(1.0), LOSS, domain)
     base = constrained_erm(labelled, unlabelled, OP, math.inf, 1.0, LOSS, domain)
     assert np.array_equal(out.hypothesis.weights, base.hypothesis.weights)
 
@@ -421,14 +444,7 @@ def test_analytic_lambda_equivalence_analogue():
     for seed in range(trials):
         task, labelled, _ = _make_data(seed=300 + seed, noise=0.1, m=50)
         lam = 0.1 + 0.4 * (seed / trials)
-        out = analytic_lambda_erm(
-            labelled,
-            OP,
-            lam,
-            lambda h: analytic_sensitivity_upper(h, OP, budget).value,
-            LOSS,
-            domain,
-        )
+        out = analytic_lambda_erm(labelled, OP, lam, AnalyticSensitivity(budget), LOSS, domain)
         w_lam = np.asarray(out.hypothesis.weights)
         t = float(np.linalg.norm(w_lam - OP.transform_weights(w_lam)) * budget)
         err_rows = loss_values(
@@ -513,12 +529,6 @@ def assert_same_search(out, weights, value, trace):
     assert out.objective_trace == trace
 
 
-def assert_same_output(a, b):
-    assert_same_search(a, b.hypothesis.weights, b.objective_value, b.objective_trace)
-    for name in ("chosen_t", "chosen_k", "lam", "sensitivity_kind", "boundary_hits", "clamped"):
-        assert getattr(a, name) == getattr(b, name), name
-
-
 @st.composite
 def problems(draw):
     """A small learning problem: data, operator, loss, p and a search domain
@@ -562,15 +572,26 @@ EQUIVALENCE = settings(max_examples=40, deadline=None)
 LAMBDAS = st.sampled_from([0.0, 0.05, 0.3, 1.0, 25.0])
 
 
+def _approx_error(op, labelled, loss):
+    return lambda w: empirical_error(apply_operator(op, linear_hypothesis(w)), labelled, loss)
+
+
+def _regularised(op, labelled, loss, coef, sensitivity):
+    """emp_err(A f) + coef * sensitivity(f) as a function of the weights."""
+    approx = _approx_error(op, labelled, loss)
+    return lambda w: approx(w) + coef * sensitivity(linear_hypothesis(w))
+
+
 @EQUIVALENCE
 @given(problems(), LAMBDAS)
 def test_lambda_erm_equals_scalar_callback(problem, lam):
     labelled, unlabelled, op, loss, p, domain = problem
     out = lambda_erm(labelled, unlabelled, op, lam, p, loss, domain)
-    scalar = sensitivity_regularized_erm(
-        labelled, op, lambda h: empirical_sensitivity(h, op, unlabelled, p).value, lam, loss, domain
-    )
-    assert_same_search(out, scalar.hypothesis.weights, scalar.objective_value, scalar.objective_trace)
+
+    def dhat(h):
+        return empirical_sensitivity(h, op, unlabelled, p).value
+
+    assert_same_search(out, *scalar_search(domain, _regularised(op, labelled, loss, lam, dhat)))
 
 
 @EQUIVALENCE
@@ -578,25 +599,24 @@ def test_lambda_erm_equals_scalar_callback(problem, lam):
 def test_sensitivity_regularized_built_ins_equal_scalar_callbacks(problem, rho):
     labelled, unlabelled, op, loss, p, domain = problem
     budget = 1.3
-    pairs = [
-        (EmpiricalSensitivity(unlabelled, p), lambda h: empirical_sensitivity(h, op, unlabelled, p).value),
-        (AnalyticSensitivity(budget), lambda h: analytic_sensitivity_upper(h, op, budget).value),
-    ]
-    for built_in, callback in pairs:
-        batched = sensitivity_regularized_erm(
-            labelled, op, built_in, rho, loss, domain, sensitivity_label="s"
-        )
-        scalar = sensitivity_regularized_erm(
-            labelled, op, callback, rho, loss, domain, sensitivity_label="s"
-        )
-        assert_same_output(batched, scalar)
-    batched = analytic_lambda_erm(labelled, op, rho, AnalyticSensitivity(budget), loss, domain)
-    scalar = analytic_lambda_erm(labelled, op, rho, pairs[1][1], loss, domain)
-    assert_same_output(batched, scalar)
 
+    def dhat(h):
+        return empirical_sensitivity(h, op, unlabelled, p).value
 
-def _approx_error(op, labelled, loss):
-    return lambda w: empirical_error(apply_operator(op, linear_hypothesis(w)), labelled, loss)
+    def overline(h):
+        return analytic_sensitivity_upper(h, op, budget).value
+
+    for built_in, callback, kind in [
+        (EmpiricalSensitivity(unlabelled, p), dhat, "empirical"),
+        (AnalyticSensitivity(budget), overline, "analytic_upper"),
+    ]:
+        out = sensitivity_regularized_erm(labelled, op, built_in, rho, loss, domain)
+        expected = scalar_search(domain, _regularised(op, labelled, loss, rho, callback))
+        assert_same_search(out, *expected)
+        assert (out.sensitivity_kind, out.lam) == (kind, None)
+    out = analytic_lambda_erm(labelled, op, rho, AnalyticSensitivity(budget), loss, domain)
+    assert_same_search(out, *expected)
+    assert (out.sensitivity_kind, out.lam) == ("analytic_upper", rho)
 
 
 @EQUIVALENCE

@@ -1,12 +1,13 @@
-"""Blocked Monte Carlo references of the coverage suites: the same bits as the
-materialised matrices they replace."""
+"""Coverage-suite internals: the blocked Monte Carlo references give the same
+bits as the materialised matrices they replace, and prop3's regulariser is the
+true sensitivity."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from approx_sense import validation
+from approx_sense import analytic_sensitivity_upper, linear_hypothesis, validation
 from approx_sense.core import loss_values
 from approx_sense.learners import BLOCK_ELEMENTS
 from approx_sense.validation import _column_mean, _LinearTrialContext, _mean_abs_gaps
@@ -65,3 +66,15 @@ def test_linear_trial_err_cand_equals_materialised_loss_mean():
     tr = ctx.trial(0)
     expected = loss_values(ctx.loss, ctx.x_mc @ tr["cands"].T, tr["y_mc"][:, None]).mean(axis=0)
     assert np.array_equal(tr["err_cand"], expected)
+
+
+def test_prop3_regulariser_is_true_sensitivity():
+    # prop3 regularises with true_d1 as an analytic sensitivity; the two
+    # round their products in different orders, so they agree to a few ulp
+    ctx = _LinearTrialContext(0, 41)
+    budget = ctx.true_sensitivity.input_norm_budget
+    for i in range(5):
+        cands = ctx.trial(i)["cands"]
+        got = [analytic_sensitivity_upper(linear_hypothesis(w), ctx.op, budget).value for w in cands]
+        want = ctx.true_d1(cands - ctx.op.transform_weights(cands))
+        assert np.all(np.abs(np.array(got) - want) <= 4 * np.spacing(want))
