@@ -24,7 +24,12 @@ from .sensitivity import pointwise_gaps
 
 EXACT_ENUMERATION_CAP = 22
 _CHUNK_BITS = 14  # sign patterns are enumerated 2^14 rows at a time
+_SLICE_BITS = 11  # each chunk is multiplied out 2^11 rows at a time, in cache
 ORTHOGONALITY_TOL = 1e-10
+# operator_norm_lower_estimate: exhaustive sign search up to this m, greedy
+# sign flipping from this many random starts above it
+_OPERATOR_NORM_EXACT_M = 16
+_GREEDY_STARTS = 20
 
 RAD_METHODS = ("exact_enumeration", "monte_carlo", "closed_form", "certified_upper")
 
@@ -141,26 +146,46 @@ def _check_rows(rows) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def exact_rademacher_rows(rows: np.ndarray) -> float:
-    """Exact (1/m) 2^-m sum over sign patterns of max_i <sigma, row_i>.
-
-    Chunk n-1-c is chunk c negated, rows reversed, so only half the chunks are
-    multiplied out; partials stay in chunk order, so the result is bit-stable.
-    """
-    rows = _check_rows(rows)
-    m = rows.shape[1]
+def _check_enumeration_m(m: int) -> None:
+    if m < 1:
+        raise InvalidParameterError(f"exact enumeration needs m >= 1, got {m}")
     if m > EXACT_ENUMERATION_CAP:
         raise EnumerationCapError(
             f"exact enumeration capped at m = {EXACT_ENUMERATION_CAP} "
             f"(got {m}); use the Monte Carlo estimator instead"
         )
+
+
+def exact_rademacher_rows(rows: np.ndarray) -> float:
+    """Exact (1/m) 2^-m sum over sign patterns of max_i <sigma, row_i>.
+
+    Chunk n-1-c is chunk c negated, rows reversed, so only half the chunks are
+    multiplied out; partials stay in chunk order, so the result is bit-stable.
+    Each chunk is multiplied in 2^11-row slices against the ``rows.T`` view into
+    one reused transposed buffer, which keeps every product's bits while the
+    max/min reductions run along its contiguous axis.
+    """
+    # a GEMM's last bit may depend on the memory layout of its operands, not
+    # only on their numbers: enumerate a C-contiguous copy
+    rows = np.ascontiguousarray(_check_rows(rows))
+    m = rows.shape[1]
+    _check_enumeration_m(m)
     n_chunks = 1 << max(m - _CHUNK_BITS, 0)
+    mirror = n_chunks > 1
+    chunk = 1 << min(m, _CHUNK_BITS)
+    sub = min(chunk, 1 << _SLICE_BITS)
+    buf = np.empty((len(rows), sub))
+    hi, lo = np.empty(chunk), np.empty(chunk)
     partial_sums = [0.0] * n_chunks
-    for c, sigma in enumerate(_sign_chunks(m, half=n_chunks > 1)):
-        products = sigma @ rows.T
-        partial_sums[c] = float(products.max(axis=1).sum())
-        if n_chunks > 1:
-            partial_sums[-1 - c] = float((-products.min(axis=1))[::-1].sum())
+    for c, sigma in enumerate(_sign_chunks(m, half=mirror)):
+        for s in range(0, chunk, sub):
+            np.matmul(sigma[s:s + sub], rows.T, out=buf.T)
+            np.maximum.reduce(buf, axis=0, out=hi[s:s + sub])
+            if mirror:
+                np.minimum.reduce(buf, axis=0, out=lo[s:s + sub])
+        partial_sums[c] = float(hi.sum())
+        if mirror:
+            partial_sums[-1 - c] = float(np.negative(lo, out=lo)[::-1].sum())
     return math.fsum(partial_sums) / (1 << m) / m
 
 
@@ -179,8 +204,7 @@ def exact_rademacher_support(support_fn, m: int, batch: bool = False) -> float:
     ``batch=True`` it receives a block of sign rows and returns one value per
     row.  The rows are a read-only buffer that the next chunk overwrites.
     """
-    if m > EXACT_ENUMERATION_CAP:
-        raise EnumerationCapError(f"exact enumeration capped at m = {EXACT_ENUMERATION_CAP}")
+    _check_enumeration_m(m)
     vals = [
         float(np.sum(support_fn(sig))) if batch else math.fsum(float(support_fn(s)) for s in sig)
         for sig in _sign_chunks(m)
@@ -375,18 +399,11 @@ def crude_decomposition_bound(rad_H: float, rad_HA: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def operator_norm_lower_estimate(
-    V,
-    mu,
-    p: float,
-    n_starts: int = 20,
-    seed: int = 0,
-    exact_cap: int = 16,
-) -> float:
+def operator_norm_lower_estimate(V, mu, p: float, seed: int = 0) -> float:
     """Numeric estimate of ||V diag(mu)||_{p->1} = max_s ||(V L)^T s|| dual.
 
-    Exhaustive over sign vectors for m <= exact_cap, otherwise multi-start
-    greedy sign flipping.  Never used inside certified bounds: the value is
+    Exhaustive over sign vectors for m <= 16, otherwise greedy sign flipping
+    from 20 random starts.  Never used inside certified bounds: the value is
     exact when exhaustive and a lower estimate otherwise.
     """
     mu = _check_mu(mu)
@@ -397,7 +414,7 @@ def operator_norm_lower_estimate(
     def score(signs: np.ndarray) -> float:
         return dual_norm(M.T @ signs, p)
 
-    if m <= exact_cap:
+    if m <= _OPERATOR_NORM_EXACT_M:
         # the score is even in sigma: one of each +-sigma pair is enough
         q = conjugate_exponent(p)
         best = 0.0
@@ -409,7 +426,7 @@ def operator_norm_lower_estimate(
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
     best = 0.0
-    for _ in range(n_starts):
+    for _ in range(_GREEDY_STARTS):
         signs = rng.integers(0, 2, size=m).astype(float) * 2.0 - 1.0
         current = score(signs)
         improved = True

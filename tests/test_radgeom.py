@@ -156,15 +156,24 @@ def test_exact_cap_raises():
     ps = SensitivityPointSet(points=np.ones((1, 23)))
     with pytest.raises(EnumerationCapError, match="Monte Carlo"):
         exact_rademacher_pointset(ps)
+    with pytest.raises(EnumerationCapError, match="Monte Carlo"):
+        exact_rademacher_support(lambda sig: np.zeros(len(sig)), 23, batch=True)
     with pytest.raises(EnumerationCapError):
         RadEstimate(value=0.0, method="exact_enumeration", m=23)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_exact_support_rejects_m_below_one(m):
+    with pytest.raises(InvalidParameterError, match="m >= 1"):
+        exact_rademacher_support(lambda sig: np.zeros(len(sig)), m, batch=True)
 
 
 def hex_cases() -> dict[str, np.ndarray]:
     """Row sets for the bit-for-bit comparison with the full chunk loop."""
     rng = np.random.default_rng(11)
     cases = {}
-    for m in (1, 2, 3, 13, 14, 15, 16, 18, 20, 22):
+    # m = 11: one 2^11-row slice is the whole chunk; m = 12, 13: several slices
+    for m in (1, 2, 3, 11, 12, 13, 14, 15, 16, 18, 20, 22):
         n = 3 if m == 22 else 12
         cases[f"m{m}_magnitudes"] = rng.uniform(0, 1, (n, m)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
         if m <= 20:
@@ -172,16 +181,21 @@ def hex_cases() -> dict[str, np.ndarray]:
         if m <= 18:  # m = 20 and 22 are slow enough to keep to fewer sets
             cases[f"m{m}_repeated"] = np.repeat(rng.uniform(0, 1, (3, m)), 2, axis=0)
             cases[f"m{m}_zeros"] = np.zeros((4, m))
+    cases["m16_200_rows"] = rng.uniform(0, 1, (200, 16)) * 10.0 ** rng.uniform(-3, 3, (200, 1))
     # the oracles workload's seed-2 m = 18 input
     cases["oracles_seed2_m18"] = np.random.default_rng(
         np.random.SeedSequence(2, spawn_key=(3,))
     ).uniform(0, 1, (50, 18))
+    # not C-contiguous: the value must be that of the C-contiguous copy
+    cases["m16_transposed"] = np.random.default_rng(2).uniform(-1, 1, (16, 2)).T
+    cases["m15_column_strided"] = rng.uniform(-1, 1, (12, 30))[:, ::2]
     return cases
 
 
 def hex_pairs() -> dict[str, list[str]]:
     return {
-        name: [exact_rademacher_rows(rows).hex(), reference_exact_rows(rows).hex()]
+        name: [exact_rademacher_rows(rows).hex(),
+               reference_exact_rows(np.ascontiguousarray(rows)).hex()]
         for name, rows in hex_cases().items()
     }
 
@@ -408,6 +422,25 @@ def test_certified_dominates_numeric_operator_norm():
     assert operator_norm_lower_estimate(np.eye(3), mu, 2.0) == pytest.approx(
         dual_norm(mu, 2.0), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("m", [17, 18])
+def test_operator_norm_greedy_estimate_is_a_lower_bound(m, p):
+    # above m = 16 the estimate is greedy sign flipping: it may miss the
+    # maximum but never exceeds it, nor the certified value.  The maximum is
+    # taken over one of each +-sigma pair; the estimate scores by a
+    # matrix-vector product, the maximum by a GEMM, and the two may round
+    # apart in the last bits
+    rng = np.random.default_rng(14 + m)
+    mu = rng.uniform(0.2, 2.0, size=m)
+    V, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    M = V * mu[None, :]
+    vals = np.abs(reference_sign_block(0, 1 << (m - 1), m) @ M)
+    full = vals.max() if p == 1.0 else float(np.sqrt((vals**2).sum(axis=1).max()))
+    estimate = operator_norm_lower_estimate(V, mu, p, seed=m)
+    assert 0.0 < estimate <= full * (1 + 1e-12)
+    assert estimate <= _rotated_component_norm(V, mu, p, m)[0] + 1e-9
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
