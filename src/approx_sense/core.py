@@ -310,11 +310,18 @@ class StochasticRounder:
             raise InvalidParameterError("rounder clamp range must be positive")
 
     def transform_weights(self, w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self.round_with(w, rng.random(w.shape[0]))
+
+    def round_with(self, w: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Round ``w`` up where the uniform draw is below its fractional part.
+
+        The arithmetic is elementwise: rows of uniforms give one rounded row
+        each, bit-equal to a ``transform_weights`` call that drew that row.
+        """
         clipped = np.clip(w, -self.clamp, self.clamp)
         lo = self.step * np.floor(clipped / self.step)
         frac = (clipped - lo) / self.step
-        up = rng.random(w.shape[0]) < frac
-        return lo + self.step * up
+        return lo + self.step * (uniforms < frac)
 
 
 ApproxOperator = UniformQuantizer | MagnitudePruner | StochasticRounder

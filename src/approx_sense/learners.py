@@ -47,7 +47,7 @@ from .core import (
     loss_values,
 )
 from .errors import DimensionMismatchError, InfeasibleThresholdError, InvalidParameterError
-from .radgeom import RadEstimate, mc_rademacher_rows
+from .radgeom import RadEstimate, _mc_mean_se, _mc_signs
 
 GRID_POINT_CAP = 1_000_000
 #: Screening margin relative to the magnitudes a screened value is summed from.
@@ -777,7 +777,10 @@ def make_restricted_rad_estimator(
     Realises the sensitivity-restricted class as the subset of the search
     grid whose empirical sensitivity (on the unlabelled sample) is at most
     the threshold, and Monte Carlo estimates the Rademacher complexity of its
-    prediction rows on the labelled inputs.
+    prediction rows on the labelled inputs.  The signs are drawn and
+    multiplied out once, here; each threshold takes a maximum over a prefix
+    of the same sign sums, so the estimate is non-decreasing in the threshold
+    once the class is non-empty.
     """
     fm = _resolve_feature_map(feature_map, labelled.dim)
     ws = _Workspace(op, None, fm, labelled, unlabelled, p, domain)
@@ -785,25 +788,32 @@ def make_restricted_rad_estimator(
     step = ws.block_size
     blocks = [candidates[lo : lo + step] for lo in range(0, len(candidates), step)]
     dhats = np.concatenate([ws.dhats(block, op.transform_weights(block)) for block in blocks])
-    pred_rows = (ws.lab_feats @ candidates.T).T
+    order = np.argsort(dhats, kind="stable")
+    sorted_dhats = dhats[order]
+    rows = np.ascontiguousarray((ws.lab_feats @ candidates.T).T[order])
+    m = labelled.m
+    # every threshold's class is a prefix of the rows sorted by d-hat, and
+    # every call shares one sign draw: each draw's supremum over the k least
+    # sensitive candidates is the maximum of its first k sign sums
+    sums = _mc_signs(n_sigma, m, seed) @ rows.T
 
     def estimator(threshold: float) -> RadEstimate:
-        mask = dhats <= threshold
-        if not mask.any():
+        k = int(np.searchsorted(sorted_dhats, threshold, side="right"))
+        if k == 0:
             return RadEstimate(
                 value=0.0,
                 method="monte_carlo",
-                m=labelled.m,
+                m=m,
                 standard_error=0.0,
                 n_sigma=n_sigma,
                 seed=seed,
                 note="restricted class empty at this threshold",
             )
-        value, se = mc_rademacher_rows(pred_rows[mask], n_sigma, seed)
+        value, se = _mc_mean_se(sums[:, :k].max(axis=1), m)
         return RadEstimate(
             value=value,
             method="monte_carlo",
-            m=labelled.m,
+            m=m,
             standard_error=se,
             n_sigma=n_sigma,
             seed=seed,

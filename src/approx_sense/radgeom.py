@@ -212,17 +212,28 @@ def exact_rademacher_support(support_fn, m: int, batch: bool = False) -> float:
     return math.fsum(vals) / (1 << m) / m
 
 
-def mc_rademacher_rows(rows: np.ndarray, n_sigma: int, seed: int) -> tuple[float, float]:
-    """Unbiased Monte Carlo estimate (value, standard error) over sign draws."""
+def _mc_signs(n_sigma: int, m: int, seed: int) -> np.ndarray:
+    """The Monte Carlo oracles' (n_sigma, m) sign draws: one stream per seed."""
     if n_sigma < 1:
         raise InvalidParameterError("n_sigma must be >= 1")
-    rows = _check_rows(rows)
-    m = rows.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(6,)))
-    sigma = rng.integers(0, 2, size=(n_sigma, m)).astype(float) * 2.0 - 1.0
-    draws = (sigma @ rows.T).max(axis=1) / m
+    return rng.integers(0, 2, size=(n_sigma, m)).astype(float) * 2.0 - 1.0
+
+
+def _mc_mean_se(sups: np.ndarray, m: int) -> tuple[float, float]:
+    """(value, standard error) from each sign draw's supremum of <sigma, row>."""
+    draws = sups / m
+    n_sigma = len(draws)
     se = float(draws.std(ddof=1) / np.sqrt(n_sigma)) if n_sigma > 1 else 0.0
     return float(draws.mean()), se
+
+
+def mc_rademacher_rows(rows: np.ndarray, n_sigma: int, seed: int) -> tuple[float, float]:
+    """Unbiased Monte Carlo estimate (value, standard error) over sign draws."""
+    # multiply a C-contiguous copy, as exact_rademacher_rows does
+    rows = np.ascontiguousarray(_check_rows(rows))
+    m = rows.shape[1]
+    return _mc_mean_se((_mc_signs(n_sigma, m, seed) @ rows.T).max(axis=1), m)
 
 
 def mc_rademacher_pointset(ps: SensitivityPointSet, n_sigma: int, seed: int) -> RadEstimate:

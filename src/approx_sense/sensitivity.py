@@ -150,6 +150,22 @@ def analytic_sensitivity_upper(
     )
 
 
+def _per_draw(op: ApproxOperator, h: Hypothesis, inputs, streams, value) -> np.ndarray:
+    """``value(base, drawn)`` per operator draw, one draw per generator in
+    ``streams``: the predictions of ``h`` and of its draw on ``inputs``.
+
+    Each generator draws as ``apply_operator`` would; the draws are rounded as
+    one block, and each distinct drawn weight vector is evaluated once with
+    the matrix-vector product of ``predictions``, so every value is bit-equal
+    to its own per-draw evaluation.
+    """
+    feats = h.feature_map.transform(np.asarray(inputs, dtype=float))
+    base = feats @ h.weights
+    uniforms = np.stack([rng.random(len(h.weights)) for rng in streams])
+    distinct, inverse = np.unique(op.round_with(h.weights, uniforms), axis=0, return_inverse=True)
+    return np.array([value(base, feats @ row) for row in distinct])[inverse.reshape(-1)]
+
+
 def expected_sensitivity(
     h: Hypothesis,
     op: ApproxOperator,
@@ -166,11 +182,8 @@ def expected_sensitivity(
         )
     if n_omega < 1:
         raise InvalidParameterError("n_omega must be >= 1")
-    base = predictions(h, sample.inputs)
-    vals = np.empty(n_omega)
-    for i in range(n_omega):
-        drawn = apply_operator(op, h, noise_seed=derived_rng(seed, 4, i))
-        vals[i] = _p_mean(base - predictions(drawn, sample.inputs), p)
+    streams = (derived_rng(seed, 4, i) for i in range(n_omega))
+    vals = _per_draw(op, h, sample.inputs, streams, lambda base, drawn: _p_mean(base - drawn, p))
     se = float(vals.std(ddof=1) / np.sqrt(n_omega)) if n_omega > 1 else 0.0
     return SensitivityEstimate(
         p=p,
@@ -312,11 +325,9 @@ def variance_condition_check(
         raise InvalidParameterError("n_omega must be >= 1")
     reports = []
     for j, h in enumerate(hypotheses):
-        base = predictions(h, sample.inputs)
-        sq = np.empty(n_omega)
-        for i in range(n_omega):
-            drawn = apply_operator(op, h, noise_seed=derived_rng(seed, 5, j, i))
-            sq[i] = float(np.mean((predictions(drawn, sample.inputs) - base) ** 2))
+        streams = (derived_rng(seed, 5, j, i) for i in range(n_omega))
+        sq = _per_draw(op, h, sample.inputs, streams,
+                       lambda base, drawn: float(np.mean((drawn - base) ** 2)))
         lhs = float(sq.mean())
         se = float(sq.std(ddof=1) / np.sqrt(n_omega)) if n_omega > 1 else 0.0
         cap = 1.0 if capacity_fn == "constant_one" else float(np.linalg.norm(h.weights))

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +45,7 @@ from approx_sense import (
     true_sensitivity_mc,
 )
 from approx_sense.learners import _search
+from approx_sense.radgeom import mc_rademacher_rows
 
 OP = UniformQuantizer(step=0.5, clamp=1.0)
 LOSS = LossSpec(kind="clipped_absolute", lipschitz=1.0)
@@ -259,6 +265,79 @@ def test_restricted_rad_estimator_monotone_and_empty():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.deferred(lambda: problems()).filter(lambda pr: pr[-1].mode != "coordinate_descent"),
+    st.integers(1, 64),
+    st.integers(0, 2**16),
+)
+def test_restricted_rad_estimator_equals_per_threshold_mc(problem, n_sigma, seed):
+    labelled, unlabelled, op, _, p, domain = problem
+    estimator = make_restricted_rad_estimator(domain, labelled, unlabelled, op, p, n_sigma, seed)
+    cands = domain.candidate_matrix()
+    dhats = np.array(
+        [empirical_sensitivity(linear_hypothesis(w), op, unlabelled, p).value for w in cands]
+    )
+    rows = (labelled.inputs @ cands.T).T
+    # one GEMM over every candidate rounds each sign sum in its own blocking:
+    # allow a length-m dot product's forward error, over m
+    tol = 4 * np.finfo(float).eps * np.abs(rows).sum(axis=1).max()
+    levels = np.unique(dhats)
+    # thresholds well between two levels, where block and scalar d-hats agree
+    apart = np.diff(levels) > 1e-9 * max(1.0, levels[-1])
+    for t in [*((levels[1:] + levels[:-1]) / 2)[apart], levels[-1] + 1.0]:
+        got = estimator(t)
+        value, se = mc_rademacher_rows(rows[dhats <= t], n_sigma, seed)
+        assert abs(got.value - value) <= tol and abs(got.standard_error - se) <= tol
+        assert (got.n_sigma, got.seed, got.m) == (n_sigma, seed, labelled.m)
+    # a prefix maximum: exactly non-decreasing once the class is non-empty (a
+    # one-row class can estimate below the empty class's 0)
+    thresholds = np.append(np.sort(dhats), levels[-1] + 1.0)
+    values = [e.value for e in map(estimator, thresholds) if e.note is None]
+    assert values == sorted(values)
+    empty = estimator(levels[0] - 1.0)
+    assert (empty.value, empty.standard_error) == (0.0, 0.0) and "empty" in empty.note
+
+
+def srm_estimate_hexes() -> list[str]:
+    """Float-hex SRM estimates on sizes where BLAS splits the GEMM."""
+    out = []
+    for seed, domain in (
+        (3, SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=51)),
+        (4, SearchDomain(dim=4, halfwidth=1.0, mode="random", n_samples=3000, seed=4)),
+    ):
+        _, labelled, unlabelled = _make_data(seed=seed, d=domain.dim, m=200,
+                                             teacher=np.linspace(-0.5, 0.5, domain.dim))
+        estimator = make_restricted_rad_estimator(
+            domain, labelled, unlabelled, OP, n_sigma=256, seed=seed
+        )
+        for t in (0.01, 0.05, 0.1, 0.2, 10.0):
+            est = estimator(t)
+            out += [est.value.hex(), est.standard_error.hex()]
+    return out
+
+
+def test_restricted_rad_estimator_is_thread_independent():
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    script = "import json, test_learners; print(json.dumps(test_learners.srm_estimate_hexes()))"
+    runs = {
+        threads: subprocess.Popen(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for threads in ("1", "2")
+    }
+    hexes = {}
+    for threads, run in runs.items():
+        out, _ = run.communicate(timeout=600)
+        assert run.returncode == 0, f"OPENBLAS_NUM_THREADS={threads}"
+        hexes[threads] = json.loads(out)
+    assert len(hexes["1"]) == 20 and hexes["1"] == hexes["2"]
+
+
 # ---------------------------------------------------------------------------
 # regularised learners
 # ---------------------------------------------------------------------------
@@ -431,7 +510,6 @@ def test_analytic_lambda_equivalence_analogue():
     # with no sensitivity-estimation slack
     from approx_sense import lambda_equivalence_bound
     from approx_sense.core import loss_values
-    from approx_sense.radgeom import mc_rademacher_rows
 
     delta = 0.05
     rho = LOSS.lipschitz

@@ -301,6 +301,23 @@ def test_mc_agrees_with_exact():
         assert abs(value - exact) <= 4.0 * max(se, 1e-12)
 
 
+def test_mc_value_is_that_of_the_c_contiguous_copy():
+    # transposed sets shaped like the coverage suites' gaps.T, at seeds where
+    # a multiplication of the transposed view once rounded differently
+    cases = {}
+    for seed in (25, 29, 126):
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(20, 120), rng.integers(2, 60)
+        cases[seed] = (np.abs(rng.normal(size=(m, n))) * 10.0 ** rng.uniform(-3, 3)).T
+    rng = np.random.default_rng(6)
+    cases[1] = rng.uniform(-1, 1, (12, 30))[:, ::2]
+    cases[2] = rng.uniform(-1, 1, (40, 16))[::3]
+    for seed, rows in cases.items():
+        assert not rows.flags.c_contiguous
+        copy = np.ascontiguousarray(rows)
+        assert mc_rademacher_rows(rows, 800, seed) == mc_rademacher_rows(copy, 800, seed)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------

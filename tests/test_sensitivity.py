@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from approx_sense import (
     DeterministicOperatorError,
@@ -17,15 +19,19 @@ from approx_sense import (
     UniformQuantizer,
     UnlabelledSample,
     analytic_sensitivity_upper,
+    apply_operator,
     empirical_sensitivity,
     expected_sensitivity,
     fast_rate_deviation_bound,
     linear_hypothesis,
+    predictions,
     sensitivity_deviation_bound,
     true_sensitivity_mc,
     uniform_sensitivity_constant,
     variance_condition_check,
 )
+from approx_sense.sensitivity import _p_mean
+from approx_sense.synthetic import derived_rng
 from approx_sense.validation import suite_lemma1
 
 QUANT = UniformQuantizer(step=0.5, clamp=1.0)
@@ -241,6 +247,9 @@ def test_expected_sensitivity_rejects_deterministic_op():
 
 
 def test_variance_condition_two_outcome():
+    """variance_condition_check is a Monte Carlo check of the paper's variance
+    condition for stochastic approximation operators,
+    E_omega ||A_omega f - f||^2_(L2 over the sample) <= (alpha C(f))^2."""
     # E |A f(1) - f(1)|^2 = 0.3 * 0.49 + 0.7 * 0.09 = 0.21
     op = StochasticRounder(step=1.0, clamp=1.0)
     h = linear_hypothesis([0.3])
@@ -275,6 +284,52 @@ def test_variance_condition_weight_norm_capacity():
     )
     assert report.capacity == pytest.approx(0.5)
     assert report.threshold == pytest.approx(1.0)
+
+
+def reference_draws(op, h, inputs, key, n_omega, value):
+    """The per-draw loop: one operator draw and one prediction pass per draw."""
+    base = predictions(h, inputs)
+    vals = np.empty(n_omega)
+    for i in range(n_omega):
+        drawn = apply_operator(op, h, noise_seed=derived_rng(*key, i))
+        vals[i] = value(base, predictions(drawn, inputs))
+    return vals
+
+
+def _mean_se(vals):
+    n = len(vals)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 40),
+    on_grid=st.booleans(),
+    step=st.sampled_from([0.1, 0.5, 1.0]),
+    p=st.sampled_from([1.0, 2.0, 3.5]),
+    n_omega=st.integers(1, 80),
+    seed=st.integers(0, 2**16),
+)
+@example(d=1, on_grid=False, step=0.5, p=1.0, n_omega=50, seed=1)
+@example(d=3, on_grid=True, step=0.5, p=2.0, n_omega=20, seed=2)
+@example(d=40, on_grid=False, step=0.1, p=1.0, n_omega=80, seed=3)  # every draw distinct
+def test_batched_draws_equal_per_draw_loop(d, on_grid, step, p, n_omega, seed):
+    rng = np.random.default_rng(seed)
+    op = StochasticRounder(step=step, clamp=4.0 * step)
+    weights = step * (rng.integers(-3, 4, size=(2, d)) if on_grid else rng.uniform(-3.5, 3.5, (2, d)))
+    hs = [linear_hypothesis(w) for w in weights]
+    sample = UnlabelledSample(inputs=rng.normal(size=(int(rng.integers(1, 30)), d)))
+
+    est = expected_sensitivity(hs[0], op, sample, p, n_omega, seed)
+    vals = reference_draws(op, hs[0], sample.inputs, (seed, 4), n_omega,
+                           lambda base, drawn: _p_mean(base - drawn, p))
+    assert (est.value, est.standard_error) == _mean_se(vals)
+
+    reports = variance_condition_check(op, hs, sample, alpha=1.0, n_omega=n_omega, seed=seed)
+    for j, (h, report) in enumerate(zip(hs, reports)):
+        sq = reference_draws(op, h, sample.inputs, (seed, 5, j), n_omega,
+                             lambda base, drawn: float(np.mean((drawn - base) ** 2)))
+        assert (report.lhs, report.lhs_standard_error) == _mean_se(sq)
 
 
 # ---------------------------------------------------------------------------

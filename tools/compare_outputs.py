@@ -7,7 +7,9 @@
 ``perfbench/workloads.py`` (under OUT/../cmp_inputs, so two runs read the same
 input paths), calls CHECKOUT's ``approx_sense.cli.main`` once per op with a
 fresh ``--out`` directory, and records the exit codes.  ``diff`` compares
-every output file byte for byte and exits 1 on any difference.  Run ``run``
+every output file byte for byte and exits 1 on any difference; for a JSON
+file that differs it prints the first differing key path and both values,
+floats in hex, so a change in the last bit shows as one.  Run ``run``
 once per checkout, each in its own interpreter; it reads OPENBLAS_NUM_THREADS
 from the environment and sets it to 1, as the benchmark does, when unset.
 """
@@ -21,6 +23,7 @@ import sys
 from pathlib import Path
 
 DEFAULT_WORKLOADS = ("train_grid", "train_descent", "validate_coverage", "oracles")
+MISSING = object()  # a key that one of two JSON objects lacks
 
 
 def run(checkout: Path, out: Path, workloads, seeds) -> None:
@@ -47,6 +50,41 @@ def _digests(root: Path) -> dict[str, str]:
     }
 
 
+def _first_difference(a, b, path: str = ""):
+    """(key path, value in a, value in b) where two JSON values first differ,
+    or None when they are equal."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in list(a) + [k for k in b if k not in a]:
+            if key not in a or key not in b:
+                return f"{path}/{key}", a.get(key, MISSING), b.get(key, MISSING)
+            found = _first_difference(a[key], b[key], f"{path}/{key}")
+            if found:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = _first_difference(x, y, f"{path}/{i}")
+            if found:
+                return found
+        return None if len(a) == len(b) else (f"{path}/length", len(a), len(b))
+    return None if type(a) is type(b) and a == b else (path or "/", a, b)
+
+
+def _show(value) -> str:
+    if value is MISSING:
+        return "(missing)"
+    return value.hex() if isinstance(value, float) else json.dumps(value)
+
+
+def _json_difference(pa: Path, pb: Path) -> str:
+    """'path: a -> b' for the first differing value of two JSON files, floats in hex."""
+    found = _first_difference(json.loads(pa.read_text()), json.loads(pb.read_text()))
+    if found is None:
+        return "same JSON values, different bytes"
+    path, va, vb = found
+    return f"{path}: {_show(va)} -> {_show(vb)}"
+
+
 def diff(a: Path, b: Path) -> int:
     da, db = _digests(a / "outputs"), _digests(b / "outputs")
     ca = json.loads((a / "codes.json").read_text())
@@ -55,7 +93,10 @@ def diff(a: Path, b: Path) -> int:
     for key in sorted(set(da) | set(db)):
         same = da.get(key) == db.get(key)
         bad += not same
-        print(("same  " if same else "DIFF  ") + key)
+        detail = ""
+        if not same and key.endswith(".json") and key in da and key in db:
+            detail = "  " + _json_difference(a / "outputs" / key, b / "outputs" / key)
+        print(("same  " if same else "DIFF  ") + key + detail)
     for key in sorted(set(ca) | set(cb)):
         if ca.get(key) != cb.get(key):
             bad += 1
