@@ -371,6 +371,8 @@ def srm_selection_bound(
         raise InvalidParameterError("per-threshold inputs must be non-empty and equal length")
     if any(not 0 < w <= 1 for w in ws):
         raise InvalidParameterError("weights must lie in (0, 1]")
+    for e, (r, _) in zip(errs, rads):
+        _check_nonneg(err_star_k=e, rad_Ht_k=r)
     _check_nonneg(rho=rho)
     inner = [
         e + 2.0 * rho * r + hoeffding_term(3.0, 1.0 / w, m)

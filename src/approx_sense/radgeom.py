@@ -197,18 +197,15 @@ def exact_rademacher_pointset(ps: SensitivityPointSet) -> RadEstimate:
     return RadEstimate(value=value, method="exact_enumeration", m=ps.m)
 
 
-def exact_rademacher_support(support_fn, m: int, batch: bool = False) -> float:
+def exact_rademacher_support(support_fn, m: int) -> float:
     """Exact enumeration where the per-sign supremum is an analytic support value.
 
-    ``support_fn(sigma)`` must return sup over the body of <sigma, x>; with
-    ``batch=True`` it receives a block of sign rows and returns one value per
-    row.  The rows are a read-only buffer that the next chunk overwrites.
+    ``support_fn`` receives a block of sign rows and returns, for each row
+    sigma, sup over the body of <sigma, x>.  The rows are a read-only buffer
+    that the next chunk overwrites.
     """
     _check_enumeration_m(m)
-    vals = [
-        float(np.sum(support_fn(sig))) if batch else math.fsum(float(support_fn(s)) for s in sig)
-        for sig in _sign_chunks(m)
-    ]
+    vals = [float(np.sum(support_fn(sig))) for sig in _sign_chunks(m)]
     return math.fsum(vals) / (1 << m) / m
 
 
@@ -350,15 +347,12 @@ def crude_bounds(R_p: float, p: float) -> tuple[float, float]:
     return (R_p / (2.0 * 2.0 ** (1.0 / p)), R_p)
 
 
-def positive_orthant_ball_sup(sigma, radius: float, p: float) -> float:
+def positive_orthant_ball_sup(sigma, radius: float, p: float) -> float | np.ndarray:
     """Support value of the positive-orthant p-ball: radius times the dual
-    norm of the positive part of sigma."""
+    norm of the positive part of sigma, over the last axis as in dual_norm."""
     if radius < 0:
         raise InvalidParameterError("radius must be >= 0")
-    positive_part = np.maximum(np.asarray(sigma, dtype=float), 0.0)
-    if not positive_part.any():
-        return 0.0
-    return radius * dual_norm(positive_part, p)
+    return radius * dual_norm(np.maximum(np.asarray(sigma, dtype=float), 0.0), p)
 
 
 def massart_bound(point_rows) -> float:

@@ -27,7 +27,6 @@ from .core import (
 )
 from .errors import InvalidParameterError, UnknownSuiteError
 from .learners import (
-    BLOCK_ELEMENTS,
     AnalyticSensitivity,
     SearchDomain,
     constrained_erm,
@@ -115,35 +114,28 @@ def _report(name, results, target, floor, seed, stats=()) -> CoverageReport:
     )
 
 
-def _column_mean(n_rows: int, n_cols: int, block_values) -> np.ndarray:
-    """``block_values(slice(0, n_rows)).mean(axis=0)``, bit for bit, without
-    holding the n_rows x n_cols matrix: rows are evaluated one block at a time.
+def _gaussian_clipped_error(weights, teacher, sd: float, noise_sd: float, loss: LossSpec):
+    """Exact error of the linear predictors ``weights`` (one per row) against a
+    linear teacher, for inputs N(0, sd^2 I) and label noise N(0, noise_sd^2).
 
-    numpy sums a C-contiguous matrix of two or more columns along axis 0 row
-    by row, so carrying the running sum as row 0 of the next block's buffer
-    repeats the unblocked additions exactly (adding per-block partial sums
-    would not).  One column is summed pairwise instead, so it, and a matrix
-    that fits in one block, is averaged directly.
+    The residual a - y is N(0, s^2) with s^2 = sd^2 ||w - teacher||^2 +
+    noise_sd^2, and with k = clip / rho the clipped absolute loss has mean
+    E min(rho |Z|, clip) = rho s sqrt(2/pi) (1 - exp(-k^2 / 2s^2)) + clip erfc(k / (s sqrt 2)).
+    This holds only for ``clipped_absolute``, the one loss these suites build.
     """
-    rows = max(1, BLOCK_ELEMENTS // n_cols)
-    if n_cols < 2 or n_rows <= rows:
-        return block_values(slice(0, n_rows)).mean(axis=0)
-    total = block_values(slice(0, rows)).sum(axis=0)
-    buffer = np.empty((rows + 1, n_cols))
-    for start in range(rows, n_rows, rows):
-        stop = min(start + rows, n_rows)
-        buffer[0] = total
-        buffer[1 : 1 + stop - start] = block_values(slice(start, stop))
-        total = buffer[: 1 + stop - start].sum(axis=0)
-    return total / n_rows
+    rho, clip = loss.lipschitz, loss.clip
+    k = clip / rho
+    diff = np.atleast_2d(np.asarray(weights, dtype=float)) - teacher
+    s = np.sqrt(sd**2 * np.sum(diff**2, axis=1) + noise_sd**2)
+    tail = np.array([math.erfc(v) for v in k / (s * math.sqrt(2.0))])
+    return rho * s * math.sqrt(2.0 / math.pi) * (1.0 - np.exp(-(k**2) / (2.0 * s**2))) + clip * tail
 
 
-def _mean_abs_gaps(big: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    """``np.abs(big @ residuals.T).mean(axis=0)``, bit for bit, computed once
-    per distinct residual row and one row block of ``big`` at a time."""
-    distinct, inverse = np.unique(residuals, axis=0, return_inverse=True)
-    means = _column_mean(len(big), len(distinct), lambda rows: np.abs(big[rows] @ distinct.T))
-    return means[inverse.reshape(-1)]
+def _uniform_box_abs_mean(residuals: np.ndarray) -> np.ndarray:
+    """Exact E|<x, r>| for x uniform on [-1, 1]^2, one value per row r:
+    A/2 + B^2 / (6A) with A = max_j |r_j| and B = min_j |r_j|, and 0 at r = 0."""
+    b, a = np.sort(np.abs(residuals), axis=1).T
+    return np.where(a > 0, a / 2.0 + b**2 / (6.0 * np.where(a > 0, a, 1.0)), 0.0)
 
 
 def _random_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -166,7 +158,7 @@ def suite_ellipse_exact(trials: int = 100, seed: int = 0, threads: int = 1) -> C
         m = int(rng.integers(2, 13))
         p = p_choices[rng.integers(len(p_choices))]
         mu = rng.uniform(0.1, 3.0, size=m)
-        enum = exact_rademacher_support(lambda sig: dual_norm(sig * mu, p), m, batch=True)
+        enum = exact_rademacher_support(lambda sig: dual_norm(sig * mu, p), m)
         closed = ellipse_rademacher(mu, p, m).value
         gap = abs(enum - closed)
         return gap <= 1e-9, 1e-9 - gap
@@ -191,7 +183,7 @@ def suite_union_exact(trials: int = 100, seed: int = 0, threads: int = 1) -> Cov
                 np.stack([dual_norm(sig_block * mu, p) for mu in mus]), axis=0
             )
 
-        enum = exact_rademacher_support(support, m, batch=True)
+        enum = exact_rademacher_support(support, m)
         closed = union_ellipse_bound(mus, p, m).value
         gap = abs(enum - closed)
         return gap <= 1e-9, 1e-9 - gap
@@ -210,9 +202,7 @@ def suite_crude_sandwich(trials: int = 50, seed: int = 0, threads: int = 1) -> C
         p = 1.0 if rng.integers(2) == 0 else 2.0
         radius = float(rng.uniform(0.2, 2.0))
         full = radius * m ** (1.0 / p)
-        enum = exact_rademacher_support(
-            lambda sig: positive_orthant_ball_sup(sig, full, p), m
-        )
+        enum = exact_rademacher_support(lambda sig: positive_orthant_ball_sup(sig, full, p), m)
         lower, upper = crude_bounds(radius, p)
         ok = lower - 1e-12 <= enum <= upper + 1e-12
         return ok, min(enum - lower, upper - enum)
@@ -303,9 +293,7 @@ def suite_lemma1(trials: int = 500, seed: int = 0, threads: int = 1) -> Coverage
     op = UniformQuantizer(step=0.5, clamp=1.0)
     grid = SearchDomain(dim=2, halfwidth=1.0, points_per_axis=11).candidate_matrix()
     residuals = grid - op.transform_weights(grid)
-    # high-precision Monte Carlo reference for the true 1-sensitivity
-    big = derived_rng(seed, 30).uniform(-1.0, 1.0, size=(400_000, 2))
-    d_true = _mean_abs_gaps(big, residuals)
+    d_true = _uniform_box_abs_mean(residuals)
     # exact 2-sensitivity for the fast-rate variance term: ||r|| / sqrt(3)
     t_two = float(np.max(np.linalg.norm(residuals, axis=1)) / math.sqrt(3.0))
     sup_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
@@ -350,7 +338,6 @@ class _LinearTrialContext:
         self.stream = stream
         self.op = UniformQuantizer(step=0.5, clamp=1.0)
         self.loss = LossSpec(kind="clipped_absolute", lipschitz=1.0)
-        self.x_mc = derived_rng(seed, stream, 0).normal(0.0, self.SD, size=(100_000, self.D))
         # true_d1 as a learner regulariser: E|<x, r>| = ||r|| SD sqrt(2 / pi)
         self.true_sensitivity = AnalyticSensitivity(self.SD * math.sqrt(2.0 / math.pi))
 
@@ -377,12 +364,6 @@ class _LinearTrialContext:
         residuals = cands - self.op.transform_weights(cands)
         d_true = self.true_d1(residuals)
         d_hat = np.abs(x_unlab @ residuals.T).mean(axis=0)
-        y_mc = self.x_mc @ teacher + rng.normal(0.0, self.NOISE_SD, size=self.x_mc.shape[0])
-        err_cand = _column_mean(
-            len(self.x_mc),
-            len(cands),
-            lambda rows: loss_values(self.loss, self.x_mc[rows] @ cands.T, y_mc[rows, None]),
-        )
         rad_rows = (x_lab @ np.unique(self.op.transform_weights(cands), axis=0).T).T
         rad_HA, _ = mc_rademacher_rows(rad_rows, n_sigma=600, seed=self.seed * 99_991 + i)
         return {
@@ -394,13 +375,13 @@ class _LinearTrialContext:
             "cands": cands,
             "d_true": d_true,
             "d_hat": d_hat,
-            "y_mc": y_mc,
-            "err_cand": err_cand,
+            "err_cand": self.error(cands, teacher),
             "rad_HA": rad_HA,
         }
 
-    def mc_error(self, weights: np.ndarray, y_mc: np.ndarray) -> float:
-        return float(loss_values(self.loss, self.x_mc @ weights, y_mc).mean())
+    def error(self, weights: np.ndarray, teacher: np.ndarray) -> np.ndarray:
+        """Exact error of each weight row under this task's input and noise laws."""
+        return _gaussian_clipped_error(weights, teacher, self.SD, self.NOISE_SD, self.loss)
 
 
 def suite_prop2(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageReport:
@@ -419,7 +400,7 @@ def suite_prop2(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
         out = constrained_erm(
             tr["labelled"], tr["unlabelled"], ctx.op, t, 1.0, ctx.loss, tr["domain"]
         )
-        err_af = ctx.mc_error(np.asarray(out.approx_hypothesis.weights), tr["y_mc"])
+        err_af = float(ctx.error(out.approx_hypothesis.weights, tr["teacher"])[0])
         feasible_true = tr["d_true"] < t
         if feasible_true.any():
             err_star = float(tr["err_cand"][feasible_true].min())
@@ -445,7 +426,7 @@ def suite_prop3(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
         out = sensitivity_regularized_erm(
             tr["labelled"], ctx.op, ctx.true_sensitivity, rho, ctx.loss, tr["domain"]
         )
-        err_af = ctx.mc_error(np.asarray(out.approx_hypothesis.weights), tr["y_mc"])
+        err_af = float(ctx.error(out.approx_hypothesis.weights, tr["teacher"])[0])
         best = math.inf
         for t in t_grid:
             feasible = tr["d_true"] < t
@@ -465,6 +446,7 @@ def suite_prop4(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
     m = 50
     m_u = 100
     sd = 0.5
+    noise_sd = 0.1
     op = UniformQuantizer(step=0.5, clamp=1.0)
     loss = LossSpec(kind="clipped_absolute", lipschitz=1.0)
     rho = loss.lipschitz
@@ -474,18 +456,16 @@ def suite_prop4(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
     d_true = np.linalg.norm(residuals, axis=1) * sd * math.sqrt(2.0 / math.pi)
     sup_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
     quantized = np.unique(op.transform_weights(cands), axis=0)
-    x_mc = derived_rng(seed, 50).normal(0.0, sd, size=(100_000, 2))
 
     def one(i: int):
         rng = derived_rng(seed, 51, i)
         teacher = rng.uniform(-0.8, 0.8, size=2)
         lam = float(rng.uniform(0.05, 1.0))
         x_lab = rng.normal(0.0, sd, size=(m, 2))
-        y_lab = x_lab @ teacher + rng.normal(0.0, 0.1, size=m)
+        y_lab = x_lab @ teacher + rng.normal(0.0, noise_sd, size=m)
         x_unlab = rng.normal(0.0, sd, size=(m_u, 2))
         labelled = LabelledSample(inputs=x_lab, targets=y_lab, source_id=f"trial{i}")
         unlabelled = UnlabelledSample(inputs=x_unlab, source_id=f"trial{i}")
-        y_mc = x_mc @ teacher + rng.normal(0.0, 0.1, size=x_mc.shape[0])
 
         out = lambda_erm(labelled, unlabelled, op, lam, 1.0, loss, domain)
         w_lambda = np.asarray(out.hypothesis.weights)
@@ -498,9 +478,10 @@ def suite_prop4(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
         )
         feasible = d_true <= t
         idx = int(np.flatnonzero(feasible)[np.argmin(err_a_cand[feasible])])
-        lhs = float(
-            loss_values(loss, x_mc @ op.transform_weights(w_lambda), y_mc).mean()
-        ) - float(loss_values(loss, x_mc @ op.transform_weights(cands[idx]), y_mc).mean())
+        err_a = _gaussian_clipped_error(
+            op.transform_weights(np.stack([w_lambda, cands[idx]])), teacher, sd, noise_sd, loss
+        )
+        lhs = float(err_a[0] - err_a[1])
 
         gaps_u = np.abs(x_unlab @ residuals.T)
         rad_u, _ = mc_rademacher_rows(gaps_u.T, n_sigma=800, seed=seed * 77_003 + i)
@@ -528,8 +509,7 @@ def suite_prop10(trials: int = 300, seed: int = 0, threads: int = 1) -> Coverage
     residuals = weights - op.transform_weights(weights)
     # uniform box inputs: 2-sensitivity is exactly ||r|| / sqrt(3) <= t
     assert float(np.max(np.linalg.norm(residuals, axis=1))) / math.sqrt(3.0) <= t
-    big = derived_rng(seed, 60).uniform(-1.0, 1.0, size=(400_000, 2))
-    d_true = _mean_abs_gaps(big, residuals)
+    d_true = _uniform_box_abs_mean(residuals)
     sup_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
 
     def one(i: int):

@@ -244,6 +244,13 @@ def test_srm_selection_validation():
         srm_selection_bound([], [], [], 1.0, 50, 0.05)
     with pytest.raises(InvalidParameterError):
         srm_selection_bound([0.1], [0.05], [1.5], 1.0, 50, 0.05)
+    # every threshold's error and complexity, not only the selected one's
+    with pytest.raises(InvalidParameterError, match="rad_Ht_k must be >= 0"):
+        srm_selection_bound([0.1], [-0.5], [0.5], 1.0, 50, 0.1)
+    with pytest.raises(InvalidParameterError, match="rad_Ht_k must be >= 0"):
+        srm_selection_bound([0.1, 0.9], [0.05, -0.01], [0.5, 0.5], 1.0, 50, 0.1)
+    with pytest.raises(InvalidParameterError, match="err_star_k must be >= 0"):
+        srm_selection_bound([0.1, -0.2], [0.05, 0.05], [0.5, 0.5], 1.0, 50, 0.1)
 
 
 # ---------------------------------------------------------------------------

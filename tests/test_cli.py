@@ -565,6 +565,11 @@ MALFORMED = {
     "schema_version_2": ("train", {"schema_version": 2}, {}, "config_invalid", "schema_version"),
     "unknown_bound_param": ("bound", {"params/epsilon_U": 0.01}, {}, "config_invalid",
                             "params/epsilon_U"),
+    "srm_selection_negative_complexity": (
+        "bound",
+        {"bound": "srm_selection", "params": {"err_star_k": [0.1], "rad_Ht_k": [-0.5],
+                                              "w_k": [0.5], "rho": 1.0, "m": 50, "delta": 0.1}},
+        {}, "invalid_parameter", None),
 }
 
 

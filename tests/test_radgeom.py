@@ -157,7 +157,7 @@ def test_exact_cap_raises():
     with pytest.raises(EnumerationCapError, match="Monte Carlo"):
         exact_rademacher_pointset(ps)
     with pytest.raises(EnumerationCapError, match="Monte Carlo"):
-        exact_rademacher_support(lambda sig: np.zeros(len(sig)), 23, batch=True)
+        exact_rademacher_support(lambda sig: np.zeros(len(sig)), 23)
     with pytest.raises(EnumerationCapError):
         RadEstimate(value=0.0, method="exact_enumeration", m=23)
 
@@ -165,7 +165,7 @@ def test_exact_cap_raises():
 @pytest.mark.parametrize("m", [0, -1])
 def test_exact_support_rejects_m_below_one(m):
     with pytest.raises(InvalidParameterError, match="m >= 1"):
-        exact_rademacher_support(lambda sig: np.zeros(len(sig)), m, batch=True)
+        exact_rademacher_support(lambda sig: np.zeros(len(sig)), m)
 
 
 def hex_cases() -> dict[str, np.ndarray]:
@@ -241,26 +241,21 @@ def test_estimate_rejects_non_finite():
         RadEstimate(value=0.5, method="monte_carlo", m=3, standard_error=math.inf)
 
 
-def reference_support(support_fn, m: int, batch: bool) -> float:
+def reference_support(support_fn, m: int) -> float:
     """The per-chunk loop exact_rademacher_support ran on fresh sign blocks."""
     total = 1 << m
     vals = []
     for start in range(0, total, 1 << 14):
         sigma = reference_sign_block(start, min(start + (1 << 14), total), m)
-        if batch:
-            vals.append(float(np.sum(support_fn(sigma))))
-        else:
-            vals.append(math.fsum(float(support_fn(s)) for s in sigma))
+        vals.append(float(np.sum(support_fn(sigma))))
     return math.fsum(vals) / total / m
 
 
-@pytest.mark.parametrize("batch", [True, False])
 @pytest.mark.parametrize("shape", ["ellipse_exact", "union_exact", "crude_sandwich"])
-def test_support_enumeration_matches_reference(shape, batch):
-    # the support shapes of the exactness suites; per-sign calls at m = 15
-    # only for the orthant ball, the one suite that makes them
+def test_support_enumeration_matches_reference(shape):
+    # the support shapes of the exactness suites
     rng = np.random.default_rng(12)
-    for m in (2, 7, 12, 15) if batch or shape == "crude_sandwich" else (2, 7, 12):
+    for m in (2, 7, 12, 15):
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         mus = rng.uniform(0.1, 3.0, size=(int(rng.integers(1, 6)), m))
         if shape == "ellipse_exact":
@@ -272,8 +267,8 @@ def test_support_enumeration_matches_reference(shape, batch):
         else:
             def support(sig, full=float(rng.uniform(0.2, 2.0)) * m ** (1.0 / p), p=p):
                 return positive_orthant_ball_sup(sig, full, p)
-        got = exact_rademacher_support(support, m, batch=batch)
-        assert got == reference_support(support, m, batch), (shape, m, p)
+        got = exact_rademacher_support(support, m)
+        assert got == reference_support(support, m), (shape, m, p)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +521,12 @@ def test_positive_orthant_support_values():
     assert positive_orthant_ball_sup([-1.0, -1.0], 5.0, 2.0) == 0.0
     assert positive_orthant_ball_sup([1.0, 1.0], math.sqrt(2.0), 2.0) == pytest.approx(
         2.0, rel=1e-15
+    )
+    # a block of sign rows gives one value per row
+    block = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]])
+    assert np.array_equal(
+        positive_orthant_ball_sup(block, 3.0, 2.0),
+        [positive_orthant_ball_sup(row, 3.0, 2.0) for row in block],
     )
 
 

@@ -1,71 +1,99 @@
-"""Coverage-suite internals: the blocked Monte Carlo references give the same
-bits as the materialised matrices they replace, and prop3's regulariser is the
-true sensitivity."""
+"""Coverage-suite internals: the exact truths the suites compare with agree with
+the Monte Carlo references, and prop3's regulariser is the true sensitivity."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
-from approx_sense import analytic_sensitivity_upper, linear_hypothesis, validation
-from approx_sense.core import loss_values
-from approx_sense.learners import BLOCK_ELEMENTS
-from approx_sense.validation import _column_mean, _LinearTrialContext, _mean_abs_gaps
-
-
-def _row_counts(n_cols: int) -> list[int]:
-    block = max(1, BLOCK_ELEMENTS // n_cols)
-    return sorted({1, max(1, block - 1), block, block + 1, 400_000})
-
-
-@pytest.mark.parametrize(
-    "n_cols, n_rows",
-    [(c, r) for c in (1, 2, 49, 120) for r in _row_counts(c)],
+from approx_sense import (
+    IsotropicGaussian,
+    LossSpec,
+    SyntheticTask,
+    UniformBox,
+    UniformQuantizer,
+    analytic_sensitivity_upper,
+    linear_hypothesis,
+    true_error_mc,
+    true_sensitivity_mc,
 )
-def test_column_mean_equals_unblocked_mean(n_cols, n_rows):
-    # non-negative, as the gaps and losses averaged in the suites are
-    matrix = np.random.default_rng(n_cols * 7 + n_rows).uniform(0.0, 1.0, size=(n_rows, n_cols))
-    requested = []
+from approx_sense.validation import (
+    _gaussian_clipped_error,
+    _LinearTrialContext,
+    _uniform_box_abs_mean,
+)
 
-    def block_values(rows: slice) -> np.ndarray:
-        requested.append(rows.stop - rows.start)
-        return matrix[rows]
+N_MC = 200_000
+GAUSSIAN_CASES = {
+    # (weights, teacher, sd): residual sd s from 0.1 (noise only) to about 2.6
+    "teacher": ([0.3, -0.2], [0.3, -0.2], 0.45),
+    "near": ([0.5, 0.0, -0.25], [0.4, 0.1, -0.3], 0.45),
+    "clip_active": ([1.0, -1.0, 1.0, -1.0, 1.0], [-0.8, 0.8, -0.8, 0.8, -0.8], 0.45),
+    "wide": ([1.0, 1.0], [-0.8, -0.8], 0.5),
+}
 
-    got = _column_mean(n_rows, n_cols, block_values)
-    assert np.array_equal(got, matrix.mean(axis=0))
-    assert sum(requested) == n_rows
-    block = max(1, BLOCK_ELEMENTS // n_cols)
-    if n_cols == 1 or n_rows <= block:
-        # numpy sums one column pairwise, which a running sum would not repeat
-        assert requested == [n_rows]
+
+@pytest.mark.parametrize("rho", [1.0, 2.0])
+@pytest.mark.parametrize("case", sorted(GAUSSIAN_CASES))
+def test_gaussian_clipped_error_matches_true_error_mc(case, rho):
+    # true_error_mc is the Monte Carlo reference that the prop2, prop3 and
+    # prop4 suites' exact errors are checked against
+    weights, teacher, sd = GAUSSIAN_CASES[case]
+    loss = LossSpec(kind="clipped_absolute", lipschitz=rho)
+    task = SyntheticTask(linear_hypothesis(teacher), IsotropicGaussian(sd), label_noise_sd=0.1)
+    mc = true_error_mc(linear_hypothesis(weights), task, loss, n_mc=N_MC, seed=len(case))
+    exact = float(_gaussian_clipped_error(weights, np.array(teacher), sd, 0.1, loss)[0])
+    assert abs(exact - mc.value) <= 4.0 * mc.standard_error, (exact, mc)
+
+
+def test_gaussian_clipped_error_is_per_row():
+    loss = LossSpec(kind="clipped_absolute", lipschitz=2.0)
+    rows = np.random.default_rng(1).uniform(-1.0, 1.0, size=(6, 3))
+    teacher = np.array([0.2, -0.4, 0.1])
+    got = _gaussian_clipped_error(rows, teacher, 0.45, 0.1, loss)
+    one_by_one = [_gaussian_clipped_error(w, teacher, 0.45, 0.1, loss)[0] for w in rows]
+    assert np.array_equal(got, one_by_one)
+    assert np.all((got > 0.0) & (got < loss.clip))
+
+
+def test_gaussian_clipped_error_noise_only():
+    # the closed form reads the residual sd from sd ||w - teacher|| and the
+    # noise: at w = teacher only the noise is left, a half-normal mean
+    loss = LossSpec(kind="clipped_absolute")
+    got = float(_gaussian_clipped_error([0.1, 0.2], np.array([0.1, 0.2]), 0.45, 0.1, loss)[0])
+    assert got == pytest.approx(0.1 * math.sqrt(2.0 / math.pi), rel=1e-12)
+
+
+QUANT = UniformQuantizer(step=0.5, clamp=1.0)
+UNIFORM_WEIGHTS = {
+    "zero_residual": [0.5, -1.0],
+    "one_zero_component": [0.2, 0.5],
+    "equal_components": [0.7, -0.2],
+    "random": list(np.random.default_rng(7).uniform(-1.0, 1.0, size=2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNIFORM_WEIGHTS))
+def test_uniform_box_abs_mean_matches_true_sensitivity_mc(case):
+    # true_sensitivity_mc (p = 1) is the Monte Carlo reference that the lemma1
+    # and prop10 suites' exact 1-sensitivities are checked against
+    weights = np.array(UNIFORM_WEIGHTS[case])
+    residual = weights - QUANT.transform_weights(weights)
+    task = SyntheticTask(linear_hypothesis([0.0, 0.0]), UniformBox(halfwidth=1.0))
+    mc = true_sensitivity_mc(linear_hypothesis(weights), QUANT, task, 1.0, N_MC, seed=len(case))
+    exact = float(_uniform_box_abs_mean(residual[None, :])[0])
+    if case == "zero_residual":
+        assert exact == mc.value == 0.0
     else:
-        assert max(requested) <= block
+        assert abs(exact - mc.value) <= 4.0 * mc.standard_error, (residual, exact, mc)
 
 
-@pytest.mark.parametrize("suite", ["lemma1", "prop10"])
-def test_mean_abs_gaps_equals_materialised_reference(monkeypatch, suite):
-    # capture the suite's own reference inputs, then compare with the
-    # 400k-row matrix the blocked helper avoids building
-    seen = []
-
-    def recording(big, residuals):
-        seen.append((big, residuals))
-        return _mean_abs_gaps(big, residuals)
-
-    monkeypatch.setattr(validation, "_mean_abs_gaps", recording)
-    validation.run_suite(suite, trials=1, seed=3)
-    (big, residuals), = seen
-    assert big.shape == (400_000, 2)
-    assert len(np.unique(residuals, axis=0)) < len(residuals)
-    expected = np.abs(big @ residuals.T).mean(axis=0)
-    assert np.array_equal(_mean_abs_gaps(big, residuals), expected)
-
-
-def test_linear_trial_err_cand_equals_materialised_loss_mean():
-    ctx = _LinearTrialContext(seed=3, stream=40)
-    tr = ctx.trial(0)
-    expected = loss_values(ctx.loss, ctx.x_mc @ tr["cands"].T, tr["y_mc"][:, None]).mean(axis=0)
-    assert np.array_equal(tr["err_cand"], expected)
+def test_uniform_box_abs_mean_closed_values():
+    residuals = np.array([[0.0, 0.0], [0.2, 0.0], [0.0, -0.2], [0.2, -0.2], [-0.1, 0.2]])
+    want = [0.0, 0.1, 0.1, 0.1 + 0.04 / 1.2, 0.1 + 0.01 / 1.2]
+    assert _uniform_box_abs_mean(residuals) == pytest.approx(want, rel=1e-14)
 
 
 def test_prop3_regulariser_is_true_sensitivity():
