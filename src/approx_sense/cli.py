@@ -10,6 +10,7 @@ the APPROX_SENSE_THREADS variable) only changes the execution schedule.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -592,7 +593,9 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="approx-sense",
         description="Sensitivity-aware learning experiments",

@@ -10,12 +10,12 @@ Search screens candidates in blocks, then re-scores a few of them exactly:
 
 * **Screen.**  A block of candidates (consecutive grid or random rows, or
   every axis value of one coordinate in a descent sweep) is scored at once:
-  emp_err(Q(w)) once per distinct Q(w) in the block, the empirical
-  sensitivity as one product U @ (C - Q(C)).T, the analytic bound as a row
-  norm.  These values differ from a per-candidate evaluation by rounding
-  only (about 1e-13 here).  Each block carries a margin, SCREEN_MARGIN times
-  the magnitudes its values are summed from, that bounds this difference
-  with a wide safety factor.
+  emp_err(Q(w)) once per distinct Q(w) in the block (core._distinct_rows
+  finds them), the empirical sensitivity as one product U @ (C - Q(C)).T,
+  the analytic bound as a row norm.  These values differ from a
+  per-candidate evaluation by rounding only (about 1e-13 here).  Each block
+  carries a margin, SCREEN_MARGIN times the magnitudes its values are summed
+  from, that bounds this difference with a wide safety factor.
 * **Re-score.**  In enumeration order, the scalar objective is run only on
   candidates whose screened value lies within twice the margin of the
   running screened minimum, and the first strict minimum is kept.  Every
@@ -43,6 +43,7 @@ from .core import (
     LabelledSample,
     LossSpec,
     UnlabelledSample,
+    _distinct_rows,
     apply_operator,
     loss_values,
 )
@@ -398,8 +399,8 @@ class _Workspace:
 
     def approx_emp_errors(self, Q: np.ndarray) -> np.ndarray:
         """emp_error of every row of Q, computed once per distinct row."""
-        distinct, inverse = np.unique(Q, axis=0, return_inverse=True)
-        return self.emp_errors(distinct)[inverse.reshape(-1)]
+        distinct, inverse = _distinct_rows(Q)
+        return self.emp_errors(distinct)[inverse]
 
     def dhats(self, C: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """dhat of every row of C, given Q = Q(C)."""

@@ -214,7 +214,10 @@ def _mc_signs(n_sigma: int, m: int, seed: int) -> np.ndarray:
     if n_sigma < 1:
         raise InvalidParameterError("n_sigma must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(6,)))
-    return rng.integers(0, 2, size=(n_sigma, m)).astype(float) * 2.0 - 1.0
+    signs = rng.integers(0, 2, size=(n_sigma, m)).astype(float)
+    signs *= 2.0
+    signs -= 1.0
+    return signs
 
 
 def _mc_mean_se(sups: np.ndarray, m: int) -> tuple[float, float]:
@@ -409,7 +412,8 @@ def operator_norm_lower_estimate(V, mu, p: float, seed: int = 0) -> float:
 
     Exhaustive over sign vectors for m <= 16, otherwise greedy sign flipping
     from 20 random starts.  Never used inside certified bounds: the value is
-    exact when exhaustive and a lower estimate otherwise.
+    exact when exhaustive and otherwise a lower estimate up to rounding (the
+    greedy scores round differently and can exceed the maximum by an ulp).
     """
     mu = _check_mu(mu)
     m = mu.shape[0]

@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ApproxOperator, Hypothesis, UnlabelledSample, apply_operator, predictions
+from .core import (
+    ApproxOperator,
+    Hypothesis,
+    UnlabelledSample,
+    _distinct_rows,
+    apply_operator,
+    predictions,
+)
 from .errors import DeterministicOperatorError, InvalidParameterError, StochasticOperatorError
 from .synthetic import SyntheticTask, derived_rng
 
@@ -162,8 +169,8 @@ def _per_draw(op: ApproxOperator, h: Hypothesis, inputs, streams, value) -> np.n
     feats = h.feature_map.transform(np.asarray(inputs, dtype=float))
     base = feats @ h.weights
     uniforms = np.stack([rng.random(len(h.weights)) for rng in streams])
-    distinct, inverse = np.unique(op.round_with(h.weights, uniforms), axis=0, return_inverse=True)
-    return np.array([value(base, feats @ row) for row in distinct])[inverse.reshape(-1)]
+    distinct, inverse = _distinct_rows(op.round_with(h.weights, uniforms))
+    return np.array([value(base, feats @ row) for row in distinct])[inverse]
 
 
 def expected_sensitivity(

@@ -20,6 +20,7 @@ from .core import (
     StochasticRounder,
     UniformQuantizer,
     UnlabelledSample,
+    _distinct_rows,
     apply_operator,
     empirical_error,
     linear_hypothesis,
@@ -364,7 +365,7 @@ class _LinearTrialContext:
         residuals = cands - self.op.transform_weights(cands)
         d_true = self.true_d1(residuals)
         d_hat = np.abs(x_unlab @ residuals.T).mean(axis=0)
-        rad_rows = (x_lab @ np.unique(self.op.transform_weights(cands), axis=0).T).T
+        rad_rows = (x_lab @ _distinct_rows(self.op.transform_weights(cands))[0].T).T
         rad_HA, _ = mc_rademacher_rows(rad_rows, n_sigma=600, seed=self.seed * 99_991 + i)
         return {
             "rng": rng,
@@ -455,7 +456,7 @@ def suite_prop4(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
     residuals = cands - op.transform_weights(cands)
     d_true = np.linalg.norm(residuals, axis=1) * sd * math.sqrt(2.0 / math.pi)
     sup_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
-    quantized = np.unique(op.transform_weights(cands), axis=0)
+    quantized, _ = _distinct_rows(op.transform_weights(cands))
 
     def one(i: int):
         rng = derived_rng(seed, 51, i)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from approx_sense.cli import main
+from approx_sense.cli import _build_parser, main
 from approx_sense.dataio import read_sample_csv
 
 
@@ -485,6 +485,32 @@ def test_validate_coverage_thread_independent(tmp_path, suite):
     assert one == (tmp_path / "t4" / f"validate_{suite}.json").read_bytes()
     if suite == "lemma1":
         assert "fast_rate_violations" in json.loads(one)["stats"]
+
+
+def test_main_calls_in_a_row_share_one_parser(tmp_path, capsys):
+    # the parser is built once per process; each call must still parse its
+    # own argv, and a rejected one must leave the next call unaffected
+    assert _build_parser() is _build_parser()
+    geom = write_json(tmp_path / "g.json", {"variant": "ellipse", "p": 2.0, "mu": [3.0, 4.0]})
+    bound = write_json(
+        tmp_path / "b.json",
+        {
+            "schema_version": 1,
+            "bound": "uniform_restricted",
+            "params": {"emp_err": 0.0, "rad_Ht": 0.0, "rho": 1.0, "m": 50, "delta": 0.05},
+        },
+    )
+    assert run_cli("rademacher", "--geometry", geom, "--out", str(tmp_path / "r1"))[0] == 0
+    assert run_cli("bound", "--config", bound, "--out", str(tmp_path / "b1"))[0] == 0
+    with pytest.raises(SystemExit) as bad:
+        main(["rademacher", "--geometry", geom, "--method", "bogus"])
+    assert bad.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run_cli("rademacher", "--geometry", geom, "--out", str(tmp_path / "r2"))[0] == 0
+    first = (tmp_path / "r1" / "rademacher.json").read_bytes()
+    assert (tmp_path / "r2" / "rademacher.json").read_bytes() == first
+    assert json.loads(first)["value"] == 2.5
+    assert (tmp_path / "b1" / "bound_uniform_restricted.json").is_file()
 
 
 def test_validate_unknown_suite(tmp_path, capsys):

@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from approx_sense import (
     CLIP_MARGIN,
@@ -35,6 +36,7 @@ from approx_sense import (
     predictions,
     true_error_mc,
 )
+from approx_sense.core import _distinct_rows
 from approx_sense.dataio import read_sample_csv, write_sample_csv
 
 
@@ -173,6 +175,60 @@ def test_quantizer_contraction_and_idempotence(step, clamp, raw):
     q = op.transform_weights(w)
     assert np.max(np.abs(w - q)) <= step / 2 + 1e-12 * max(1.0, clamp)
     assert np.array_equal(op.transform_weights(q), q)
+
+
+# ---------------------------------------------------------------------------
+# distinct rows
+# ---------------------------------------------------------------------------
+
+
+def _layout(a: np.ndarray, layout: str) -> np.ndarray:
+    """``a``'s values as a C-contiguous, transposed or column-strided array."""
+    if layout == "transposed":
+        return np.ascontiguousarray(a.T).T
+    if layout == "strided":
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+        wide[:, ::2] = a
+        return wide[:, ::2]
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # few values, so equal rows are common
+    a=hnp.arrays(
+        float,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+        elements=st.sampled_from([0.0, 1.0, -2.5, 0.125]),
+    ),
+    layout=st.sampled_from(["c", "transposed", "strided"]),
+)
+@example(a=np.array([[0.5, -1.0, 2.0]]), layout="strided")  # one row
+@example(a=np.full((7, 3), 0.25), layout="transposed")  # all rows equal
+def test_distinct_rows_first_occurrence_and_inverse(a, layout):
+    view = _layout(a, layout)
+    rows, inverse = _distinct_rows(view)
+    # reference: a dict of row bytes keeps first-occurrence order
+    first: dict[bytes, int] = {}
+    for row in a:
+        first.setdefault(row.tobytes(), len(first))
+    assert [r.tobytes() for r in rows] == list(first)
+    assert inverse.tolist() == [first[row.tobytes()] for row in a]
+    assert rows[inverse].tobytes() == a.tobytes()
+
+
+def test_distinct_rows_keeps_signed_zeros_apart():
+    # rows compare by bytes, so -0.0 and 0.0 stay two rows where
+    # np.unique(axis=0) merges them; both give the same predictions and
+    # losses, so a screen that scores each distinct row still scores both alike
+    a = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+    rows, inverse = _distinct_rows(a)
+    assert rows.tobytes() == a[:2].tobytes()
+    assert inverse.tolist() == [0, 1, 0]
+    assert len(np.unique(a, axis=0)) == 1
+    x = np.random.default_rng(3).normal(size=(9, 2))
+    preds = x @ rows.T
+    assert np.array_equal(preds[:, 0], preds[:, 1])
 
 
 # ---------------------------------------------------------------------------
