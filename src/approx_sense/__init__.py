@@ -45,7 +45,6 @@ from .sensitivity import (
     fast_rate_deviation_bound,
     sensitivity_deviation_bound,
     true_sensitivity_mc,
-    uniform_sensitivity_constant,
     variance_condition_check,
 )
 from .radgeom import (
@@ -55,19 +54,16 @@ from .radgeom import (
     SensitivityPointSet,
     cluster_bound,
     crude_bounds,
-    crude_decomposition_bound,
     ellipse_rademacher,
     exact_rademacher_pointset,
     exact_rademacher_rows,
     exact_rademacher_support,
     kernel_sensitivity_class_bound,
-    massart_bound,
     mc_rademacher_pointset,
     mc_rademacher_rows,
     operator_norm_lower_estimate,
     positive_orthant_ball_sup,
     rotated_union_bound,
-    sensitivity_pointset,
     union_ellipse_bound,
 )
 from .learners import (
@@ -76,17 +72,14 @@ from .learners import (
     LearnerOutput,
     SearchDomain,
     ThresholdSchedule,
-    analytic_lambda_erm,
     constrained_erm,
     lambda_erm,
     lambda_grid_srm,
     make_restricted_rad_estimator,
-    sensitivity_regularized_erm,
     srm_learner,
 )
 from .bounds import (
     BoundReport,
-    ConfidenceTerm,
     hoeffding_term,
     joint_bounds,
     lambda_equivalence_bound,

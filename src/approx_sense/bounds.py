@@ -14,33 +14,17 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 from .radgeom import RadEstimate
-from .sensitivity import SensitivityEstimate
-from .synthetic import MCEstimate
-
-
-@dataclass(frozen=True)
-class ConfidenceTerm:
-    """c * sqrt(ln(arg) / (2 m)); the recurring deviation term shape."""
-
-    c: float
-    arg: float
-    m: int
-
-    def __post_init__(self):
-        if self.c < 0:
-            raise InvalidParameterError("multiplier must be >= 0")
-        if self.arg < 1:
-            raise InvalidParameterError("log argument must be >= 1")
-        if self.m < 1:
-            raise InvalidParameterError("m must be >= 1")
-
-    @property
-    def value(self) -> float:
-        return self.c * math.sqrt(math.log(self.arg) / (2.0 * self.m))
 
 
 def hoeffding_term(c: float, arg: float, m: int) -> float:
-    return ConfidenceTerm(c=c, arg=arg, m=m).value
+    """c * sqrt(ln(arg) / (2 m)); the recurring deviation term shape."""
+    if c < 0:
+        raise InvalidParameterError("multiplier must be >= 0")
+    if arg < 1:
+        raise InvalidParameterError("log argument must be >= 1")
+    if m < 1:
+        raise InvalidParameterError("m must be >= 1")
+    return c * math.sqrt(math.log(arg) / (2.0 * m))
 
 
 @dataclass(frozen=True)
@@ -54,16 +38,9 @@ class Constituent:
 
 
 def _constituent(x) -> tuple[float, bool]:
-    """Normalise a constituent to (value, certified)."""
+    """Normalise a float, Constituent or RadEstimate to (value, certified)."""
     if isinstance(x, (Constituent, RadEstimate)):
         return x.value, x.certified
-    if isinstance(x, SensitivityEstimate):
-        return x.value, not x.standard_error
-    if isinstance(x, MCEstimate):
-        return x.value, x.standard_error == 0.0
-    if isinstance(x, tuple):
-        value, se = x
-        return float(value), float(se) == 0.0
     return float(x), True
 
 
@@ -257,7 +234,7 @@ def regularized_bound(
     pays (4 + rho) sqrt(ln(16/delta) / 2m) + rho epsilon_u instead of
     4 sqrt(ln(8/delta) / 2m).
     """
-    scalar = isinstance(err_star_t, (int, float, Constituent, MCEstimate))
+    scalar = isinstance(err_star_t, (int, float, Constituent))
     pairs = [_constituent(v) for v in ([err_star_t] if scalar else err_star_t)]
     errs = [v for v, _ in pairs]
     ts = [float(v) for v in ([t] if isinstance(t, (int, float)) else t)]

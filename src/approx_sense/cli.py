@@ -51,12 +51,10 @@ from .learners import (
     EmpiricalSensitivity,
     SearchDomain,
     ThresholdSchedule,
-    analytic_lambda_erm,
     constrained_erm,
     lambda_erm,
     lambda_grid_srm,
     make_restricted_rad_estimator,
-    sensitivity_regularized_erm,
     srm_learner,
 )
 from .radgeom import (
@@ -375,30 +373,7 @@ def cmd_train(args) -> int:
             p=p,
             feature_map=fmap,
         )
-    elif algorithm == "sensitivity_regularized_erm":
-        rho = lcfg.get("rho", loss.lipschitz)
-        if lcfg.get("sensitivity", "empirical") == "empirical":
-            sensitivity = EmpiricalSensitivity(need_unlabelled(), p)
-        else:
-            sensitivity = AnalyticSensitivity(lcfg.get("input_norm_budget", 1.0))
-        output = sensitivity_regularized_erm(
-            labelled, op, sensitivity, rho, loss, domain, feature_map=fmap
-        )
-    elif algorithm == "lambda_erm":
-        output = lambda_erm(
-            labelled, need_unlabelled(), op, lcfg["lambda"], p, loss, domain, feature_map=fmap
-        )
-    elif algorithm == "analytic_lambda_erm":
-        output = analytic_lambda_erm(
-            labelled,
-            op,
-            lcfg["lambda"],
-            AnalyticSensitivity(lcfg.get("input_norm_budget", 1.0)),
-            loss,
-            domain,
-            feature_map=fmap,
-        )
-    else:  # lambda_grid_srm
+    elif algorithm == "lambda_grid_srm":
         output = lambda_grid_srm(
             labelled,
             need_unlabelled(),
@@ -410,6 +385,19 @@ def cmd_train(args) -> int:
             domain,
             feature_map=fmap,
         )
+    else:  # the regularised learner under its three names
+        kind = {"lambda_erm": "empirical", "analytic_lambda_erm": "analytic"}.get(
+            algorithm, lcfg.get("sensitivity", "empirical")
+        )
+        if kind == "empirical":
+            sensitivity = EmpiricalSensitivity(need_unlabelled(), p)
+        else:
+            sensitivity = AnalyticSensitivity(lcfg.get("input_norm_budget", 1.0))
+        if algorithm == "sensitivity_regularized_erm":
+            coef = lcfg.get("rho", loss.lipschitz)
+        else:
+            coef = lcfg["lambda"]
+        output = lambda_erm(labelled, op, coef, sensitivity, loss, domain, feature_map=fmap)
 
     payload = {
         "algorithm": algorithm,
@@ -420,9 +408,10 @@ def cmd_train(args) -> int:
         "chosen": {
             "t": output.chosen_t,
             "k": output.chosen_k,
-            "lambda": output.lam,
+            # sensitivity_regularized_erm's coefficient is rho, not a lambda
+            "lambda": None if algorithm == "sensitivity_regularized_erm" else output.lam,
         },
-        "sensitivity_kind": output.sensitivity_kind,
+        "sensitivity_kind": None if algorithm == "lambda_erm" else output.sensitivity_kind,
         "boundary_hits": output.boundary_hits,
         "clamped": output.clamped,
         "per_lambda": output.per_lambda,

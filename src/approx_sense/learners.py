@@ -92,16 +92,6 @@ class SearchDomain:
         if self.n_samples < 1 or self.restarts < 1 or self.iterations < 1:
             raise InvalidParameterError("search budget parameters must be >= 1")
 
-    @staticmethod
-    def default_for(dim: int, halfwidth: float, seed: int = 0) -> "SearchDomain":
-        """Grid oracle up to three dimensions, random starts + coordinate
-        descent above that."""
-        if dim <= 3:
-            return SearchDomain(dim=dim, halfwidth=halfwidth, mode="grid", seed=seed)
-        return SearchDomain(
-            dim=dim, halfwidth=halfwidth, mode="coordinate_descent", seed=seed
-        )
-
     def axis_values(self) -> np.ndarray:
         return np.linspace(-self.halfwidth, self.halfwidth, self.points_per_axis)
 
@@ -294,7 +284,7 @@ class AnalyticSensitivity:
             raise InvalidParameterError("input_norm_budget must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearnerOutput:
     """What a learner returns: the minimiser, its approximation, and the trail."""
 
@@ -621,96 +611,37 @@ def srm_learner(
     )
 
 
-def _check_regulariser(sensitivity, *accepted: type) -> None:
-    if not isinstance(sensitivity, accepted):
-        names = " or ".join(t.__name__ for t in accepted)
-        raise InvalidParameterError(
-            f"the regulariser must be {names}, not {type(sensitivity).__name__}"
-        )
-
-
-def _regularized_erm(
-    labelled: LabelledSample,
-    op: ApproxOperator,
-    loss: LossSpec,
-    domain: SearchDomain,
-    feature_map: FeatureMap | None,
-    coef: float,
-    sensitivity: EmpiricalSensitivity | AnalyticSensitivity,
-    **extras,
-) -> LearnerOutput:
-    """Minimise emp_err(Af) + coef * sensitivity(f), the core of every
-    regularised learner."""
-    fm = _resolve_feature_map(feature_map, labelled.dim)
-    if isinstance(sensitivity, EmpiricalSensitivity):
-        ws = _Workspace(op, loss, fm, labelled, sensitivity.sample, sensitivity.p, domain)
-        objective = _Regularised(ws, coef)
-    else:
-        ws = _Workspace(op, loss, fm, labelled, None, 1.0, domain)
-        objective = _Regularised(ws, coef, sensitivity.input_norm_budget)
-    return ws.output(_search(objective, domain), **extras)
-
-
-def sensitivity_regularized_erm(
-    labelled: LabelledSample,
-    op: ApproxOperator,
-    sensitivity: EmpiricalSensitivity | AnalyticSensitivity,
-    rho: float,
-    loss: LossSpec,
-    domain: SearchDomain,
-    feature_map: FeatureMap | None = None,
-) -> LearnerOutput:
-    """Minimise emp_err(Af) + rho * sensitivity(f), for the empirical
-    sensitivity or its analytic upper bound; the output's sensitivity_kind
-    names which."""
-    if rho < 0:
-        raise InvalidParameterError("rho must be >= 0")
-    _check_regulariser(sensitivity, EmpiricalSensitivity, AnalyticSensitivity)
-    return _regularized_erm(
-        labelled, op, loss, domain, feature_map, rho, sensitivity,
-        sensitivity_kind=sensitivity.kind,
-    )
-
-
 def lambda_erm(
     labelled: LabelledSample,
-    unlabelled: UnlabelledSample,
     op: ApproxOperator,
     lam: float,
-    p: float,
+    sensitivity: EmpiricalSensitivity | AnalyticSensitivity,
     loss: LossSpec,
     domain: SearchDomain,
     feature_map: FeatureMap | None = None,
 ) -> LearnerOutput:
-    """Minimise emp_err(Af) + lambda * empirical sensitivity of f."""
-    if lam < 0:
-        raise InvalidParameterError("lambda must be >= 0")
-    return _regularized_erm(
-        labelled, op, loss, domain, feature_map, lam, EmpiricalSensitivity(unlabelled, p), lam=lam
-    )
+    """Minimise emp_err(Af) + lambda * S(f), the regularised learner.
 
-
-def analytic_lambda_erm(
-    labelled: LabelledSample,
-    op: ApproxOperator,
-    lam: float,
-    sensitivity: AnalyticSensitivity,
-    loss: LossSpec,
-    domain: SearchDomain,
-    feature_map: FeatureMap | None = None,
-) -> LearnerOutput:
-    """Minimise emp_err(Af) + lambda * analytic sensitivity upper bound.
-
-    Needs no unlabelled data: the bound ||w - Q(w)||_2 * input_norm_budget
-    depends on the weights alone.
+    S is the empirical p-sensitivity on an unlabelled sample
+    (EmpiricalSensitivity) or its analytic upper bound
+    ||w - Q(w)||_2 * input_norm_budget (AnalyticSensitivity), which needs no
+    unlabelled data.  Sensitivity-regularised ERM is lambda = rho.
     """
     if lam < 0:
         raise InvalidParameterError("lambda must be >= 0")
-    _check_regulariser(sensitivity, AnalyticSensitivity)
-    return _regularized_erm(
-        labelled, op, loss, domain, feature_map, lam, sensitivity,
-        lam=lam, sensitivity_kind=sensitivity.kind,
-    )
+    fm = _resolve_feature_map(feature_map, labelled.dim)
+    if isinstance(sensitivity, EmpiricalSensitivity):
+        ws = _Workspace(op, loss, fm, labelled, sensitivity.sample, sensitivity.p, domain)
+        objective = _Regularised(ws, lam)
+    elif isinstance(sensitivity, AnalyticSensitivity):
+        ws = _Workspace(op, loss, fm, labelled, None, 1.0, domain)
+        objective = _Regularised(ws, lam, sensitivity.input_norm_budget)
+    else:
+        raise InvalidParameterError(
+            "the regulariser must be EmpiricalSensitivity or AnalyticSensitivity, "
+            f"not {type(sensitivity).__name__}"
+        )
+    return ws.output(_search(objective, domain), lam=lam, sensitivity_kind=sensitivity.kind)
 
 
 def lambda_grid_srm(
@@ -724,8 +655,9 @@ def lambda_grid_srm(
     domain: SearchDomain,
     feature_map: FeatureMap | None = None,
 ) -> LearnerOutput:
-    """Run the lambda-regularised learner per candidate value and keep the one
-    minimising emp_err(A f) + 3 sqrt(ln(1 / w_k) / (2m)).
+    """Run the lambda-regularised learner (empirical sensitivity) per
+    candidate value on one workspace and keep the one minimising
+    emp_err(A f) + 3 sqrt(ln(1 / w_k) / (2m)).
 
     The per-candidate table is attached to the returned output.
     """
@@ -737,15 +669,17 @@ def lambda_grid_srm(
         raise InvalidParameterError("weights must match lambdas in length")
     if any(w <= 0 for w in weights) or sum(weights) > 1.0 + 1e-12:
         raise InvalidParameterError("weights must be positive and sum to at most 1")
+    if any(lam < 0 for lam in lambdas):
+        raise InvalidParameterError("lambda must be >= 0")
     fm = _resolve_feature_map(feature_map, labelled.dim)
     ws = _Workspace(op, loss, fm, labelled, unlabelled, p, domain)
     m = labelled.m
 
     table = []
-    outputs = []
+    results = []
     for lam, w_k in zip(lambdas, weights):
-        out = lambda_erm(labelled, unlabelled, op, lam, p, loss, domain, feature_map=fm)
-        emp = ws.approx_emp_error(np.asarray(out.hypothesis.weights))
+        result = _search(_Regularised(ws, lam), domain)
+        emp = ws.approx_emp_error(result.weights)
         penalty = 3.0 * math.sqrt(math.log(1.0 / w_k) / (2.0 * m))
         table.append(
             {
@@ -755,12 +689,9 @@ def lambda_grid_srm(
                 "score": emp + penalty,
             }
         )
-        outputs.append(out)
-    best_idx = min(range(len(table)), key=lambda i: table[i]["score"])
-    chosen = outputs[best_idx]
-    chosen.per_lambda = table
-    chosen.lam = lambdas[best_idx]
-    return chosen
+        results.append(result)
+    best = min(range(len(table)), key=lambda i: table[i]["score"])
+    return ws.output(results[best], lam=lambdas[best], per_lambda=table)
 
 
 def make_restricted_rad_estimator(

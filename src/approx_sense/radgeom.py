@@ -18,9 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ApproxOperator, Hypothesis, UnlabelledSample
 from .errors import EnumerationCapError, InvalidParameterError
-from .sensitivity import pointwise_gaps
 
 EXACT_ENUMERATION_CAP = 22
 _CHUNK_BITS = 14  # sign patterns are enumerated 2^14 rows at a time
@@ -84,17 +82,6 @@ class SensitivityPointSet:
     @property
     def m(self) -> int:
         return self.points.shape[1]
-
-
-def sensitivity_pointset(
-    hypotheses: list[Hypothesis],
-    op: ApproxOperator,
-    sample: UnlabelledSample,
-) -> SensitivityPointSet:
-    if not hypotheses:
-        raise InvalidParameterError("need at least one hypothesis")
-    rows = np.stack([pointwise_gaps(h, op, sample.inputs) for h in hypotheses])
-    return SensitivityPointSet(points=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +345,6 @@ def positive_orthant_ball_sup(sigma, radius: float, p: float) -> float | np.ndar
     return radius * dual_norm(np.maximum(np.asarray(sigma, dtype=float), 0.0), p)
 
 
-def massart_bound(point_rows) -> float:
-    """Finite-set bound: max row 2-norm times sqrt(2 ln N) / m."""
-    rows = _check_rows(point_rows)
-    n, m = rows.shape
-    if n == 1:
-        return 0.0
-    return float(np.max(np.linalg.norm(rows, axis=1)) * np.sqrt(2.0 * np.log(n)) / m)
-
-
 def kernel_sensitivity_class_bound(
     sup_weight_sensitivity: float,
     gram_diagonal,
@@ -392,14 +370,6 @@ def kernel_sensitivity_class_bound(
         m=m,
         note="1/m proof form; the displayed statement uses the looser 1/sqrt(m) factor",
     )
-
-
-def crude_decomposition_bound(rad_H: float, rad_HA: float) -> float:
-    """Sum of class complexities; tight exactly when the approximating class
-    is a singleton."""
-    if rad_H < 0 or rad_HA < 0:
-        raise InvalidParameterError("inputs must be >= 0")
-    return rad_H + rad_HA
 
 
 # ---------------------------------------------------------------------------

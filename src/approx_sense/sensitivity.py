@@ -270,29 +270,6 @@ def fast_rate_deviation_bound(
     )
 
 
-def uniform_sensitivity_constant(
-    hypotheses: list[Hypothesis],
-    op: ApproxOperator,
-    inputs: np.ndarray,
-) -> float:
-    """Realise the uniform gap bound: sup ||w - Q(w)||_2 times max feature norm.
-
-    By Cauchy-Schwarz every pointwise gap |f(x) - Af(x)| over the given
-    hypotheses and inputs is at most this constant.
-    """
-    if not hypotheses:
-        raise InvalidParameterError("need at least one hypothesis")
-    if not op.deterministic:
-        raise StochasticOperatorError("uniform constant needs a deterministic operator")
-    sup_residual = 0.0
-    for h in hypotheses:
-        approx = apply_operator(op, h)
-        sup_residual = max(sup_residual, float(np.linalg.norm(h.weights - approx.weights)))
-    feats = hypotheses[0].feature_map.transform(np.asarray(inputs, dtype=float))
-    max_feat = float(np.max(np.linalg.norm(feats, axis=1)))
-    return sup_residual * max_feat
-
-
 # ---------------------------------------------------------------------------
 # Stochastic variance condition
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ from .core import (
 from .errors import InvalidParameterError, UnknownSuiteError
 from .learners import (
     AnalyticSensitivity,
+    EmpiricalSensitivity,
     SearchDomain,
     constrained_erm,
     lambda_erm,
-    sensitivity_regularized_erm,
 )
 from .radgeom import (
     cluster_bound,
@@ -424,9 +424,7 @@ def suite_prop3(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
 
     def one(i: int):
         tr = ctx.trial(i)
-        out = sensitivity_regularized_erm(
-            tr["labelled"], ctx.op, ctx.true_sensitivity, rho, ctx.loss, tr["domain"]
-        )
+        out = lambda_erm(tr["labelled"], ctx.op, rho, ctx.true_sensitivity, ctx.loss, tr["domain"])
         err_af = float(ctx.error(out.approx_hypothesis.weights, tr["teacher"])[0])
         best = math.inf
         for t in t_grid:
@@ -468,7 +466,7 @@ def suite_prop4(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
         labelled = LabelledSample(inputs=x_lab, targets=y_lab, source_id=f"trial{i}")
         unlabelled = UnlabelledSample(inputs=x_unlab, source_id=f"trial{i}")
 
-        out = lambda_erm(labelled, unlabelled, op, lam, 1.0, loss, domain)
+        out = lambda_erm(labelled, op, lam, EmpiricalSensitivity(unlabelled), loss, domain)
         w_lambda = np.asarray(out.hypothesis.weights)
         t = float(
             np.linalg.norm(w_lambda - op.transform_weights(w_lambda)) * sd * math.sqrt(2.0 / math.pi)

@@ -18,7 +18,6 @@ from approx_sense import (
     SearchDomain,
     ThresholdSchedule,
     UniformQuantizer,
-    analytic_lambda_erm,
     analytic_sensitivity_upper,
     apply_operator,
     constrained_erm,
@@ -29,7 +28,6 @@ from approx_sense import (
     lambda_grid_srm,
     linear_hypothesis,
     make_restricted_rad_estimator,
-    sensitivity_regularized_erm,
     srm_learner,
 )
 from approx_sense.core import Hypothesis, IdentityMap
@@ -302,18 +300,16 @@ def test_criterion_11_learner_oracle_equality():
 
             expected = _exhaustive(domain, srm_objective)
         elif kind == 2:
-            got = sensitivity_regularized_erm(
-                labelled, op, EmpiricalSensitivity(unlabelled, p), rho, loss, domain
-            )
+            got = lambda_erm(labelled, op, rho, EmpiricalSensitivity(unlabelled, p), loss, domain)
             expected = _exhaustive(domain, lambda w: emp_approx(w) + rho * dhat(w))
         elif kind == 3:
             lam = float(rng.uniform(0.0, 2.0))
-            got = lambda_erm(labelled, unlabelled, op, lam, p, loss, domain)
+            got = lambda_erm(labelled, op, lam, EmpiricalSensitivity(unlabelled, p), loss, domain)
             expected = _exhaustive(domain, lambda w: emp_approx(w) + lam * dhat(w))
         elif kind == 4:
             lam = float(rng.uniform(0.0, 2.0))
             budget = float(rng.uniform(0.5, 2.0))
-            got = analytic_lambda_erm(labelled, op, lam, AnalyticSensitivity(budget), loss, domain)
+            got = lambda_erm(labelled, op, lam, AnalyticSensitivity(budget), loss, domain)
 
             def overline_w(w):
                 return analytic_sensitivity_upper(

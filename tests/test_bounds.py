@@ -8,7 +8,6 @@ import math
 import pytest
 
 from approx_sense import (
-    ConfidenceTerm,
     InvalidParameterError,
     RadEstimate,
     hoeffding_term,
@@ -20,6 +19,7 @@ from approx_sense import (
     stochastic_bound,
     uniform_restricted_bound,
 )
+from approx_sense.bounds import Constituent
 
 
 def term_sum(report):
@@ -44,9 +44,9 @@ def test_hoeffding_validation():
         hoeffding_term(3.0, 0.5, 50)
     with pytest.raises(InvalidParameterError):
         hoeffding_term(3.0, 2.0, 0)
-    assert ConfidenceTerm(c=2.0, arg=4.0, m=8).value == pytest.approx(
-        2.0 * math.sqrt(math.log(4.0) / 16.0)
-    )
+    with pytest.raises(InvalidParameterError):
+        hoeffding_term(-1.0, 2.0, 50)
+    assert hoeffding_term(2.0, 4.0, 8) == pytest.approx(2.0 * math.sqrt(math.log(4.0) / 16.0))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_stochastic_linear_in_sensitivity():
 def test_stochastic_certified_flag_tracks_mc_constituents():
     certified = stochastic_bound(0.1, 0.1, 0.05, 1.0, 100, 0.1)
     assert certified.certified
-    mc = stochastic_bound((0.1, 0.01), 0.1, 0.05, 1.0, 100, 0.1)
+    mc = stochastic_bound(Constituent(0.1, certified=False), 0.1, 0.05, 1.0, 100, 0.1)
     assert not mc.certified
     mc_rad = stochastic_bound(
         0.1,

@@ -183,6 +183,13 @@ def test_train_csv_task_and_all_algorithms(tmp_path):
         payload = json.loads((out_dir / "train.json").read_text())
         assert payload["algorithm"] == spec["algorithm"]
         assert len(payload["weights"]) == 2
+        # three names run one regularised learner; train.json keeps each
+        # name's own lambda and sensitivity_kind fields
+        assert (payload["chosen"]["lambda"], payload["sensitivity_kind"]) == {
+            "sensitivity_regularized_erm": (None, "empirical"),
+            "lambda_erm": (0.3, None),
+            "analytic_lambda_erm": (0.3, "analytic_upper"),
+        }.get(spec["algorithm"], (payload["chosen"]["lambda"], None))
 
 
 # ---------------------------------------------------------------------------

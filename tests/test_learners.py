@@ -28,7 +28,6 @@ from approx_sense import (
     ThresholdSchedule,
     UniformQuantizer,
     UnlabelledSample,
-    analytic_lambda_erm,
     analytic_sensitivity_upper,
     apply_operator,
     constrained_erm,
@@ -39,7 +38,6 @@ from approx_sense import (
     lambda_grid_srm,
     linear_hypothesis,
     make_restricted_rad_estimator,
-    sensitivity_regularized_erm,
     srm_learner,
     true_error_mc,
     true_sensitivity_mc,
@@ -129,11 +127,6 @@ def test_optimize_coordinate_descent_on_separable_objective():
     target = np.array([0.31, -0.52, 0.0, 0.74])
     w = optimize(lambda v: float(np.sum((v - target) ** 2)), domain)
     np.testing.assert_allclose(w, [0.3, -0.5, 0.0, 0.7], atol=1e-12)
-
-
-def test_default_domain_policy():
-    assert SearchDomain.default_for(2, 1.0).mode == "grid"
-    assert SearchDomain.default_for(5, 1.0).mode == "coordinate_descent"
 
 
 def test_grid_cap_enforced():
@@ -347,7 +340,7 @@ def test_sensitivity_regularized_rho_zero_is_plain_approx_erm():
     _, labelled, unlabelled = _make_data(seed=9)
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=11)
     dhat = EmpiricalSensitivity(unlabelled, 1.0)
-    out = sensitivity_regularized_erm(labelled, OP, dhat, 0.0, LOSS, domain)
+    out = lambda_erm(labelled, OP, 0.0, dhat, LOSS, domain)
     base = constrained_erm(labelled, unlabelled, OP, math.inf, 1.0, LOSS, domain)
     assert np.array_equal(out.hypothesis.weights, base.hypothesis.weights)
 
@@ -356,7 +349,7 @@ def test_sensitivity_regularized_large_rho_prefers_zero_sensitivity():
     _, labelled, unlabelled = _make_data(seed=10)
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=11)
     dhat = EmpiricalSensitivity(unlabelled, 1.0)
-    out = sensitivity_regularized_erm(labelled, OP, dhat, 1e6, LOSS, domain)
+    out = lambda_erm(labelled, OP, 1e6, dhat, LOSS, domain)
     assert empirical_sensitivity(out.hypothesis, OP, unlabelled, 1).value == 0.0
     assert out.sensitivity_kind == "empirical"
 
@@ -368,29 +361,51 @@ def test_regularised_learners_reject_other_regularisers():
     def dhat(h):
         return empirical_sensitivity(h, OP, unlabelled, 1).value
 
-    with pytest.raises(InvalidParameterError, match="EmpiricalSensitivity or AnalyticSensitivity"):
-        sensitivity_regularized_erm(labelled, OP, dhat, 1.0, LOSS, domain)
-    for regulariser in (dhat, EmpiricalSensitivity(unlabelled, 1.0)):
-        with pytest.raises(InvalidParameterError, match="AnalyticSensitivity"):
-            analytic_lambda_erm(labelled, OP, 1.0, regulariser, LOSS, domain)
+    for regulariser in (dhat, 1.0):
+        with pytest.raises(
+            InvalidParameterError, match="EmpiricalSensitivity or AnalyticSensitivity"
+        ):
+            lambda_erm(labelled, OP, 1.0, regulariser, LOSS, domain)
 
 
 def test_lambda_erm_zero_lambda_is_plain_approx_erm():
     _, labelled, unlabelled = _make_data(seed=11)
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=11)
-    out = lambda_erm(labelled, unlabelled, OP, 0.0, 1.0, LOSS, domain)
+    out = lambda_erm(labelled, OP, 0.0, EmpiricalSensitivity(unlabelled, 1.0), LOSS, domain)
     base = constrained_erm(labelled, unlabelled, OP, math.inf, 1.0, LOSS, domain)
     assert np.array_equal(out.hypothesis.weights, base.hypothesis.weights)
 
 
-def test_lambda_erm_matches_regularized_at_lambda_rho():
+def test_lambda_erm_matches_regularized_at_lambda_rho(tmp_path):
+    # the CLI's sensitivity_regularized_erm runs lambda_erm at lambda = rho,
+    # rho defaulting to the loss's Lipschitz constant
+    from approx_sense.cli import main
+    from approx_sense.dataio import write_sample_csv
+
     _, labelled, unlabelled = _make_data(seed=12)
-    domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=11)
-    rho = LOSS.lipschitz
-    out_lambda = lambda_erm(labelled, unlabelled, OP, rho, 1.0, LOSS, domain)
-    dhat = EmpiricalSensitivity(unlabelled, 1.0)
-    out_reg = sensitivity_regularized_erm(labelled, OP, dhat, rho, LOSS, domain)
-    assert np.array_equal(out_lambda.hypothesis.weights, out_reg.hypothesis.weights)
+    write_sample_csv(labelled, tmp_path / "lab.csv")
+    write_sample_csv(unlabelled, tmp_path / "unlab.csv")
+    payloads = {}
+    for learner in ({"algorithm": "lambda_erm", "lambda": 0.7},
+                    {"algorithm": "sensitivity_regularized_erm"}):
+        name = learner["algorithm"]
+        learner["domain"] = {"dim": 2, "halfwidth": 1.0, "mode": "grid", "points_per_axis": 11}
+        config = {
+            "schema_version": 1,
+            "seed": 0,
+            "task": {"kind": "csv", "labelled_path": str(tmp_path / "lab.csv"),
+                     "unlabelled_path": str(tmp_path / "unlab.csv")},
+            "operator": {"kind": "uniform_quantizer", "step": 0.5, "clamp": 1.0},
+            "loss": {"kind": "clipped_absolute", "lipschitz": 0.7},
+            "learner": learner,
+        }
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        out = tmp_path / name
+        assert main(["train", "--config", str(tmp_path / f"{name}.json"), "--out", str(out)]) == 0
+        payloads[name] = json.loads((out / "train.json").read_text())
+    by_lambda, by_rho = payloads["lambda_erm"], payloads["sensitivity_regularized_erm"]
+    for key in ("weights", "objective_value", "objective_trace"):
+        assert by_lambda[key] == by_rho[key]
 
 
 def test_lambda_sweep_sensitivity_nonincreasing():
@@ -398,7 +413,7 @@ def test_lambda_sweep_sensitivity_nonincreasing():
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=15)
     previous = math.inf
     for lam in (0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
-        out = lambda_erm(labelled, unlabelled, OP, lam, 1.0, LOSS, domain)
+        out = lambda_erm(labelled, OP, lam, EmpiricalSensitivity(unlabelled, 1.0), LOSS, domain)
         d = empirical_sensitivity(out.hypothesis, OP, unlabelled, 1).value
         assert d <= previous + 1e-12
         previous = d
@@ -407,7 +422,7 @@ def test_lambda_sweep_sensitivity_nonincreasing():
 def test_analytic_lambda_erm_recovers_on_grid_teacher():
     task, labelled, _ = _make_data(seed=14, noise=0.0)
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=5)
-    out = analytic_lambda_erm(labelled, OP, 0.5, AnalyticSensitivity(1.0), LOSS, domain)
+    out = lambda_erm(labelled, OP, 0.5, AnalyticSensitivity(1.0), LOSS, domain)
     np.testing.assert_array_equal(out.hypothesis.weights, task.teacher.weights)
     assert out.objective_value == 0.0
 
@@ -415,7 +430,7 @@ def test_analytic_lambda_erm_recovers_on_grid_teacher():
 def test_analytic_lambda_zero_is_plain_approx_erm():
     _, labelled, unlabelled = _make_data(seed=15)
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=11)
-    out = analytic_lambda_erm(labelled, OP, 0.0, AnalyticSensitivity(1.0), LOSS, domain)
+    out = lambda_erm(labelled, OP, 0.0, AnalyticSensitivity(1.0), LOSS, domain)
     base = constrained_erm(labelled, unlabelled, OP, math.inf, 1.0, LOSS, domain)
     assert np.array_equal(out.hypothesis.weights, base.hypothesis.weights)
 
@@ -434,7 +449,8 @@ def test_learner_with_polynomial_feature_map():
     labelled = LabelledSample(inputs=x, targets=predictions(teacher, x))
     unlabelled = UnlabelledSample(inputs=rng.uniform(-1, 1, size=(30, 1)))
     domain = SearchDomain(dim=3, halfwidth=1.0, mode="grid", points_per_axis=5)
-    out = lambda_erm(labelled, unlabelled, OP, 0.5, 1.0, LOSS, domain, feature_map=fmap)
+    dhat = EmpiricalSensitivity(unlabelled, 1.0)
+    out = lambda_erm(labelled, OP, 0.5, dhat, LOSS, domain, feature_map=fmap)
     np.testing.assert_array_equal(out.hypothesis.weights, teacher.weights)
     assert out.objective_value == 0.0
 
@@ -448,7 +464,7 @@ def test_lambda_grid_single_lambda():
     _, labelled, unlabelled = _make_data(seed=16)
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=11)
     single = lambda_grid_srm(labelled, unlabelled, OP, [0.3], [1.0], 1.0, LOSS, domain)
-    direct = lambda_erm(labelled, unlabelled, OP, 0.3, 1.0, LOSS, domain)
+    direct = lambda_erm(labelled, OP, 0.3, EmpiricalSensitivity(unlabelled, 1.0), LOSS, domain)
     assert np.array_equal(single.hypothesis.weights, direct.hypothesis.weights)
     assert single.lam == 0.3 and len(single.per_lambda) == 1
 
@@ -522,7 +538,7 @@ def test_analytic_lambda_equivalence_analogue():
     for seed in range(trials):
         task, labelled, _ = _make_data(seed=300 + seed, noise=0.1, m=50)
         lam = 0.1 + 0.4 * (seed / trials)
-        out = analytic_lambda_erm(labelled, OP, lam, AnalyticSensitivity(budget), LOSS, domain)
+        out = lambda_erm(labelled, OP, lam, AnalyticSensitivity(budget), LOSS, domain)
         w_lam = np.asarray(out.hypothesis.weights)
         t = float(np.linalg.norm(w_lam - OP.transform_weights(w_lam)) * budget)
         err_rows = loss_values(
@@ -664,7 +680,7 @@ def _regularised(op, labelled, loss, coef, sensitivity):
 @given(problems(), LAMBDAS)
 def test_lambda_erm_equals_scalar_callback(problem, lam):
     labelled, unlabelled, op, loss, p, domain = problem
-    out = lambda_erm(labelled, unlabelled, op, lam, p, loss, domain)
+    out = lambda_erm(labelled, op, lam, EmpiricalSensitivity(unlabelled, p), loss, domain)
 
     def dhat(h):
         return empirical_sensitivity(h, op, unlabelled, p).value
@@ -688,13 +704,10 @@ def test_sensitivity_regularized_built_ins_equal_scalar_callbacks(problem, rho):
         (EmpiricalSensitivity(unlabelled, p), dhat, "empirical"),
         (AnalyticSensitivity(budget), overline, "analytic_upper"),
     ]:
-        out = sensitivity_regularized_erm(labelled, op, built_in, rho, loss, domain)
+        out = lambda_erm(labelled, op, rho, built_in, loss, domain)
         expected = scalar_search(domain, _regularised(op, labelled, loss, rho, callback))
         assert_same_search(out, *expected)
-        assert (out.sensitivity_kind, out.lam) == (kind, None)
-    out = analytic_lambda_erm(labelled, op, rho, AnalyticSensitivity(budget), loss, domain)
-    assert_same_search(out, *expected)
-    assert (out.sensitivity_kind, out.lam) == ("analytic_upper", rho)
+        assert (out.sensitivity_kind, out.lam) == (kind, rho)
 
 
 @EQUIVALENCE

@@ -38,8 +38,9 @@ GAUSSIAN_CASES = {
 @pytest.mark.parametrize("rho", [1.0, 2.0])
 @pytest.mark.parametrize("case", sorted(GAUSSIAN_CASES))
 def test_gaussian_clipped_error_matches_true_error_mc(case, rho):
-    # true_error_mc is the Monte Carlo reference that the prop2, prop3 and
-    # prop4 suites' exact errors are checked against
+    """true_error_mc is public without a caller in the package: it is the
+    Monte Carlo reference that the prop2, prop3 and prop4 suites' closed-form
+    true errors are checked against."""
     weights, teacher, sd = GAUSSIAN_CASES[case]
     loss = LossSpec(kind="clipped_absolute", lipschitz=rho)
     task = SyntheticTask(linear_hypothesis(teacher), IsotropicGaussian(sd), label_noise_sd=0.1)
@@ -77,8 +78,9 @@ UNIFORM_WEIGHTS = {
 
 @pytest.mark.parametrize("case", sorted(UNIFORM_WEIGHTS))
 def test_uniform_box_abs_mean_matches_true_sensitivity_mc(case):
-    # true_sensitivity_mc (p = 1) is the Monte Carlo reference that the lemma1
-    # and prop10 suites' exact 1-sensitivities are checked against
+    """true_sensitivity_mc is public without a caller in the package: at
+    p = 1 it is the Monte Carlo reference that the lemma1 and prop10 suites'
+    closed-form true 1-sensitivities are checked against."""
     weights = np.array(UNIFORM_WEIGHTS[case])
     residual = weights - QUANT.transform_weights(weights)
     task = SyntheticTask(linear_hypothesis([0.0, 0.0]), UniformBox(halfwidth=1.0))
