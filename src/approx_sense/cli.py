@@ -2,9 +2,9 @@
 
 Subcommands: generate, train, sensitivity, rademacher, bound, validate.
 Configs are JSON with an explicit schema_version, checked against one table
-per config section; unknown keys are rejected with their field path.  One
-top-level seed fixes every output byte-for-byte; validate's --threads (or
-the APPROX_SENSE_THREADS variable) only changes the execution schedule.
+per config section, as are geometry files; unknown keys are rejected with
+their field path.  One top-level seed fixes every output byte-for-byte;
+validate's --threads only changes the execution schedule.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from inspect import signature
@@ -167,8 +165,26 @@ SENSITIVITY = Section(
            "expected_stochastic": ("sample_path",)},
 )
 
+_COMPONENT = Section({"V": Field("array", items=_LIST, min_items=1), "mu": _LIST,
+                      "center": _LIST}, required=("V", "mu"))
+# no schema_version: a geometry file describes a set, not a run
+GEOMETRY = Section(
+    {"p": _EXPONENT, "radius": _NONNEG, "mu": _LIST,
+     "mus": Field("array", items=_LIST, min_items=1),
+     "components": Field("array", items=_COMPONENT, min_items=1)},
+    required=("p",), key="variant",
+    kinds={"pball": ("radius",), "ellipse": ("mu",), "axis_union": ("mus",),
+           "rotated_union": ("components",), "clustered": ("components",)},
+)
+
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
                "array": list, "object": dict}
+
+
+def _finite(number) -> bool:
+    """False for NaN (Python's json reads it), +-inf, and an int too large
+    for a float; never raises."""
+    return abs(number) <= sys.float_info.max
 
 
 def _fail(path: tuple, message: str):
@@ -200,7 +216,7 @@ def _check(value, spec: Field | Section, path: tuple = ()) -> None:
     if not any(isinstance(value, _JSON_TYPES[t]) and (t == "boolean") == isinstance(value, bool)
                for t in types):
         _fail(path, f"{json.dumps(value)} is not of type {' or '.join(types)}")
-    if isinstance(value, float) and not math.isfinite(value):  # Python's json reads NaN
+    if isinstance(value, (int, float)) and not _finite(value):
         _fail(path, f"{value} is not a finite number")
     if spec.enum and value not in spec.enum:
         _fail(path, f"{json.dumps(value)} is not one of {list(spec.enum)}")
@@ -209,6 +225,10 @@ def _check(value, spec: Field | Section, path: tuple = ()) -> None:
             _fail(path, f"{value} must be {'>' if spec.strict else '>='} {spec.low}")
     if isinstance(value, (list, dict)) and len(value) < spec.min_items:
         _fail(path, f"needs at least {spec.min_items} item(s)")
+    # a list of plain finite numbers is walked item by item only to name a bad item
+    if spec.items is _NUM and isinstance(value, list) and all(
+            type(v) in (int, float) and _finite(v) for v in value):
+        return
     # numpy reads nested lists as arrays only when they are rectangular
     if isinstance(value, list) and len({len(v) if isinstance(v, list) else -1 for v in value}) > 1:
         _fail(path, "items must be all numbers or all lists of one length")
@@ -452,7 +472,13 @@ def cmd_rademacher(args) -> int:
     if (args.geometry is None) == (args.pointset is None):
         raise ConfigError("pass exactly one of --geometry or --pointset")
     if args.geometry is not None:
-        estimate = GeometryModel.from_dict(_load_json(args.geometry, "geometry")).rademacher()
+        geometry = _load_json(args.geometry, "geometry")
+        _check(geometry, GEOMETRY)
+        if geometry["variant"] == "clustered":  # the one kind whose components need a center
+            for i, component in enumerate(geometry["components"]):
+                if "center" not in component:
+                    _fail(("components", i, "center"), "required key is missing")
+        estimate = GeometryModel(**geometry).rademacher()
     else:
         points = read_matrix_csv(args.pointset)
         ps = SensitivityPointSet(points=points)
@@ -556,16 +582,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    threads = args.threads
-    if threads is None:
-        setting = os.environ.get("APPROX_SENSE_THREADS", "1")
-        try:
-            threads = int(setting)
-        except ValueError:
-            raise InvalidParameterError(
-                f"APPROX_SENSE_THREADS must be an integer, got {setting!r}"
-            ) from None
-    report = run_suite(args.suite, trials=args.trials, seed=args.seed or 0, threads=threads)
+    report = run_suite(args.suite, trials=args.trials, seed=args.seed or 0, threads=args.threads)
     path = _write_json(report.to_dict(), Path(args.out), f"validate_{args.suite}.json")
     status = "PASS" if report.passed else "FAIL"
     _print(
@@ -615,8 +632,8 @@ def _build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="run a named validation suite")
     val.add_argument("--suite", required=True)
     val.add_argument("--trials", type=int, default=None)
-    val.add_argument("--threads", type=int, default=None,
-                     help="worker threads for trials (default: APPROX_SENSE_THREADS, else 1)")
+    val.add_argument("--threads", type=int, default=1,
+                     help="worker threads for trials; never changes a result")
     common(val, config=False)
 
     return parser

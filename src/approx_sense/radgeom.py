@@ -321,11 +321,12 @@ def cluster_bound(components, p: float, m: int) -> RadEstimate:
     if not len(components):
         raise InvalidParameterError("need at least one component")
     union = rotated_union_bound([(V, mu) for _, V, mu in components], p, m)
-    centers = np.atleast_2d(np.asarray([c for c, _, _ in components], dtype=float))
-    if centers.shape[1] != m:
-        raise InvalidParameterError(f"centers must have length {m}")
+    centers = [np.asarray(c, dtype=float) for c, _, _ in components]
+    if any(c.shape != (m,) for c in centers):
+        raise InvalidParameterError(f"every center must have length {m}")
     l = len(components)
-    displacement = float(np.max(np.linalg.norm(centers, axis=1)) * np.sqrt(2.0 * np.log(l)) / m)
+    norms = np.linalg.norm(np.stack(centers), axis=1)
+    displacement = float(np.max(norms) * np.sqrt(2.0 * np.log(l)) / m)
     return RadEstimate(value=union.value + displacement, method="certified_upper", m=m)
 
 
@@ -424,44 +425,14 @@ def operator_norm_lower_estimate(V, mu, p: float, seed: int = 0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Geometry models with JSON round-trip
+# Geometry models
 # ---------------------------------------------------------------------------
-
-
-# the field each geometry variant reads besides "variant" and "p"
-_GEOMETRY_FIELDS = {"pball": "radius", "ellipse": "mu", "axis_union": "mus",
-                    "rotated_union": "components", "clustered": "components"}
-
-
-def _geometry_field(d, key, at: str = "", numeric: bool = True):
-    """``d[key]`` as a float array, or as a list when not ``numeric``;
-    InvalidParameterError names the field when it is missing or neither."""
-    field = f"{at}{key}"
-    try:
-        value = d[key]
-    except (KeyError, IndexError, TypeError):
-        raise InvalidParameterError(f"geometry field {field!r} is missing", field=field) from None
-    if not numeric and isinstance(value, list) and value:
-        return value
-    if numeric:
-        try:
-            return np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            pass
-    kind = "numeric" if numeric else "a non-empty list"
-    raise InvalidParameterError(f"geometry field {field!r} is not {kind}", field=field)
-
-
-def _geometry_number(d: dict, key: str) -> float:
-    value = _geometry_field(d, key)
-    if value.ndim or not np.isfinite(value):
-        raise InvalidParameterError(f"geometry field {key!r} must be a finite number", field=key)
-    return float(value)
 
 
 @dataclass(frozen=True)
 class GeometryModel:
-    """Structured description of a sensitivity point set.
+    """Structured description of a sensitivity set, as a geometry file holds
+    it: the optional fields are the raw JSON values the variant reads.
 
     variant: pball | ellipse | axis_union | rotated_union | clustered
     """
@@ -469,28 +440,14 @@ class GeometryModel:
     variant: str
     p: float
     radius: float | None = None
-    mu: np.ndarray | None = None
-    mus: tuple | None = None
-    components: tuple | None = None
-
-    def __post_init__(self):
-        conjugate_exponent(self.p)
-        if self.variant not in _GEOMETRY_FIELDS:
-            raise InvalidParameterError(f"unknown geometry variant {self.variant!r}")
-
-    @property
-    def m(self) -> int:
-        if self.variant == "pball":
-            raise InvalidParameterError("a p-ball geometry does not fix the sample size")
-        if self.variant == "ellipse":
-            return len(self.mu)
-        if self.variant == "axis_union":
-            return len(self.mus[0])
-        return len(self.components[0][-1])
+    mu: list | None = None
+    mus: list | None = None
+    components: list | None = None
 
     def rademacher(self) -> RadEstimate:
+        p = float(self.p)  # an integer JSON value writes the same bytes
         if self.variant == "pball":
-            lower, upper = crude_bounds(self.radius, self.p)
+            lower, upper = crude_bounds(float(self.radius), p)
             return RadEstimate(
                 value=upper,
                 method="certified_upper",
@@ -498,66 +455,13 @@ class GeometryModel:
                 note=f"crude sandwich lower bound {format(lower, '.17g')}",
             )
         if self.variant == "ellipse":
-            return ellipse_rademacher(self.mu, self.p, self.m)
+            return ellipse_rademacher(self.mu, p, len(self.mu))
         if self.variant == "axis_union":
-            return union_ellipse_bound(self.mus, self.p, self.m)
+            return union_ellipse_bound(self.mus, p, len(self.mus[0]))
         if self.variant == "rotated_union":
-            return rotated_union_bound(self.components, self.p, self.m)
-        return cluster_bound(self.components, self.p, self.m)
-
-    def to_dict(self) -> dict:
-        d: dict = {"variant": self.variant, "p": self.p}
-        if self.variant == "pball":
-            d["radius"] = self.radius
-        elif self.variant == "ellipse":
-            d["mu"] = [float(v) for v in self.mu]
-        elif self.variant == "axis_union":
-            d["mus"] = [[float(v) for v in mu] for mu in self.mus]
-        elif self.variant == "rotated_union":
-            d["components"] = [
-                {"V": [[float(v) for v in row] for row in V], "mu": [float(v) for v in mu]}
-                for V, mu in self.components
-            ]
-        else:
-            d["components"] = [
-                {
-                    "center": [float(v) for v in c],
-                    "V": [[float(v) for v in row] for row in V],
-                    "mu": [float(v) for v in mu],
-                }
-                for c, V, mu in self.components
-            ]
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "GeometryModel":
-        variant = d.get("variant") if isinstance(d, dict) else None
-        if not isinstance(variant, str) or variant not in _GEOMETRY_FIELDS:
-            raise InvalidParameterError(
-                f"unknown geometry variant {variant!r}; choose one of {sorted(_GEOMETRY_FIELDS)}",
-                field="variant",
-            )
-        p = _geometry_number(d, "p")
-        key = _GEOMETRY_FIELDS[variant]
-        if variant == "pball":
-            return GeometryModel(variant, p, radius=_geometry_number(d, key))
-        if variant == "ellipse":
-            return GeometryModel(variant, p, mu=_check_mu(_geometry_field(d, key)))
-        if variant == "axis_union":
-            mus = _geometry_field(d, key, numeric=False)
-            mus = tuple(_check_mu(_geometry_field(mus, i, "mus/")) for i in range(len(mus)))
-            if len({len(mu) for mu in mus}) > 1:
-                raise InvalidParameterError("all union members must share the sample size")
-            return GeometryModel(variant, p, mus=mus)
-        comps = []
-        for i, comp in enumerate(_geometry_field(d, key, numeric=False)):
-            mu = _check_mu(_geometry_field(comp, "mu", f"components/{i}/"))
-            V = _check_rotation(_geometry_field(comp, "V", f"components/{i}/"), len(mu))
-            if variant == "clustered":
-                c = _geometry_field(comp, "center", f"components/{i}/")
-                if c.shape != mu.shape:
-                    raise InvalidParameterError("cluster center must match the sample size")
-                comps.append((c, V, mu))
-            else:
-                comps.append((V, mu))
-        return GeometryModel(variant, p, components=tuple(comps))
+            comps = [(c["V"], c["mu"]) for c in self.components]
+            return rotated_union_bound(comps, p, len(comps[0][1]))
+        if self.variant == "clustered":
+            comps = [(c["center"], c["V"], c["mu"]) for c in self.components]
+            return cluster_bound(comps, p, len(comps[0][2]))
+        raise InvalidParameterError(f"unknown geometry variant {self.variant!r}")

@@ -579,27 +579,14 @@ SUITES = {
     "stochastic_unbiased": suite_stochastic_unbiased,
 }
 
-DEFAULT_TRIALS = {
-    "lemma1": 500,
-    "prop2": 200,
-    "prop3": 200,
-    "prop4": 200,
-    "prop10": 300,
-    "ellipse_exact": 100,
-    "crude_sandwich": 50,
-    "union_exact": 100,
-    "cluster_dominance": 200,
-    "kernel_dominance": 100,
-    "stochastic_unbiased": 1,
-}
-
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0, threads: int = 1) -> CoverageReport:
     if name not in SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose one of {sorted(SUITES)}", suite=name
         )
-    trials = DEFAULT_TRIALS[name] if trials is None else trials
+    if trials is None:  # the suite's own default
+        return SUITES[name](seed=seed, threads=threads)
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     return SUITES[name](trials=trials, seed=seed, threads=threads)

@@ -12,6 +12,14 @@ import pytest
 
 from approx_sense.cli import _build_parser, main
 from approx_sense.dataio import read_sample_csv
+from approx_sense.radgeom import (
+    RadEstimate,
+    cluster_bound,
+    crude_bounds,
+    ellipse_rademacher,
+    rotated_union_bound,
+    union_ellipse_bound,
+)
 
 
 def run_cli(*args, capsys=None):
@@ -245,6 +253,30 @@ def test_rademacher_geometry(tmp_path):
     assert run_cli("rademacher", "--geometry", geom, "--out", str(tmp_path / "out"))[0] == 0
     payload = json.loads((tmp_path / "out" / "rademacher.json").read_text())
     assert payload["value"] == 2.5 and payload["method"] == "closed_form"
+
+
+def test_geometry_files_match_direct_closed_forms(tmp_path):
+    # integer JSON values for p and radius must write the same bytes as floats
+    V = [[0.6, -0.8], [0.8, 0.6]]
+    lower, upper = crude_bounds(3.0, 2.0)
+    clusters = [{"center": [1, 1], "V": [[1, 0], [0, 1]], "mu": [1, 1]},
+                {"center": [0.0, 0.5], "V": V, "mu": [0.5, 2.0]}]
+    cases = {
+        "pball": ({"p": 2, "radius": 3}, RadEstimate(
+            upper, "certified_upper", 0, note=f"crude sandwich lower bound {lower:.17g}")),
+        "ellipse": ({"p": 1, "mu": [3, 4]}, ellipse_rademacher([3.0, 4.0], 1.0, 2)),
+        "axis_union": ({"p": 1.5, "mus": [[1.0, 2.0], [2.0, 0.5]]},
+                       union_ellipse_bound([[1.0, 2.0], [2.0, 0.5]], 1.5, 2)),
+        "rotated_union": ({"p": 3, "components": [{"V": V, "mu": [2.0, 1.0]}]},
+                          rotated_union_bound([(np.array(V), [2.0, 1.0])], 3.0, 2)),
+        "clustered": ({"p": 2, "components": clusters},
+                      cluster_bound([(c["center"], c["V"], c["mu"]) for c in clusters], 2.0, 2)),
+    }
+    for variant, (fields, direct) in cases.items():
+        geom = write_json(tmp_path / f"{variant}.json", {"variant": variant, **fields})
+        assert run_cli("rademacher", "--geometry", geom, "--out", str(tmp_path / variant))[0] == 0
+        written = (tmp_path / variant / "rademacher.json").read_text()
+        assert written == json.dumps(direct.to_dict(), sort_keys=True, indent=2) + "\n", variant
 
 
 def test_rademacher_pointset_zero_and_mc_agreement(tmp_path):
@@ -528,14 +560,6 @@ def test_validate_unknown_suite(tmp_path, capsys):
     assert json.loads(err)["code"] == "unknown_suite"
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("APPROX_SENSE_THREADS", "2")
-    args = ["validate", "--suite", "stochastic_unbiased", "--seed", "1"]
-    assert run_cli(*args, "--out", str(tmp_path / "v"))[0] == 0
-    payload = json.loads((tmp_path / "v" / "validate_stochastic_unbiased.json").read_text())
-    assert payload["passed"] is True
-
-
 # ---------------------------------------------------------------------------
 # malformed input: always exit 2 with a structured error, never a traceback
 # ---------------------------------------------------------------------------
@@ -550,59 +574,95 @@ GEOMETRY = {"variant": "ellipse", "p": 2.0, "mu": [3.0, 4.0]}
 # finite entries whose sign sums overflow, so every estimate is NaN
 OVERFLOWING_POINTSET = "x0,x1,x2\n1e308,1e308,1e308\n"
 
-# id: (command, edits, environment, code, field).  Edits set (or DROP) the
-# value at a path of the command's base config, the train_config fixture,
-# BOUND_CONFIG or GEOMETRY; the edits of validate, and of pointset (rademacher
-# on OVERFLOWING_POINTSET), are extra arguments.
+# a JSON integer too large for a float
+HUGE = 10**400
+_V = [[1.0, 0.0], [0.0, 1.0]]
+
+# id: (command, edits, code, field).  Edits set (or DROP) the value at a path
+# of the command's base config, the train_config fixture, BOUND_CONFIG or
+# GEOMETRY; the edits of validate, and of pointset (rademacher on
+# OVERFLOWING_POINTSET), are extra arguments.
 MALFORMED = {
-    "quantizer_without_step": ("train", {"operator/step": DROP}, {}, "config_invalid",
+    "quantizer_without_step": ("train", {"operator/step": DROP}, "config_invalid",
                                "operator/step"),
     "rounder_without_step": ("train", {"operator": {"kind": "stochastic_rounder", "clamp": 1.0}},
-                             {}, "config_invalid", "operator/step"),
-    "pruner_without_keep": ("train", {"operator": {"kind": "magnitude_pruner"}}, {},
+                             "config_invalid", "operator/step"),
+    "pruner_without_keep": ("train", {"operator": {"kind": "magnitude_pruner"}},
                             "config_invalid", "operator/keep"),
-    "polynomial_without_degree": ("train", {"task/feature_map": {"kind": "polynomial"}}, {},
+    "polynomial_without_degree": ("train", {"task/feature_map": {"kind": "polynomial"}},
                                   "config_invalid", "task/feature_map/degree"),
-    "rbf_without_centers": ("train", {"task/feature_map": {"kind": "rbf", "width": 0.5}}, {},
+    "rbf_without_centers": ("train", {"task/feature_map": {"kind": "rbf", "width": 0.5}},
                             "config_invalid", "task/feature_map/centers"),
     "rbf_width_overflows": ("train", {"task/feature_map": {"kind": "rbf", "width": 1e300,
                                                            "centers": [[0.0, 0.0], [1.0, 1.0]]}},
-                            {}, "invalid_parameter", None),
-    "mixture_without_centers": ("train", {"task/input_law": {"kind": "gaussian_mixture"}}, {},
+                            "invalid_parameter", None),
+    "mixture_without_centers": ("train", {"task/input_law": {"kind": "gaussian_mixture"}},
                                 "config_invalid", "task/input_law/centers"),
-    "integral_float_seed": ("train", {"seed": 7.0}, {}, "config_invalid", "seed"),
-    "integral_float_points_per_axis": ("train", {"learner/domain/points_per_axis": 5.0}, {},
+    "integral_float_seed": ("train", {"seed": 7.0}, "config_invalid", "seed"),
+    "integral_float_points_per_axis": ("train", {"learner/domain/points_per_axis": 5.0},
                                        "config_invalid", "learner/domain/points_per_axis"),
-    "domain_dim_mismatch": ("train", {"learner/domain/dim": 3}, {}, "dimension_mismatch", None),
-    "empty_teacher_weights": ("train", {"task/teacher_weights": []}, {}, "config_invalid",
+    "domain_dim_mismatch": ("train", {"learner/domain/dim": 3}, "dimension_mismatch", None),
+    "empty_teacher_weights": ("train", {"task/teacher_weights": []}, "config_invalid",
                               "task/teacher_weights"),
-    "bound_without_m": ("bound", {"params/m": DROP}, {}, "config_invalid", "params/m"),
-    "bound_m_not_a_number": ("bound", {"params/m": "x"}, {}, "config_invalid", "params/m"),
-    "geometry_without_mu": ("rademacher", {"mu": DROP}, {}, "invalid_parameter", "mu"),
-    "pointset_overflows_exact": ("pointset", ("--method", "exact"), {}, "invalid_parameter", None),
-    "pointset_overflows_mc": ("pointset", ("--method", "mc"), {}, "invalid_parameter", None),
-    "threads_env_not_integer": ("validate", (), {"APPROX_SENSE_THREADS": "abc"},
-                                "invalid_parameter", None),
-    "zero_trials": ("validate", ("--trials", "0"), {}, "invalid_parameter", None),
-    "negative_seed_flag": ("validate", ("--seed", "-1"), {}, "invalid_parameter", None),
+    "bound_without_m": ("bound", {"params/m": DROP}, "config_invalid", "params/m"),
+    "bound_m_not_a_number": ("bound", {"params/m": "x"}, "config_invalid", "params/m"),
+    "pointset_overflows_exact": ("pointset", ("--method", "exact"), "invalid_parameter", None),
+    "pointset_overflows_mc": ("pointset", ("--method", "mc"), "invalid_parameter", None),
+    "zero_trials": ("validate", ("--trials", "0"), "invalid_parameter", None),
+    "negative_seed_flag": ("validate", ("--seed", "-1"), "invalid_parameter", None),
     # one case per rule the config tables enforce
-    "unknown_nested_key": ("train", {"learner/domain/spacing": 0.1}, {}, "config_invalid",
+    "unknown_nested_key": ("train", {"learner/domain/spacing": 0.1}, "config_invalid",
                            "learner/domain/spacing"),
-    "wrong_type": ("train", {"loss/lipschitz": "1"}, {}, "config_invalid", "loss/lipschitz"),
-    "bool_for_number": ("train", {"task/label_noise_sd": True}, {}, "config_invalid",
+    "wrong_type": ("train", {"loss/lipschitz": "1"}, "config_invalid", "loss/lipschitz"),
+    "bool_for_number": ("train", {"task/label_noise_sd": True}, "config_invalid",
                         "task/label_noise_sd"),
-    "below_minimum": ("train", {"task/m_labelled": 0}, {}, "config_invalid", "task/m_labelled"),
-    "not_finite": ("train", {"operator/step": float("nan")}, {}, "config_invalid", "operator/step"),
-    "bad_enum": ("train", {"learner/domain/mode": "spiral"}, {}, "config_invalid",
+    "below_minimum": ("train", {"task/m_labelled": 0}, "config_invalid", "task/m_labelled"),
+    "not_finite": ("train", {"operator/step": float("nan")}, "config_invalid", "operator/step"),
+    "bad_enum": ("train", {"learner/domain/mode": "spiral"}, "config_invalid",
                  "learner/domain/mode"),
-    "schema_version_2": ("train", {"schema_version": 2}, {}, "config_invalid", "schema_version"),
-    "unknown_bound_param": ("bound", {"params/epsilon_U": 0.01}, {}, "config_invalid",
+    "schema_version_2": ("train", {"schema_version": 2}, "config_invalid", "schema_version"),
+    "unknown_bound_param": ("bound", {"params/epsilon_U": 0.01}, "config_invalid",
                             "params/epsilon_U"),
     "srm_selection_negative_complexity": (
         "bound",
         {"bound": "srm_selection", "params": {"err_star_k": [0.1], "rad_Ht_k": [-0.5],
                                               "w_k": [0.5], "rho": 1.0, "m": 50, "delta": 0.1}},
-        {}, "invalid_parameter", None),
+        "invalid_parameter", None),
+    # integers a float cannot hold
+    "huge_teacher_weight": ("train", {"task/teacher_weights": [0.5, HUGE]}, "config_invalid",
+                            "task/teacher_weights/1"),
+    "huge_lambda": ("train", {"learner/lambda": HUGE}, "config_invalid", "learner/lambda"),
+    "huge_bound_m": ("bound", {"params/m": HUGE}, "config_invalid", "params/m"),
+    "huge_geometry_mu": ("rademacher", {"mu": [3.0, HUGE]}, "config_invalid", "mu/1"),
+    # geometry files: the structure, then the field each kind needs
+    "geometry_without_mu": ("rademacher", {"mu": DROP}, "config_invalid", "mu"),
+    "geometry_without_mus": ("rademacher", {"variant": "axis_union", "mu": DROP},
+                             "config_invalid", "mus"),
+    "geometry_without_components": ("rademacher", {"variant": "rotated_union", "mu": DROP},
+                                    "config_invalid", "components"),
+    "geometry_without_radius": ("rademacher", {"variant": "pball", "mu": DROP},
+                                "config_invalid", "radius"),
+    "geometry_component_without_V": (
+        "rademacher", {"variant": "rotated_union", "mu": DROP, "components": [{"mu": [1.0, 2.0]}]},
+        "config_invalid", "components/0/V"),
+    "geometry_component_without_mu": (
+        "rademacher",
+        {"variant": "clustered", "mu": DROP, "components": [{"center": [0.1, 0.2], "V": _V}]},
+        "config_invalid", "components/0/mu"),
+    "geometry_cluster_without_center": (
+        "rademacher",
+        {"variant": "clustered", "mu": DROP,
+         "components": [{"center": [0.1, 0.2], "V": _V, "mu": [1.0, 2.0]},
+                        {"V": _V, "mu": [1.0, 2.0]}]},
+        "config_invalid", "components/1/center"),
+    "geometry_p_not_a_number": ("rademacher", {"p": "two"}, "config_invalid", "p"),
+    "geometry_union_member_not_numeric": (
+        "rademacher", {"variant": "axis_union", "mu": DROP, "mus": [[1.0, 2.0], ["a", 1.0]]},
+        "config_invalid", "mus/1/0"),
+    "geometry_p_below_one": ("rademacher", {"p": 0.5}, "config_invalid", "p"),
+    "geometry_unknown_variant": ("rademacher", {"variant": "torus"}, "config_invalid", "variant"),
+    "geometry_unknown_key": ("rademacher", {"center": [0.0, 0.0]}, "config_invalid", "center"),
+    "geometry_bool_in_mu": ("rademacher", {"mu": [3.0, True]}, "config_invalid", "mu/1"),
 }
 
 
@@ -621,10 +681,8 @@ def _edited(config: dict, edits: dict) -> dict:
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_structured_error(tmp_path, train_config, capsys, monkeypatch, case):
-    command, edits, env, code, field = MALFORMED[case]
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_malformed_input_structured_error(tmp_path, train_config, capsys, case):
+    command, edits, code, field = MALFORMED[case]
     if command == "validate":
         argv = ["validate", "--suite", "stochastic_unbiased", *edits]
     elif command == "pointset":

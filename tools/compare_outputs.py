@@ -1,12 +1,14 @@
 """Check that two checkouts write byte-identical outputs for the benchmark's ops.
 
     python tools/compare_outputs.py run CHECKOUT OUT [--workloads a,b] [--seeds 1,2]
-    python tools/compare_outputs.py diff OUT_A OUT_B
+    python tools/compare_outputs.py diff OUT_A OUT_B   # OUT_A, OUT_B: one parent
 
 ``run`` builds each workload's inputs from its seed with CHECKOUT's
-``perfbench/workloads.py`` (under OUT/../cmp_inputs, so two runs read the same
-input paths), calls CHECKOUT's ``approx_sense.cli.main`` once per op with a
-fresh ``--out`` directory, and records the exit codes.  ``diff`` compares
+``perfbench/workloads.py`` under OUT/../cmp_inputs.  Give both runs OUT
+directories with the same parent, so that they read the same input paths:
+outputs that record one, such as the provenance of sensitivity_empirical,
+differ otherwise.  It calls CHECKOUT's ``approx_sense.cli.main`` once per op
+with a fresh ``--out`` directory, and records the exit codes.  ``diff`` compares
 every output file byte for byte and exits 1 on any difference; for a JSON
 file that differs it prints the first differing key path and both values,
 floats in hex, so a change in the last bit shows as one.  Run ``run``
