@@ -37,13 +37,10 @@ from .synthetic import (
     true_error_mc,
 )
 from .sensitivity import (
-    DeviationBound,
     SensitivityEstimate,
     analytic_sensitivity_upper,
     empirical_sensitivity,
     expected_sensitivity,
-    fast_rate_deviation_bound,
-    sensitivity_deviation_bound,
     true_sensitivity_mc,
     variance_condition_check,
 )
@@ -80,10 +77,12 @@ from .learners import (
 )
 from .bounds import (
     BoundReport,
+    fast_rate_deviation_bound,
     hoeffding_term,
     joint_bounds,
     lambda_equivalence_bound,
     regularized_bound,
+    sensitivity_deviation_bound,
     srm_selection_bound,
     srm_uniform_bound,
     stochastic_bound,

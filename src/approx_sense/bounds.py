@@ -1,4 +1,5 @@
-"""Itemised right-hand sides of the generalisation guarantees.
+"""Itemised right-hand sides of the guarantees: the uniform deviation bounds
+of the empirical sensitivity and the generalisation bounds built on them.
 
 Every calculator returns a BoundReport whose terms sum to its value, so a
 report can be audited line by line.  The module does pure arithmetic: error
@@ -85,8 +86,6 @@ def _digest(name: str, inputs: dict) -> str:
 
 
 def _report(name, terms, delta, inputs, certified=True, metadata=()) -> BoundReport:
-    if not 0 < delta < 1:
-        raise InvalidParameterError("delta must lie in (0, 1)")
     return BoundReport(
         name=name,
         value=math.fsum(v for _, v in terms),
@@ -96,6 +95,12 @@ def _report(name, terms, delta, inputs, certified=True, metadata=()) -> BoundRep
         inputs_digest=_digest(name, inputs),
         metadata=tuple(metadata),
     )
+
+
+def _check_delta(delta: float) -> None:
+    """Every calculator checks delta first: its terms divide by it."""
+    if not 0 < delta < 1:
+        raise InvalidParameterError("delta must lie in (0, 1)")
 
 
 def _check_nonneg(**kwargs) -> None:
@@ -114,6 +119,7 @@ def uniform_restricted_bound(
 ) -> BoundReport:
     """emp_err + 2 rho rad + 3 sqrt(ln(2/delta) / 2m): the uniform bound over
     a sensitivity-restricted class."""
+    _check_delta(delta)
     err, err_certified = _constituent(emp_err)
     rad, rad_certified = _constituent(rad_Ht)
     _check_nonneg(emp_err=err, rad_Ht=rad, rho=rho)
@@ -132,6 +138,7 @@ def srm_uniform_bound(
     emp_err: float, rad_Ht_k, w_k: float, rho: float, m: int, delta: float
 ) -> BoundReport:
     """Uniform bound holding simultaneously over the threshold schedule."""
+    _check_delta(delta)
     err, err_certified = _constituent(emp_err)
     rad, rad_certified = _constituent(rad_Ht_k)
     _check_nonneg(emp_err=err, rad=rad, rho=rho)
@@ -164,13 +171,12 @@ def joint_bounds(
     The caller supplies the error estimates err_min_approx = min of the two
     best approximate errors, and err_star = best in-class error.
     """
+    _check_delta(delta)
     best_approx, best_approx_certified = _constituent(err_min_approx)
     best, best_certified = _constituent(err_star)
     rad, rad_certified = _constituent(rad_HA)
     certified = best_approx_certified and best_certified and rad_certified
     _check_nonneg(err_min_approx=best_approx, err_star=best, rad=rad, rho=rho, t=t)
-    complexity = 2.0 * rho * rad
-    confidence = hoeffding_term(4.0, 9.0 / delta, m)
     inputs = {
         "err_min_approx": err_min_approx,
         "err_star": err_star,
@@ -180,42 +186,15 @@ def joint_bounds(
         "m": m,
         "delta": delta,
     }
-    vs_best = _report(
-        "joint_vs_best_approx",
-        [
-            ("best_approx_error", best_approx),
-            ("complexity", complexity),
-            ("confidence", confidence),
-        ],
-        delta,
-        inputs,
-        certified=certified,
-    )
-    approx = _report(
-        "joint_approx_deployment",
-        [
-            ("class_best_error", best),
-            ("deployment_penalty", rho * t),
-            ("complexity", complexity),
-            ("confidence", confidence),
-        ],
-        delta,
-        inputs,
-        certified=certified,
-    )
-    full = _report(
-        "joint_full_precision",
-        [
-            ("class_best_error", best),
-            ("sensitivity_penalty", 2.0 * rho * t),
-            ("complexity", complexity),
-            ("confidence", confidence),
-        ],
-        delta,
-        inputs,
-        certified=certified,
-    )
-    return vs_best, approx, full
+    shared = [("complexity", 2.0 * rho * rad), ("confidence", hoeffding_term(4.0, 9.0 / delta, m))]
+    heads = {
+        "joint_vs_best_approx": [("best_approx_error", best_approx)],
+        "joint_approx_deployment": [("class_best_error", best), ("deployment_penalty", rho * t)],
+        "joint_full_precision": [("class_best_error", best),
+                                 ("sensitivity_penalty", 2.0 * rho * t)],
+    }
+    return tuple(_report(name, head + shared, delta, inputs, certified=certified)
+                 for name, head in heads.items())
 
 
 def regularized_bound(
@@ -234,6 +213,7 @@ def regularized_bound(
     pays (4 + rho) sqrt(ln(16/delta) / 2m) + rho epsilon_u instead of
     4 sqrt(ln(8/delta) / 2m).
     """
+    _check_delta(delta)
     scalar = isinstance(err_star_t, (int, float, Constituent))
     pairs = [_constituent(v) for v in ([err_star_t] if scalar else err_star_t)]
     errs = [v for v, _ in pairs]
@@ -284,6 +264,7 @@ def lambda_equivalence_bound(
     """Error gap between the lambda-regularised and threshold-constrained
     learners: 4 rho rad + 6 sqrt(ln(8/delta) / 2m) (+ 2 lambda epsilon_u for
     the empirical-sensitivity variant)."""
+    _check_delta(delta)
     rad, certified = _constituent(rad_HA)
     _check_nonneg(rho=rho, rad=rad, lam=lam)
     terms = [
@@ -313,6 +294,7 @@ def stochastic_bound(
     A singleton operator family reduces the expectations to their per-draw
     values, so the first three terms then match the deterministic form.
     """
+    _check_delta(delta)
     err, cert_a = _constituent(exp_emp_err)
     sens, cert_b = _constituent(exp_sensitivity)
     rad, cert_c = _constituent(exp_rad)
@@ -341,6 +323,7 @@ def srm_selection_bound(
     schedule of err_star(k) + 2 rho rad_k + 3 sqrt(ln(1/w_k) / 2m), plus the
     outer 4 sqrt(ln(6/delta) / 2m) confidence term.  The argmin index is
     recorded in metadata (1-based)."""
+    _check_delta(delta)
     errs = [float(v) for v in err_star_k]
     rads = [_constituent(r) for r in rad_Ht_k]
     ws = [float(v) for v in w_k]
@@ -379,3 +362,43 @@ def srm_selection_bound(
         certified=certified,
         metadata=[("argmin_k", float(best + 1))],
     )
+
+
+def sensitivity_deviation_bound(
+    rad_of_sensitivity_class, C: float, m: int, delta: float
+) -> BoundReport:
+    """Uniform bound 2 R + 3 C sqrt(ln(2/delta) / (2m)) on |true - empirical|
+    sensitivity over the class (Lemma 1)."""
+    _check_delta(delta)
+    rad, certified = _constituent(rad_of_sensitivity_class)
+    _check_nonneg(rad=rad)
+    if C <= 0:
+        raise InvalidParameterError("C must be positive")
+    terms = [
+        ("rademacher_term", 2.0 * rad),
+        ("confidence_term", hoeffding_term(3.0 * C, 2.0 / delta, m)),
+    ]
+    inputs = {"rad": rad, "C": C, "m": m, "delta": delta}
+    return _report("sensitivity_deviation", terms, delta, inputs, certified=certified)
+
+
+def fast_rate_deviation_bound(rad, t: float, C: float, m: int, delta: float) -> BoundReport:
+    """Three-term bound 6 R + t sqrt(2 ln(1/delta) / m) + 6 C ln(1/delta) / m.
+
+    ``t`` must uniformly bound the 2-sensitivity over the class; the variance
+    of each sensitivity gap is then at most t^2, which buys the fast 1/m tail.
+    """
+    _check_delta(delta)
+    rad, certified = _constituent(rad)
+    _check_nonneg(rad=rad, t=t)
+    if C <= 0:
+        raise InvalidParameterError("C must be positive")
+    if m < 1:
+        raise InvalidParameterError("m must be >= 1")
+    terms = [
+        ("rademacher_term", 6.0 * rad),
+        ("variance_term", t * math.sqrt(2.0 * math.log(1.0 / delta) / m)),
+        ("fast_rate_term", 6.0 * C * math.log(1.0 / delta) / m),
+    ]
+    inputs = {"rad": rad, "t": t, "C": C, "m": m, "delta": delta}
+    return _report("fast_rate_deviation", terms, delta, inputs, certified=certified)

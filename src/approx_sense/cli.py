@@ -181,10 +181,19 @@ _JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean":
                "array": list, "object": dict}
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _finite(number) -> bool:
     """False for NaN (Python's json reads it), +-inf, and an int too large
     for a float; never raises."""
-    return abs(number) <= sys.float_info.max
+    return abs(number) <= _FLOAT_MAX
+
+
+def _plain(numbers: list) -> bool:
+    """True when every item is a finite JSON number (not a bool); the test of
+    _finite is inlined, since a geometry matrix has about a thousand items."""
+    return all(type(v) in (int, float) and abs(v) <= _FLOAT_MAX for v in numbers)
 
 
 def _fail(path: tuple, message: str):
@@ -225,10 +234,16 @@ def _check(value, spec: Field | Section, path: tuple = ()) -> None:
             _fail(path, f"{value} must be {'>' if spec.strict else '>='} {spec.low}")
     if isinstance(value, (list, dict)) and len(value) < spec.min_items:
         _fail(path, f"needs at least {spec.min_items} item(s)")
-    # a list of plain finite numbers is walked item by item only to name a bad item
-    if spec.items is _NUM and isinstance(value, list) and all(
-            type(v) in (int, float) and _finite(v) for v in value):
-        return
+    # a list of plain finite numbers, or a rectangular matrix of them, is walked
+    # item by item only to name a bad item
+    if isinstance(value, list) and value:
+        row = spec.items
+        if row is _NUM and _plain(value):
+            return
+        if (isinstance(row, Field) and row.items is _NUM
+                and all(type(r) is list and len(r) == len(value[0]) for r in value)
+                and len(value[0]) >= row.min_items and all(map(_plain, value))):
+            return
     # numpy reads nested lists as arrays only when they are rectangular
     if isinstance(value, list) and len({len(v) if isinstance(v, list) else -1 for v in value}) > 1:
         _fail(path, "items must be all numbers or all lists of one length")
@@ -246,6 +261,8 @@ def _load_json(path: str, what: str = "config", **details):
     except json.JSONDecodeError as exc:
         message = f"{what} is not valid JSON (line {exc.lineno}): {exc.msg}"
         raise ConfigError(message, **details) from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, a huge integer, deep nesting
+        raise ConfigError(f"{what} is not valid JSON: {exc}", **details) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,11 @@ def _read_table(path: str | Path, what: str) -> tuple[list[str], np.ndarray]:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = [(reader.line_num, row) for row in reader if row]
         except StopIteration:
             raise InvalidParameterError(f"empty CSV file: {path}") from None
-        rows = [(reader.line_num, row) for row in reader if row]
+        except UnicodeDecodeError as exc:
+            raise InvalidParameterError(f"{what} file is not UTF-8 text: {path}: {exc}") from exc
     if not rows:
         raise InvalidParameterError(f"CSV file has a header but no data rows: {path}")
     data = np.empty((len(rows), len(header)))

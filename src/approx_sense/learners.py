@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import hoeffding_term
 from .core import (
     ApproxOperator,
     FeatureMap,
@@ -595,7 +596,7 @@ def srm_learner(
         rad = rad_estimator(t_k + epsilon_u)
         rad_value = rad.value if isinstance(rad, RadEstimate) else float(rad)
         penalties.append(
-            2.0 * rho * rad_value + 3.0 * math.sqrt(math.log(1.0 / w_k) / (2.0 * m))
+            2.0 * rho * rad_value + hoeffding_term(3.0, 1.0 / w_k, m)
         )
 
     objective = _Structural(ws, [t_k + epsilon_u for t_k in schedule.thresholds], penalties)
@@ -680,7 +681,7 @@ def lambda_grid_srm(
     for lam, w_k in zip(lambdas, weights):
         result = _search(_Regularised(ws, lam), domain)
         emp = ws.approx_emp_error(result.weights)
-        penalty = 3.0 * math.sqrt(math.log(1.0 / w_k) / (2.0 * m))
+        penalty = hoeffding_term(3.0, 1.0 / w_k, m)
         table.append(
             {
                 "lambda": lam,

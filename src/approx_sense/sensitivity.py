@@ -2,8 +2,7 @@
 
 The p-sensitivity of a hypothesis is the p-norm average of |f(x) - Af(x)| over
 inputs, either in expectation (estimated by Monte Carlo) or over a concrete
-sample.  Deviation bounds quantify how fast the empirical version converges to
-the true one, uniformly over a class.
+sample.  The deviation bounds that tie the two together are in ``bounds``.
 """
 
 from __future__ import annotations
@@ -45,25 +44,6 @@ class SensitivityEstimate:
         if self.standard_error is not None:
             d["standard_error"] = self.standard_error
         return d
-
-
-@dataclass(frozen=True)
-class DeviationBound:
-    """High-probability bound on sup over the class of |true - empirical| sensitivity.
-
-    ``epsilon_u`` is always the sum of the itemised ``components``.
-    """
-
-    epsilon_u: float
-    components: dict[str, float]
-    delta: float
-    C: float
-    m: int
-
-    def __post_init__(self):
-        total = sum(self.components.values())
-        if abs(total - self.epsilon_u) > 1e-12 * max(1.0, abs(total)):
-            raise InvalidParameterError("epsilon_u must equal the sum of its components")
 
 
 def _check_p(p: float) -> float:
@@ -198,75 +178,6 @@ def expected_sensitivity(
         kind="expected_stochastic",
         provenance=f"omega:{seed}:{n_omega}",
         standard_error=se,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Deviation bounds
-# ---------------------------------------------------------------------------
-
-
-def sensitivity_deviation_bound(
-    rad_of_sensitivity_class: float,
-    C: float,
-    m: int,
-    delta: float,
-) -> DeviationBound:
-    """Uniform bound 2 R + 3 C sqrt(ln(2/delta) / (2m)) on |true - empirical|."""
-    if C <= 0:
-        raise InvalidParameterError("C must be positive")
-    if not 0 < delta < 1:
-        raise InvalidParameterError("delta must lie in (0, 1)")
-    if m < 1:
-        raise InvalidParameterError("m must be >= 1")
-    if rad_of_sensitivity_class < 0:
-        raise InvalidParameterError("Rademacher term must be >= 0")
-    rad_term = 2.0 * rad_of_sensitivity_class
-    conf_term = 3.0 * C * np.sqrt(np.log(2.0 / delta) / (2.0 * m))
-    return DeviationBound(
-        epsilon_u=rad_term + conf_term,
-        components={"rademacher_term": rad_term, "confidence_term": float(conf_term)},
-        delta=delta,
-        C=C,
-        m=m,
-    )
-
-
-def fast_rate_deviation_bound(
-    rad: float,
-    t: float,
-    C: float,
-    m: int,
-    delta: float,
-) -> DeviationBound:
-    """Three-term bound 6 R + t sqrt(2 ln(1/delta) / m) + 6 C ln(1/delta) / m.
-
-    ``t`` must uniformly bound the 2-sensitivity over the class; the variance
-    of each sensitivity gap is then at most t^2, which buys the fast 1/m tail.
-    """
-    if t < 0:
-        raise InvalidParameterError("t must be >= 0")
-    if C <= 0:
-        raise InvalidParameterError("C must be positive")
-    if not 0 < delta < 1:
-        raise InvalidParameterError("delta must lie in (0, 1)")
-    if m < 1:
-        raise InvalidParameterError("m must be >= 1")
-    if rad < 0:
-        raise InvalidParameterError("Rademacher term must be >= 0")
-    rad_term = 6.0 * rad
-    variance_term = float(t * np.sqrt(2.0 * np.log(1.0 / delta) / m))
-    fast_term = float(6.0 * C * np.log(1.0 / delta) / m)
-    return DeviationBound(
-        epsilon_u=rad_term + variance_term + fast_term,
-        components={
-            "rademacher_term": rad_term,
-            "variance_term": variance_term,
-            "fast_rate_term": fast_term,
-        },
-        delta=delta,
-        C=C,
-        m=m,
     )
 
 

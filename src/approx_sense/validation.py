@@ -47,12 +47,15 @@ from .radgeom import (
     rotated_union_bound,
     union_ellipse_bound,
 )
-from .bounds import hoeffding_term, lambda_equivalence_bound, stochastic_bound
-from .sensitivity import (
-    empirical_sensitivity,
+from .bounds import (
     fast_rate_deviation_bound,
+    joint_bounds,
+    lambda_equivalence_bound,
+    regularized_bound,
     sensitivity_deviation_bound,
+    stochastic_bound,
 )
+from .sensitivity import empirical_sensitivity
 from .synthetic import derived_rng
 
 
@@ -293,7 +296,8 @@ def suite_lemma1(trials: int = 500, seed: int = 0, threads: int = 1) -> Coverage
     m = 100
     op = UniformQuantizer(step=0.5, clamp=1.0)
     grid = SearchDomain(dim=2, halfwidth=1.0, points_per_axis=11).candidate_matrix()
-    residuals = grid - op.transform_weights(grid)
+    # every supremum below is over rows, so each distinct residual is kept once
+    residuals, _ = _distinct_rows(grid - op.transform_weights(grid))
     d_true = _uniform_box_abs_mean(residuals)
     # exact 2-sensitivity for the fast-rate variance term: ||r|| / sqrt(3)
     t_two = float(np.max(np.linalg.norm(residuals, axis=1)) / math.sqrt(3.0))
@@ -307,8 +311,8 @@ def suite_lemma1(trials: int = 500, seed: int = 0, threads: int = 1) -> Coverage
         sup_dev = float(np.max(np.abs(d_true - d_hat)))
         rad, _ = mc_rademacher_rows(gaps.T, n_sigma=800, seed=seed * 100_003 + i)
         C = sup_residual * float(np.max(np.linalg.norm(inputs, axis=1)))
-        bound = sensitivity_deviation_bound(rad, C, m, delta).epsilon_u
-        fast = fast_rate_deviation_bound(rad, t_two, C, m, delta).epsilon_u
+        bound = sensitivity_deviation_bound(rad, C, m, delta).value
+        fast = fast_rate_deviation_bound(rad, t_two, C, m, delta).value
         return sup_dev <= bound, bound - sup_dev, sup_dev > fast
 
     results = _run_trials(trials, one, threads)
@@ -390,7 +394,6 @@ def suite_prop2(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
     err(A f_hat_t) <= err(f_t^*) + rho t + 2 rho rad(H_A) + 4 sqrt(ln(9/d)/2m)."""
     ctx = _LinearTrialContext(seed, 40)
     rho = ctx.loss.lipschitz
-    confidence = hoeffding_term(4.0, 9.0 / ctx.DELTA, ctx.M)
 
     def one(i: int):
         tr = ctx.trial(i)
@@ -407,7 +410,9 @@ def suite_prop2(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
             err_star = float(tr["err_cand"][feasible_true].min())
         else:
             err_star = float(tr["err_cand"].min())
-        rhs = err_star + rho * t + 2.0 * rho * tr["rad_HA"] + confidence
+        # only the deployment report is read, so err_star also fills err_min_approx
+        _, deployment, _ = joint_bounds(err_star, err_star, tr["rad_HA"], rho, t, ctx.M, ctx.DELTA)
+        rhs = deployment.value
         return err_af <= rhs, rhs - err_af
 
     results = _run_trials(trials, one, threads)
@@ -419,19 +424,21 @@ def suite_prop3(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
     err(A f_hat) <= inf_t {err(f_t^*) + 2 rho t} + 2 rho rad(H_A) + 4 sqrt(ln(8/d)/2m)."""
     ctx = _LinearTrialContext(seed, 41)
     rho = ctx.loss.lipschitz
-    confidence = hoeffding_term(4.0, 8.0 / ctx.DELTA, ctx.M)
+    # the last threshold, 0.78, exceeds every candidate's true sensitivity
+    # (at most 0.56 * SD * sqrt(2 / pi) < 0.21), so some threshold is feasible
     t_grid = np.arange(0.02, 0.8, 0.04)
 
     def one(i: int):
         tr = ctx.trial(i)
         out = lambda_erm(tr["labelled"], ctx.op, rho, ctx.true_sensitivity, ctx.loss, tr["domain"])
         err_af = float(ctx.error(out.approx_hypothesis.weights, tr["teacher"])[0])
-        best = math.inf
+        errs, ts = [], []
         for t in t_grid:
             feasible = tr["d_true"] < t
             if feasible.any():
-                best = min(best, float(tr["err_cand"][feasible].min()) + 2.0 * rho * t)
-        rhs = best + 2.0 * rho * tr["rad_HA"] + confidence
+                errs.append(float(tr["err_cand"][feasible].min()))
+                ts.append(t)
+        rhs = regularized_bound(errs, rho, ts, tr["rad_HA"], ctx.M, ctx.DELTA).value
         return err_af <= rhs, rhs - err_af
 
     results = _run_trials(trials, one, threads)
@@ -455,6 +462,7 @@ def suite_prop4(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
     d_true = np.linalg.norm(residuals, axis=1) * sd * math.sqrt(2.0 / math.pi)
     sup_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
     quantized, _ = _distinct_rows(op.transform_weights(cands))
+    residual_rows, _ = _distinct_rows(residuals)
 
     def one(i: int):
         rng = derived_rng(seed, 51, i)
@@ -482,10 +490,10 @@ def suite_prop4(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
         )
         lhs = float(err_a[0] - err_a[1])
 
-        gaps_u = np.abs(x_unlab @ residuals.T)
+        gaps_u = np.abs(x_unlab @ residual_rows.T)
         rad_u, _ = mc_rademacher_rows(gaps_u.T, n_sigma=800, seed=seed * 77_003 + i)
         C = sup_residual * float(np.max(np.linalg.norm(x_unlab, axis=1)))
-        eps_u = 2.0 * rad_u + 3.0 * C * math.sqrt(math.log(8.0 / delta) / (2.0 * m_u))
+        eps_u = sensitivity_deviation_bound(rad_u, C, m_u, delta / 4.0).value
         rad_HA, _ = mc_rademacher_rows((x_lab @ quantized.T).T, n_sigma=800, seed=seed * 88_007 + i)
         rhs = lambda_equivalence_bound(rho, rad_HA, m, delta, lam, eps_u).value
         return lhs <= rhs, rhs - lhs
@@ -505,7 +513,7 @@ def suite_prop10(trials: int = 300, seed: int = 0, threads: int = 1) -> Coverage
     base = SearchDomain(dim=2, halfwidth=1.0, points_per_axis=5).candidate_matrix()
     offsets = SearchDomain(dim=2, halfwidth=0.04, points_per_axis=3).candidate_matrix()
     weights = (base[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
-    residuals = weights - op.transform_weights(weights)
+    residuals, _ = _distinct_rows(weights - op.transform_weights(weights))
     # uniform box inputs: 2-sensitivity is exactly ||r|| / sqrt(3) <= t
     assert float(np.max(np.linalg.norm(residuals, axis=1))) / math.sqrt(3.0) <= t
     d_true = _uniform_box_abs_mean(residuals)
@@ -518,7 +526,7 @@ def suite_prop10(trials: int = 300, seed: int = 0, threads: int = 1) -> Coverage
         sup_dev = float(np.max(np.abs(d_true - gaps.mean(axis=0))))
         rad, _ = mc_rademacher_rows(gaps.T, n_sigma=600, seed=seed * 66_601 + i)
         C = sup_residual * float(np.max(np.linalg.norm(inputs, axis=1)))
-        bound = fast_rate_deviation_bound(rad, t, C, m, delta).epsilon_u
+        bound = fast_rate_deviation_bound(rad, t, C, m, delta).value
         return sup_dev <= bound, bound - sup_dev
 
     results = _run_trials(trials, one, threads)

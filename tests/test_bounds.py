@@ -10,10 +10,12 @@ import pytest
 from approx_sense import (
     InvalidParameterError,
     RadEstimate,
+    fast_rate_deviation_bound,
     hoeffding_term,
     joint_bounds,
     lambda_equivalence_bound,
     regularized_bound,
+    sensitivity_deviation_bound,
     srm_selection_bound,
     srm_uniform_bound,
     stochastic_bound,
@@ -47,6 +49,50 @@ def test_hoeffding_validation():
     with pytest.raises(InvalidParameterError):
         hoeffding_term(-1.0, 2.0, 50)
     assert hoeffding_term(2.0, 4.0, 8) == pytest.approx(2.0 * math.sqrt(math.log(4.0) / 16.0))
+
+
+# ---------------------------------------------------------------------------
+# deviation bounds
+# ---------------------------------------------------------------------------
+
+
+def test_deviation_bound_formula():
+    bound = sensitivity_deviation_bound(0.0, 1.0, 50, 0.05)
+    assert bound.value == pytest.approx(3.0 * math.sqrt(math.log(40.0) / 100.0), rel=1e-12)
+    assert bound.term("rademacher_term") == 0.0
+
+
+def test_deviation_bound_large_m_limit():
+    bound = sensitivity_deviation_bound(0.1, 1.0, 10**12, 0.05)
+    assert bound.value == pytest.approx(0.2, abs=1e-5)
+
+
+def test_deviation_bound_rejects_bad_delta():
+    with pytest.raises(InvalidParameterError):
+        sensitivity_deviation_bound(0.0, 1.0, 50, 2.0)
+
+
+def test_fast_rate_formula():
+    bound = fast_rate_deviation_bound(0.05, 0.1, 1.0, 100, 0.1)
+    expected = (
+        0.3 + 0.1 * math.sqrt(2.0 * math.log(10.0) / 100.0) + 6.0 * math.log(10.0) / 100.0
+    )
+    assert bound.value == pytest.approx(expected, rel=1e-12)
+    labels = {label for label, _ in bound.terms}
+    assert labels == {"rademacher_term", "variance_term", "fast_rate_term"}
+
+
+def test_fast_rate_t_zero_drops_variance_term():
+    bound = fast_rate_deviation_bound(0.05, 0.0, 1.0, 100, 0.1)
+    assert bound.term("variance_term") == 0.0
+    assert bound.value == pytest.approx(0.3 + 6.0 * math.log(10.0) / 100.0, rel=1e-12)
+
+
+def test_fast_rate_decays_like_one_over_m():
+    # with rad = 0 and t = 0 the bound is exactly 6 C ln(1/delta) / m
+    b1 = fast_rate_deviation_bound(0.0, 0.0, 1.0, 100, 0.1).value
+    b2 = fast_rate_deviation_bound(0.0, 0.0, 1.0, 200, 0.1).value
+    assert b1 == pytest.approx(2.0 * b2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -281,3 +327,23 @@ def test_all_reports_nonnegative_and_decreasing_in_m():
 def test_delta_validated():
     with pytest.raises(InvalidParameterError):
         uniform_restricted_bound(0.1, 0.05, 1.0, 50, 1.5)
+
+
+CALCULATORS = {
+    "uniform_restricted": lambda d: uniform_restricted_bound(0.1, 0.05, 1.0, 50, d),
+    "srm_uniform": lambda d: srm_uniform_bound(0.1, 0.05, 0.25, 1.0, 50, d),
+    "joint": lambda d: joint_bounds(0.1, 0.1, 0.05, 1.0, 0.1, 50, d),
+    "regularized": lambda d: regularized_bound(0.1, 1.0, 0.05, 0.05, 50, d),
+    "lambda_equivalence": lambda d: lambda_equivalence_bound(1.0, 0.05, 50, d, 0.5, 0.1),
+    "stochastic": lambda d: stochastic_bound(0.1, 0.1, 0.05, 1.0, 50, d),
+    "srm_selection": lambda d: srm_selection_bound([0.1], [0.05], [0.5], 1.0, 50, d),
+    "sensitivity_deviation": lambda d: sensitivity_deviation_bound(0.05, 1.0, 50, d),
+    "fast_rate_deviation": lambda d: fast_rate_deviation_bound(0.05, 0.1, 1.0, 50, d),
+}
+
+
+@pytest.mark.parametrize("make", CALCULATORS.values(), ids=CALCULATORS)
+def test_zero_delta_is_an_invalid_parameter(make):
+    # delta is checked before any term divides by it
+    with pytest.raises(InvalidParameterError):
+        make(0.0)

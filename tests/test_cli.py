@@ -663,6 +663,17 @@ MALFORMED = {
     "geometry_unknown_variant": ("rademacher", {"variant": "torus"}, "config_invalid", "variant"),
     "geometry_unknown_key": ("rademacher", {"center": [0.0, 0.0]}, "config_invalid", "center"),
     "geometry_bool_in_mu": ("rademacher", {"mu": [3.0, True]}, "config_invalid", "mu/1"),
+    # a matrix of numbers skips the per-row walk only when every row is clean
+    "geometry_bool_in_V_row": (
+        "rademacher",
+        {"variant": "rotated_union", "mu": DROP,
+         "components": [{"V": [[1.0, 0.0], [0.0, True]], "mu": [1.0, 2.0]}]},
+        "config_invalid", "components/0/V/1/1"),
+    "geometry_ragged_V": (
+        "rademacher",
+        {"variant": "rotated_union", "mu": DROP,
+         "components": [{"V": [[1.0, 0.0], [0.0]], "mu": [1.0, 2.0]}]},
+        "config_invalid", "components/0/V"),
 }
 
 
@@ -700,3 +711,27 @@ def test_malformed_input_structured_error(tmp_path, train_config, capsys, case):
     assert payload["code"] == code
     if field is not None:
         assert payload["field"] == field
+
+
+# id: (option, raw file bytes, code).  Each file fails while it is decoded,
+# before any table checks it.
+UNDECODABLE = {
+    "json_integer_of_5000_digits": (
+        "--geometry", b'{"variant": "ellipse", "p": 2, "mu": [' + b"1" * 5000 + b"]}",
+        "config_invalid"),
+    "json_nested_100000_deep": ("--config", b"[" * 100_000 + b"]" * 100_000, "config_invalid"),
+    "config_not_utf8": ("--config", b'{"schema_version": 1, "seed": "\xff"}', "config_invalid"),
+    "pointset_not_utf8": ("--pointset", b"x0,x1\n1.0,\xff\n", "invalid_parameter"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_undecodable_input_structured_error(tmp_path, capsys, case):
+    option, raw, code = UNDECODABLE[case]
+    path = tmp_path / "input"
+    path.write_bytes(raw)
+    command = "train" if option == "--config" else "rademacher"
+    exit_code, _, err = run_cli(command, option, str(path), "--out", str(tmp_path / "out"),
+                                capsys=capsys)
+    assert exit_code == 2
+    assert json.loads(err)["code"] == code

@@ -1,4 +1,4 @@
-"""Sensitivity estimators, deviation bounds, and the stochastic variance check."""
+"""Sensitivity estimators and the stochastic variance check."""
 
 from __future__ import annotations
 
@@ -22,10 +22,8 @@ from approx_sense import (
     apply_operator,
     empirical_sensitivity,
     expected_sensitivity,
-    fast_rate_deviation_bound,
     linear_hypothesis,
     predictions,
-    sensitivity_deviation_bound,
     true_sensitivity_mc,
     variance_condition_check,
 )
@@ -120,49 +118,6 @@ def test_true_sensitivity_deterministic_per_seed():
     a = true_sensitivity_mc(h, QUANT, task, 2, 500, 5)
     b = true_sensitivity_mc(h, QUANT, task, 2, 500, 5)
     assert a == b
-
-
-# ---------------------------------------------------------------------------
-# deviation bounds
-# ---------------------------------------------------------------------------
-
-
-def test_deviation_bound_formula():
-    bound = sensitivity_deviation_bound(0.0, 1.0, 50, 0.05)
-    assert bound.epsilon_u == pytest.approx(3.0 * math.sqrt(math.log(40.0) / 100.0), rel=1e-12)
-    assert bound.components["rademacher_term"] == 0.0
-
-
-def test_deviation_bound_large_m_limit():
-    bound = sensitivity_deviation_bound(0.1, 1.0, 10**12, 0.05)
-    assert bound.epsilon_u == pytest.approx(0.2, abs=1e-5)
-
-
-def test_deviation_bound_rejects_bad_delta():
-    with pytest.raises(InvalidParameterError):
-        sensitivity_deviation_bound(0.0, 1.0, 50, 2.0)
-
-
-def test_fast_rate_formula():
-    bound = fast_rate_deviation_bound(0.05, 0.1, 1.0, 100, 0.1)
-    expected = (
-        0.3 + 0.1 * math.sqrt(2.0 * math.log(10.0) / 100.0) + 6.0 * math.log(10.0) / 100.0
-    )
-    assert bound.epsilon_u == pytest.approx(expected, rel=1e-12)
-    assert set(bound.components) == {"rademacher_term", "variance_term", "fast_rate_term"}
-
-
-def test_fast_rate_t_zero_drops_variance_term():
-    bound = fast_rate_deviation_bound(0.05, 0.0, 1.0, 100, 0.1)
-    assert bound.components["variance_term"] == 0.0
-    assert bound.epsilon_u == pytest.approx(0.3 + 6.0 * math.log(10.0) / 100.0, rel=1e-12)
-
-
-def test_fast_rate_decays_like_one_over_m():
-    # with rad = 0 and t = 0 the bound is exactly 6 C ln(1/delta) / m
-    b1 = fast_rate_deviation_bound(0.0, 0.0, 1.0, 100, 0.1).epsilon_u
-    b2 = fast_rate_deviation_bound(0.0, 0.0, 1.0, 200, 0.1).epsilon_u
-    assert b1 == pytest.approx(2.0 * b2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Coverage-suite internals: the exact truths the suites compare with agree with
-the Monte Carlo references, and prop3's regulariser is the true sensitivity."""
+the Monte Carlo references, prop3's regulariser is the true sensitivity, and
+each coverage suite fails when its bound calculator is too small."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from approx_sense import (
+    BoundReport,
     IsotropicGaussian,
     LossSpec,
     SyntheticTask,
@@ -19,10 +21,12 @@ from approx_sense import (
     true_error_mc,
     true_sensitivity_mc,
 )
+from approx_sense import validation
 from approx_sense.validation import (
     _gaussian_clipped_error,
     _LinearTrialContext,
     _uniform_box_abs_mean,
+    run_suite,
 )
 
 N_MC = 200_000
@@ -108,3 +112,24 @@ def test_prop3_regulariser_is_true_sensitivity():
         got = [analytic_sensitivity_upper(linear_hypothesis(w), ctx.op, budget).value for w in cands]
         want = ctx.true_d1(cands - ctx.op.transform_weights(cands))
         assert np.all(np.abs(np.array(got) - want) <= 4 * np.spacing(want))
+
+
+# suite -> the bounds calculator its right-hand side comes from, and a value
+# that every trial violates (prop4's left-hand side is always 0)
+SUITE_RHS = {
+    "lemma1": ("sensitivity_deviation_bound", 0.0),
+    "prop10": ("fast_rate_deviation_bound", 0.0),
+    "prop2": ("joint_bounds", 0.0),
+    "prop3": ("regularized_bound", 0.0),
+    "prop4": ("lambda_equivalence_bound", -1.0),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_RHS))
+def test_suite_fails_when_its_bound_is_too_small(monkeypatch, suite):
+    name, value = SUITE_RHS[suite]
+    report = BoundReport(name, value, (("constant", value),), 0.05, True, "")
+    # joint_bounds returns its three reports at once
+    result = (report,) * 3 if name == "joint_bounds" else report
+    monkeypatch.setattr(validation, name, lambda *args, **kwargs: result)
+    assert not run_suite(suite, trials=5, seed=0).passed
