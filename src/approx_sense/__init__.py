@@ -51,7 +51,6 @@ from .radgeom import (
     SensitivityPointSet,
     cluster_bound,
     crude_bounds,
-    ellipse_rademacher,
     exact_rademacher_pointset,
     exact_rademacher_rows,
     exact_rademacher_support,
@@ -61,7 +60,6 @@ from .radgeom import (
     operator_norm_lower_estimate,
     positive_orthant_ball_sup,
     rotated_union_bound,
-    union_ellipse_bound,
 )
 from .learners import (
     AnalyticSensitivity,

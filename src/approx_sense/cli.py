@@ -95,13 +95,15 @@ class Field:
 @dataclass(frozen=True)
 class Section:
     """A JSON object: its fields (a Field or a nested Section each), the keys
-    every config needs, and for a section keyed by ``key`` the keys each
-    kind needs.  The kinds are the allowed values of ``key``."""
+    every config needs, and for a section keyed by ``key`` the keys each kind
+    needs and, if ``reads`` is set, the optional keys each kind reads (any
+    other key is rejected).  The kinds are the allowed values of ``key``."""
 
     fields: dict
     required: tuple = ()
     key: str | None = None
     kinds: dict | None = None
+    reads: dict | None = None
 
 
 _NUM, _STR = Field("number"), Field("string")
@@ -113,10 +115,13 @@ _CENTERS = Field("array", items=Field("number|array", items=_NUM), min_items=1)
 _FEATURE_MAP = Section(
     {"input_dim": _COUNT, "degree": _COUNT, "centers": _CENTERS, "width": _POSITIVE},
     key="kind", kinds={"identity": (), "polynomial": ("degree",), "rbf": ("centers", "width")},
+    reads={"identity": ("input_dim",), "polynomial": ("input_dim",), "rbf": ()},
 )
 _INPUT_LAW = Section(
     {"halfwidth": _POSITIVE, "sd": _POSITIVE, "centers": _CENTERS}, key="kind",
     kinds={"uniform_box": (), "isotropic_gaussian": (), "gaussian_mixture": ("centers",)},
+    reads={"uniform_box": ("halfwidth",), "isotropic_gaussian": ("sd",),
+           "gaussian_mixture": ("sd",)},
 )
 _TASK = Section(
     {"teacher_weights": _LIST, "feature_map": _FEATURE_MAP,
@@ -128,6 +133,7 @@ _OPERATOR = Section(
     {"step": _POSITIVE, "clamp": _POSITIVE, "keep": _UINT}, key="kind",
     kinds={"uniform_quantizer": ("step", "clamp"), "magnitude_pruner": ("keep",),
            "stochastic_rounder": ("step", "clamp")},
+    reads=dict.fromkeys(("uniform_quantizer", "magnitude_pruner", "stochastic_rounder"), ()),
 )
 _LOSS = Section({"lipschitz": _POSITIVE}, key="kind",
                 kinds=dict.fromkeys(("clipped_absolute", "clipped_hinge", "clipped_squared"), ()))
@@ -143,11 +149,15 @@ _LEARNER = Section(
      "lambdas": Field("array", items=_NONNEG), "weights": Field("array", items=_POSITIVE),
      "thresholds": Field("array", items=_POSITIVE), "epsilon_u": _NONNEG,
      "sensitivity": Field("string", enum=("empirical", "analytic")),
-     "input_norm_budget": _NONNEG, "rho": _NONNEG, "n_sigma": _COUNT, "domain": _DOMAIN},
+     "input_norm_budget": _NONNEG, "n_sigma": _COUNT, "domain": _DOMAIN},
     required=("domain",), key="algorithm",
     kinds={"constrained_erm": ("t",), "srm": ("thresholds",), "sensitivity_regularized_erm": (),
            "lambda_erm": ("lambda",), "analytic_lambda_erm": ("lambda",),
            "lambda_grid_srm": ("lambdas", "weights")},
+    reads={"constrained_erm": ("p",), "srm": ("weights", "epsilon_u", "n_sigma", "p"),
+           "sensitivity_regularized_erm": ("sensitivity", "p", "input_norm_budget"),
+           "lambda_erm": ("p",), "analytic_lambda_erm": ("input_norm_budget",),
+           "lambda_grid_srm": ("p",)},
 )
 _TOP = {"schema_version": Field("integer", enum=(SCHEMA_VERSION,)), "seed": _UINT}
 TRAIN = Section(dict(_TOP, task=_TASK, operator=_OPERATOR, loss=_LOSS, learner=_LEARNER),
@@ -219,6 +229,11 @@ def _check(value, spec: Field | Section, path: tuple = ()) -> None:
         for key in required:
             if key not in value:
                 _fail((*path, key), "required key is missing")
+        if spec.reads is not None:  # the kind is present and valid here
+            kind = value[spec.key]
+            for key in value:
+                if key not in required and key not in spec.reads[kind]:
+                    _fail((*path, key), f"not read by {spec.key} {kind!r}")
         return
     # a bool is an int in Python but not a JSON number; 7.0 is not an integer
     types = spec.type.split("|")
@@ -430,10 +445,8 @@ def cmd_train(args) -> int:
             sensitivity = EmpiricalSensitivity(need_unlabelled(), p)
         else:
             sensitivity = AnalyticSensitivity(lcfg.get("input_norm_budget", 1.0))
-        if algorithm == "sensitivity_regularized_erm":
-            coef = lcfg.get("rho", loss.lipschitz)
-        else:
-            coef = lcfg["lambda"]
+        # sensitivity_regularized_erm is lambda = rho, the loss's Lipschitz constant
+        coef = loss.lipschitz if algorithm == "sensitivity_regularized_erm" else lcfg["lambda"]
         output = lambda_erm(labelled, op, coef, sensitivity, loss, domain, feature_map=fmap)
 
     payload = {

@@ -38,14 +38,14 @@ def _as_matrix(values, name: str) -> np.ndarray:
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, inverse): the distinct rows of a 2-d array with at least one
     column, in order of first occurrence, and for each row of ``a`` the index
-    of its distinct row, so ``rows[inverse]`` equals ``a``.
+    of its distinct row, so ``rows[inverse]`` equals ``a`` up to signs of zeros.
 
-    Rows compare by their bytes (so -0.0 and 0.0 differ): each row is viewed
-    as one np.void item and sorted by a 1-d np.unique, which on small blocks
-    is several times faster than np.unique(axis=0).
+    Rows compare by the bytes of ``a + 0.0``, so -0.0 and 0.0 are one value:
+    each row is viewed as one np.void item and sorted by a 1-d np.unique,
+    which on small blocks is several times faster than np.unique(axis=0).
     """
-    a = np.ascontiguousarray(a)
-    keys = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).reshape(-1)
+    b = np.ascontiguousarray(a + 0.0)
+    keys = b.view(np.dtype((np.void, b.itemsize * b.shape[1]))).reshape(-1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)

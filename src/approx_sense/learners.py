@@ -363,9 +363,9 @@ class _Workspace:
 
     def approx_emp_error(self, w: np.ndarray) -> float:
         # memoised per Q(w): tied candidates of a piecewise-constant
-        # objective share one evaluation
+        # objective share one evaluation (-0.0 and 0.0 are one key)
         qw = self.op.transform_weights(w)
-        key = qw.tobytes()
+        key = (qw + 0.0).tobytes()
         cached = self._emp_cache.get(key)
         if cached is None:
             cached = self._emp_cache[key] = self.emp_error(qw)

@@ -76,10 +76,6 @@ class SensitivityPointSet:
         object.__setattr__(self, "points", pts)
 
     @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
     def m(self) -> int:
         return self.points.shape[1]
 
@@ -261,23 +257,6 @@ def _check_rotation(V: np.ndarray, m: int) -> np.ndarray:
     return V
 
 
-def ellipse_rademacher(mu, p: float, m: int) -> RadEstimate:
-    """Exact complexity of an axis-aligned p-ellipse: dual norm of mu over m."""
-    mu = _check_mu(mu, m)
-    return RadEstimate(value=dual_norm(mu, p) / m, method="closed_form", m=m)
-
-
-def union_ellipse_bound(mus, p: float, m: int) -> RadEstimate:
-    """Largest member dual norm over m; independent of how many ellipses unite.
-
-    For axis-aligned unions this value is exact, not just an upper bound.
-    """
-    if not len(mus):
-        raise InvalidParameterError("need at least one ellipse")
-    vals = [dual_norm(_check_mu(mu, m), p) for mu in mus]
-    return RadEstimate(value=max(vals) / m, method="closed_form", m=m)
-
-
 def _rotated_component_norm(V: np.ndarray, mu: np.ndarray, p: float, m: int) -> tuple[float, bool]:
     """Return (operator-norm value, exact flag) for one rotated ellipse.
 
@@ -296,7 +275,8 @@ def rotated_union_bound(components, p: float, m: int) -> RadEstimate:
     """Upper bound (1/m) max_i N_i for a union of rotated p-ellipses.
 
     N_i is the exact p->1 operator norm of V_i Lambda_i when available
-    (V_i = I or p = 1) and its certified over-estimate otherwise.
+    (V_i = I or p = 1) and its certified over-estimate otherwise.  With every
+    V_i = I it is the exact complexity of an axis-aligned union or p-ellipse.
     """
     if not len(components):
         raise InvalidParameterError("need at least one component")
@@ -454,10 +434,10 @@ class GeometryModel:
                 m=0,
                 note=f"crude sandwich lower bound {format(lower, '.17g')}",
             )
-        if self.variant == "ellipse":
-            return ellipse_rademacher(self.mu, p, len(self.mu))
-        if self.variant == "axis_union":
-            return union_ellipse_bound(self.mus, p, len(self.mus[0]))
+        if self.variant in ("ellipse", "axis_union"):
+            mus = [self.mu] if self.variant == "ellipse" else self.mus
+            m = len(mus[0])
+            return rotated_union_bound([(np.eye(m), mu) for mu in mus], p, m)
         if self.variant == "rotated_union":
             comps = [(c["V"], c["mu"]) for c in self.components]
             return rotated_union_bound(comps, p, len(comps[0][1]))

@@ -38,14 +38,12 @@ from .radgeom import (
     cluster_bound,
     crude_bounds,
     dual_norm,
-    ellipse_rademacher,
     exact_rademacher_rows,
     exact_rademacher_support,
     kernel_sensitivity_class_bound,
     mc_rademacher_rows,
     positive_orthant_ball_sup,
     rotated_union_bound,
-    union_ellipse_bound,
 )
 from .bounds import (
     fast_rate_deviation_bound,
@@ -151,21 +149,30 @@ def _random_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
 # Exactness suites for the closed forms
 # ---------------------------------------------------------------------------
 
+_EXPONENTS = (1.0, 1.5, 2.0, 3.0)  # the p that the geometry suites draw
+
+
+def _axis_union_trial(mus: list, p: float, m: int):
+    """(ok, slack): sign enumeration with the union's support value, the
+    largest member dual norm, must reproduce the closed form to 1e-9."""
+
+    def support(sig_block: np.ndarray) -> np.ndarray:
+        return np.max(np.stack([dual_norm(sig_block * mu, p) for mu in mus]), axis=0)
+
+    enum = exact_rademacher_support(support, m)
+    closed = rotated_union_bound([(np.eye(m), mu) for mu in mus], p, m).value
+    gap = abs(enum - closed)
+    return gap <= 1e-9, 1e-9 - gap
+
 
 def suite_ellipse_exact(trials: int = 100, seed: int = 0, threads: int = 1) -> CoverageReport:
-    """Sign-pattern enumeration with analytic support values must reproduce
-    the closed-form ellipse complexity to 1e-9."""
-    p_choices = (1.0, 1.5, 2.0, 3.0)
+    """One p-ellipse: enumeration equals the closed-form complexity."""
 
     def one(i: int):
         rng = derived_rng(seed, 20, i)
         m = int(rng.integers(2, 13))
-        p = p_choices[rng.integers(len(p_choices))]
-        mu = rng.uniform(0.1, 3.0, size=m)
-        enum = exact_rademacher_support(lambda sig: dual_norm(sig * mu, p), m)
-        closed = ellipse_rademacher(mu, p, m).value
-        gap = abs(enum - closed)
-        return gap <= 1e-9, 1e-9 - gap
+        p = _EXPONENTS[rng.integers(len(_EXPONENTS))]
+        return _axis_union_trial([rng.uniform(0.1, 3.0, size=m)], p, m)
 
     results = _run_trials(trials, one, threads)
     return _report("ellipse_exact", results, 1.0, 1.0, seed)
@@ -173,24 +180,13 @@ def suite_ellipse_exact(trials: int = 100, seed: int = 0, threads: int = 1) -> C
 
 def suite_union_exact(trials: int = 100, seed: int = 0, threads: int = 1) -> CoverageReport:
     """Axis-aligned unions: enumeration equals the max-member closed form."""
-    p_choices = (1.0, 1.5, 2.0, 3.0)
 
     def one(i: int):
         rng = derived_rng(seed, 21, i)
         m = int(rng.integers(2, 13))
-        p = p_choices[rng.integers(len(p_choices))]
+        p = _EXPONENTS[rng.integers(len(_EXPONENTS))]
         n_ellipses = int(rng.integers(1, 6))
-        mus = [rng.uniform(0.1, 3.0, size=m) for _ in range(n_ellipses)]
-
-        def support(sig_block: np.ndarray) -> np.ndarray:
-            return np.max(
-                np.stack([dual_norm(sig_block * mu, p) for mu in mus]), axis=0
-            )
-
-        enum = exact_rademacher_support(support, m)
-        closed = union_ellipse_bound(mus, p, m).value
-        gap = abs(enum - closed)
-        return gap <= 1e-9, 1e-9 - gap
+        return _axis_union_trial([rng.uniform(0.1, 3.0, size=m) for _ in range(n_ellipses)], p, m)
 
     results = _run_trials(trials, one, threads)
     return _report("union_exact", results, 1.0, 1.0, seed)
@@ -218,12 +214,11 @@ def suite_crude_sandwich(trials: int = 50, seed: int = 0, threads: int = 1) -> C
 def suite_cluster_dominance(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageReport:
     """Finite point sets drawn inside a clustered model never beat the
     cluster bound; zero-center models must reduce to the union value exactly."""
-    p_choices = (1.0, 1.5, 2.0, 3.0)
 
     def one(i: int):
         rng = derived_rng(seed, 23, i)
         m = int(rng.integers(3, 9))
-        p = p_choices[rng.integers(len(p_choices))]
+        p = _EXPONENTS[rng.integers(len(_EXPONENTS))]
         n_clusters = int(rng.integers(1, 5))
         comps = []
         for _ in range(n_clusters):

@@ -16,9 +16,7 @@ from approx_sense.radgeom import (
     RadEstimate,
     cluster_bound,
     crude_bounds,
-    ellipse_rademacher,
     rotated_union_bound,
-    union_ellipse_bound,
 )
 
 
@@ -264,9 +262,11 @@ def test_geometry_files_match_direct_closed_forms(tmp_path):
     cases = {
         "pball": ({"p": 2, "radius": 3}, RadEstimate(
             upper, "certified_upper", 0, note=f"crude sandwich lower bound {lower:.17g}")),
-        "ellipse": ({"p": 1, "mu": [3, 4]}, ellipse_rademacher([3.0, 4.0], 1.0, 2)),
+        "ellipse": ({"p": 1, "mu": [3, 4]},
+                    rotated_union_bound([(np.eye(2), [3.0, 4.0])], 1.0, 2)),
         "axis_union": ({"p": 1.5, "mus": [[1.0, 2.0], [2.0, 0.5]]},
-                       union_ellipse_bound([[1.0, 2.0], [2.0, 0.5]], 1.5, 2)),
+                       rotated_union_bound([(np.eye(2), [1.0, 2.0]), (np.eye(2), [2.0, 0.5])],
+                                           1.5, 2)),
         "rotated_union": ({"p": 3, "components": [{"V": V, "mu": [2.0, 1.0]}]},
                           rotated_union_bound([(np.array(V), [2.0, 1.0])], 3.0, 2)),
         "clustered": ({"p": 2, "components": clusters},
@@ -621,6 +621,21 @@ MALFORMED = {
     "bad_enum": ("train", {"learner/domain/mode": "spiral"}, "config_invalid",
                  "learner/domain/mode"),
     "schema_version_2": ("train", {"schema_version": 2}, "config_invalid", "schema_version"),
+    # a key that the selected kind does not read
+    "lambda_erm_with_sensitivity": ("train", {"learner/sensitivity": "analytic"},
+                                    "config_invalid", "learner/sensitivity"),
+    "analytic_lambda_erm_with_p": ("train", {"learner/algorithm": "analytic_lambda_erm",
+                                             "learner/p": 2.0}, "config_invalid", "learner/p"),
+    "constrained_erm_with_lambda": ("train", {"learner/algorithm": "constrained_erm",
+                                              "learner/t": 0.2}, "config_invalid",
+                                    "learner/lambda"),
+    "uniform_box_with_sd": ("train", {"task/input_law/sd": 0.5}, "config_invalid",
+                            "task/input_law/sd"),
+    "pruner_with_step": ("train", {"operator": {"kind": "magnitude_pruner", "keep": 1,
+                                                "step": 0.5}}, "config_invalid", "operator/step"),
+    "learner_rho": ("train", {"learner/algorithm": "sensitivity_regularized_erm",
+                              "learner/lambda": DROP, "learner/rho": 0.5}, "config_invalid",
+                    "learner/rho"),
     "unknown_bound_param": ("bound", {"params/epsilon_U": 0.01}, "config_invalid",
                             "params/epsilon_U"),
     "srm_selection_negative_complexity": (

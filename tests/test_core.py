@@ -217,18 +217,21 @@ def test_distinct_rows_first_occurrence_and_inverse(a, layout):
     assert rows[inverse].tobytes() == a.tobytes()
 
 
-def test_distinct_rows_keeps_signed_zeros_apart():
-    # rows compare by bytes, so -0.0 and 0.0 stay two rows where
-    # np.unique(axis=0) merges them; both give the same predictions and
-    # losses, so a screen that scores each distinct row still scores both alike
-    a = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+def test_distinct_rows_merges_signed_zeros():
+    # rows that differ only in the sign of a zero are one row, as in
+    # np.unique(axis=0); the first occurrence's bytes stand for it
+    a = np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 2.0]])
     rows, inverse = _distinct_rows(a)
-    assert rows.tobytes() == a[:2].tobytes()
-    assert inverse.tolist() == [0, 1, 0]
-    assert len(np.unique(a, axis=0)) == 1
-    x = np.random.default_rng(3).normal(size=(9, 2))
-    preds = x @ rows.T
-    assert np.array_equal(preds[:, 0], preds[:, 1])
+    assert rows.tobytes() == a[[0, 3]].tobytes()
+    assert inverse.tolist() == [0, 0, 0, 1]
+    assert len(rows) == len(np.unique(a, axis=0))
+    # the quantiser writes -0.0 where a negative weight rounds to zero, and a
+    # 21-point axis at step 0.5 still has one Q(w) per lattice point: 5 x 5
+    axis = np.linspace(-1.0, 1.0, 21)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    q = UniformQuantizer(step=0.5, clamp=1.0).transform_weights(grid)
+    assert np.signbit(q[q == 0.0]).any()
+    assert len(_distinct_rows(q)[0]) == 25
 
 
 # ---------------------------------------------------------------------------

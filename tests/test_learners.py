@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from approx_sense import (
     AnalyticSensitivity,
     EmpiricalSensitivity,
+    IdentityMap,
     InfeasibleThresholdError,
     InvalidParameterError,
     IsotropicGaussian,
@@ -42,7 +43,7 @@ from approx_sense import (
     true_error_mc,
     true_sensitivity_mc,
 )
-from approx_sense.learners import _search
+from approx_sense.learners import _Workspace, _search
 from approx_sense.radgeom import mc_rademacher_rows
 
 OP = UniformQuantizer(step=0.5, clamp=1.0)
@@ -334,6 +335,20 @@ def test_restricted_rad_estimator_is_thread_independent():
 # ---------------------------------------------------------------------------
 # regularised learners
 # ---------------------------------------------------------------------------
+
+
+def test_emp_cache_keys_signed_zeros_as_one():
+    # Q(-0.1) is -0.0 and Q(0.1) is 0.0: one Q(w), so one cached loss evaluation
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.0, 1.0, size=(20, 2))
+    labelled = LabelledSample(inputs=x, targets=x @ np.array([0.4, -0.3]))
+    op = UniformQuantizer(step=0.5, clamp=1.0)
+    ws = _Workspace(op, LossSpec(kind="clipped_absolute", lipschitz=1.0), IdentityMap(2),
+                    labelled, None, 1.0, SearchDomain(dim=2, halfwidth=1.0))
+    assert np.signbit(op.transform_weights(np.array([-0.1, 0.5]))[0])
+    first = ws.approx_emp_error(np.array([-0.1, 0.5]))
+    assert ws.approx_emp_error(np.array([0.1, 0.5])) == first
+    assert len(ws._emp_cache) == 1
 
 
 def test_sensitivity_regularized_rho_zero_is_plain_approx_erm():

@@ -22,7 +22,6 @@ from approx_sense import (
     UniformQuantizer,
     cluster_bound,
     crude_bounds,
-    ellipse_rademacher,
     exact_rademacher_pointset,
     exact_rademacher_rows,
     exact_rademacher_support,
@@ -32,7 +31,6 @@ from approx_sense import (
     operator_norm_lower_estimate,
     positive_orthant_ball_sup,
     rotated_union_bound,
-    union_ellipse_bound,
 )
 from approx_sense.radgeom import _rotated_component_norm, dual_norm
 
@@ -45,6 +43,12 @@ def brute_force_rademacher(rows: np.ndarray) -> float:
     for signs in itertools.product((-1.0, 1.0), repeat=m):
         total += max(float(np.dot(signs, row)) for row in rows)
     return total / 2**m / m
+
+
+def axis_union(mus, p: float, m: int) -> RadEstimate:
+    """The closed form of an axis-aligned union of p-ellipses (one member: a
+    single ellipse), as the package computes it: identity rotations."""
+    return rotated_union_bound([(np.eye(m), mu) for mu in mus], p, m)
 
 
 def reference_sign_block(start: int, stop: int, m: int) -> np.ndarray:
@@ -308,9 +312,10 @@ def test_mc_value_is_that_of_the_c_contiguous_copy():
 
 
 def test_ellipse_closed_form_examples():
-    assert ellipse_rademacher([3.0, 4.0], 2, 2).value == pytest.approx(2.5, rel=1e-15)
-    assert ellipse_rademacher([1.0, 1.0, 1.0, 1.0], 2, 4).value == pytest.approx(0.5, rel=1e-15)
-    assert ellipse_rademacher([3.0, 4.0], 1, 2).value == pytest.approx(2.0, rel=1e-15)
+    assert axis_union([[3.0, 4.0]], 2, 2).value == pytest.approx(2.5, rel=1e-15)
+    assert axis_union([[1.0, 1.0, 1.0, 1.0]], 2, 4).value == pytest.approx(0.5, rel=1e-15)
+    assert axis_union([[3.0, 4.0]], 1, 2).value == pytest.approx(2.0, rel=1e-15)
+    assert axis_union([[3.0, 4.0]], 1, 2).method == "closed_form"
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -329,24 +334,27 @@ def test_dual_norm_values():
 
 def test_ellipse_rejects_nonpositive_mu():
     with pytest.raises(InvalidParameterError):
-        ellipse_rademacher([1.0, 0.0], 2, 2)
+        axis_union([[1.0, 0.0]], 2, 2)
 
 
 def test_union_reduces_to_single_ellipse():
     mu = np.array([0.7, 1.3, 2.1])
-    assert union_ellipse_bound([mu], 1.5, 3).value == ellipse_rademacher(mu, 1.5, 3).value
+    assert axis_union([mu], 1.5, 3).value == dual_norm(mu, 1.5) / 3
+    assert axis_union([mu, mu], 1.5, 3).value == axis_union([mu], 1.5, 3).value
 
 
 def test_union_arithmetic_and_dominated_member():
-    vals = union_ellipse_bound([[3.0, 4.0], [5.0, 1.0]], 2, 2)
+    vals = axis_union([[3.0, 4.0], [5.0, 1.0]], 2, 2)
     assert vals.value == pytest.approx(math.sqrt(26.0) / 2.0, rel=1e-15)
-    with_dominated = union_ellipse_bound([[3.0, 4.0], [5.0, 1.0], [0.1, 0.1]], 2, 2)
+    with_dominated = axis_union([[3.0, 4.0], [5.0, 1.0], [0.1, 0.1]], 2, 2)
     assert with_dominated.value == vals.value
 
 
 def test_union_empty_rejected():
     with pytest.raises(InvalidParameterError):
-        union_ellipse_bound([], 2, 2)
+        axis_union([], 2, 2)
+    with pytest.raises(InvalidParameterError):  # members of different lengths
+        axis_union([[1.0, 2.0], [1.0, 2.0, 3.0]], 2, 2)
 
 
 def test_monotone_in_semi_axes():
@@ -358,11 +366,8 @@ def test_monotone_in_semi_axes():
         bigger = mu.copy()
         k = rng.integers(m)
         bigger[k] += rng.uniform(0.1, 1.0)
-        assert ellipse_rademacher(bigger, p, m).value >= ellipse_rademacher(mu, p, m).value
-        assert (
-            union_ellipse_bound([bigger, mu], p, m).value
-            >= union_ellipse_bound([mu, mu], p, m).value
-        )
+        assert axis_union([bigger], p, m).value >= axis_union([mu], p, m).value
+        assert axis_union([bigger, mu], p, m).value >= axis_union([mu, mu], p, m).value
         V = np.eye(m)
         c = rng.uniform(0, 1, size=m)
         assert (
@@ -383,7 +388,8 @@ def test_rotated_identity_reduces_to_union():
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         mus = [rng.uniform(0.2, 2.0, size=m) for _ in range(rng.integers(1, 4))]
         rotated = rotated_union_bound([(np.eye(m), mu) for mu in mus], p, m)
-        assert rotated.value == union_ellipse_bound(mus, p, m).value
+        # column 1-norms of I are exactly 1, so the value is the max member dual norm
+        assert rotated.value == max(dual_norm(mu, p) for mu in mus) / m
         assert rotated.method == "closed_form"
 
 
@@ -468,7 +474,7 @@ def test_operator_norm_half_enumeration_equals_full(p):
 def test_cluster_single_centered_reduces_to_ellipse():
     mu = np.array([0.9, 1.4])
     est = cluster_bound([(np.zeros(2), np.eye(2), mu)], 2, 2)
-    assert est.value == ellipse_rademacher(mu, 2, 2).value
+    assert est.value == axis_union([mu], 2, 2).value == dual_norm(mu, 2) / 2
 
 
 def test_cluster_arithmetic_example():

@@ -7,8 +7,11 @@
 ``perfbench/workloads.py`` under OUT/../cmp_inputs.  Give both runs OUT
 directories with the same parent, so that they read the same input paths:
 outputs that record one, such as the provenance of sensitivity_empirical,
-differ otherwise.  It calls CHECKOUT's ``approx_sense.cli.main`` once per op
-with a fresh ``--out`` directory, and records the exit codes.  ``diff`` compares
+differ otherwise.  The pseudo-workload ``suites`` is not a benchmark
+workload: for each seed it runs ``validate --suite NAME --seed SEED`` for
+every suite in CHECKOUT's ``SUITES``, each at its default trial count.  It
+calls CHECKOUT's ``approx_sense.cli.main`` once per op with a fresh
+``--out`` directory, and records the exit codes.  ``diff`` compares
 every output file byte for byte and exits 1 on any difference; for a JSON
 file that differs it prints the first differing key path and both values,
 floats in hex, so a change in the last bit shows as one.  Run ``run``
@@ -24,7 +27,7 @@ import os
 import sys
 from pathlib import Path
 
-DEFAULT_WORKLOADS = ("train_grid", "train_descent", "validate_coverage", "oracles")
+DEFAULT_WORKLOADS = ("train_grid", "train_descent", "validate_coverage", "oracles", "suites")
 MISSING = object()  # a key that one of two JSON objects lacks
 
 
@@ -33,14 +36,20 @@ def run(checkout: Path, out: Path, workloads, seeds) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads as wl
     from approx_sense.cli import main
+    from approx_sense.validation import SUITES
 
     codes = {}
     for workload in workloads:
         for seed in seeds:
-            inputs = out.parent / "cmp_inputs" / f"{workload}_{seed}"
-            for op in wl.build(workload, seed, inputs):
-                key = f"{workload}/{seed}/{op.name}"
-                codes[key] = main(list(op.argv) + ["--out", str(out / "outputs" / key)])
+            if workload == "suites":
+                ops = [(name, ["validate", "--suite", name, "--seed", str(seed)])
+                       for name in SUITES]
+            else:
+                inputs = out.parent / "cmp_inputs" / f"{workload}_{seed}"
+                ops = [(op.name, list(op.argv)) for op in wl.build(workload, seed, inputs)]
+            for name, argv in ops:
+                key = f"{workload}/{seed}/{name}"
+                codes[key] = main(argv + ["--out", str(out / "outputs" / key)])
     (out / "codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True))
 
 
