@@ -94,16 +94,15 @@ class Field:
 
 @dataclass(frozen=True)
 class Section:
-    """A JSON object: its fields (a Field or a nested Section each), the keys
-    every config needs, and for a section keyed by ``key`` the keys each kind
-    needs and, if ``reads`` is set, the optional keys each kind reads (any
-    other key is rejected).  The kinds are the allowed values of ``key``."""
+    """A JSON object: its fields (a Field or a nested Section each) and the
+    keys every config needs.  A section keyed by ``key`` maps each kind (an
+    allowed value of ``key``) to (the keys it needs, the optional keys it
+    reads); any other key is rejected for that kind."""
 
     fields: dict
     required: tuple = ()
     key: str | None = None
     kinds: dict | None = None
-    reads: dict | None = None
 
 
 _NUM, _STR = Field("number"), Field("string")
@@ -113,30 +112,31 @@ _LIST = Field("array", items=_NUM, min_items=1)
 _CENTERS = Field("array", items=Field("number|array", items=_NUM), min_items=1)
 
 _FEATURE_MAP = Section(
-    {"input_dim": _COUNT, "degree": _COUNT, "centers": _CENTERS, "width": _POSITIVE},
-    key="kind", kinds={"identity": (), "polynomial": ("degree",), "rbf": ("centers", "width")},
-    reads={"identity": ("input_dim",), "polynomial": ("input_dim",), "rbf": ()},
+    {"input_dim": _COUNT, "degree": _COUNT, "centers": _CENTERS, "width": _POSITIVE}, key="kind",
+    kinds={"identity": ((), ("input_dim",)), "polynomial": (("degree",), ("input_dim",)),
+           "rbf": (("centers", "width"), ())},
 )
 _INPUT_LAW = Section(
     {"halfwidth": _POSITIVE, "sd": _POSITIVE, "centers": _CENTERS}, key="kind",
-    kinds={"uniform_box": (), "isotropic_gaussian": (), "gaussian_mixture": ("centers",)},
-    reads={"uniform_box": ("halfwidth",), "isotropic_gaussian": ("sd",),
-           "gaussian_mixture": ("sd",)},
+    kinds={"uniform_box": ((), ("halfwidth",)), "isotropic_gaussian": ((), ("sd",)),
+           "gaussian_mixture": (("centers",), ("sd",))},
 )
 _TASK = Section(
     {"teacher_weights": _LIST, "feature_map": _FEATURE_MAP,
      "input_law": _INPUT_LAW, "label_noise_sd": _NONNEG, "m_labelled": _COUNT,
-     "m_unlabelled": _COUNT, "labelled_path": _STR, "unlabelled_path": _STR},
-    key="kind", kinds={"synthetic": ("teacher_weights",), "csv": ("labelled_path",)},
+     "m_unlabelled": _COUNT, "labelled_path": _STR, "unlabelled_path": _STR}, key="kind",
+    kinds={"synthetic": (("teacher_weights",), ("feature_map", "input_law", "label_noise_sd",
+                                                "m_labelled", "m_unlabelled")),
+           "csv": (("labelled_path",), ("unlabelled_path", "feature_map"))},
 )
 _OPERATOR = Section(
     {"step": _POSITIVE, "clamp": _POSITIVE, "keep": _UINT}, key="kind",
-    kinds={"uniform_quantizer": ("step", "clamp"), "magnitude_pruner": ("keep",),
-           "stochastic_rounder": ("step", "clamp")},
-    reads=dict.fromkeys(("uniform_quantizer", "magnitude_pruner", "stochastic_rounder"), ()),
+    kinds={"uniform_quantizer": (("step", "clamp"), ()), "magnitude_pruner": (("keep",), ()),
+           "stochastic_rounder": (("step", "clamp"), ())},
 )
 _LOSS = Section({"lipschitz": _POSITIVE}, key="kind",
-                kinds=dict.fromkeys(("clipped_absolute", "clipped_hinge", "clipped_squared"), ()))
+                kinds=dict.fromkeys(("clipped_absolute", "clipped_hinge", "clipped_squared"),
+                                    ((), ("lipschitz",))))
 _DOMAIN = Section(
     {"dim": _COUNT, "halfwidth": _POSITIVE,
      "mode": Field("string", enum=("grid", "random", "coordinate_descent")),
@@ -151,28 +151,30 @@ _LEARNER = Section(
      "sensitivity": Field("string", enum=("empirical", "analytic")),
      "input_norm_budget": _NONNEG, "n_sigma": _COUNT, "domain": _DOMAIN},
     required=("domain",), key="algorithm",
-    kinds={"constrained_erm": ("t",), "srm": ("thresholds",), "sensitivity_regularized_erm": (),
-           "lambda_erm": ("lambda",), "analytic_lambda_erm": ("lambda",),
-           "lambda_grid_srm": ("lambdas", "weights")},
-    reads={"constrained_erm": ("p",), "srm": ("weights", "epsilon_u", "n_sigma", "p"),
-           "sensitivity_regularized_erm": ("sensitivity", "p", "input_norm_budget"),
-           "lambda_erm": ("p",), "analytic_lambda_erm": ("input_norm_budget",),
-           "lambda_grid_srm": ("p",)},
+    kinds={"constrained_erm": (("t",), ("p",)),
+           "srm": (("thresholds",), ("weights", "epsilon_u", "n_sigma", "p")),
+           "sensitivity_regularized_erm": ((), ("sensitivity", "p", "input_norm_budget")),
+           "lambda_erm": (("lambda",), ("p",)),
+           "analytic_lambda_erm": (("lambda",), ("input_norm_budget",)),
+           "lambda_grid_srm": (("lambdas", "weights"), ("p",))},
 )
 _TOP = {"schema_version": Field("integer", enum=(SCHEMA_VERSION,)), "seed": _UINT}
 TRAIN = Section(dict(_TOP, task=_TASK, operator=_OPERATOR, loss=_LOSS, learner=_LEARNER),
                 required=("schema_version", "seed", "task", "operator", "loss", "learner"))
 GENERATE = Section(
-    dict(_TOP, task=replace(_TASK, kinds={"synthetic": ("teacher_weights",)}), m=_COUNT,
-         labelled=Field("boolean")),
+    dict(_TOP, task=replace(_TASK, kinds={"synthetic": (
+        ("teacher_weights",), ("feature_map", "input_law", "label_noise_sd"))}),
+         m=_COUNT, labelled=Field("boolean")),
     required=("schema_version", "seed", "task", "m", "labelled"),
 )
+# every sensitivity kind accepts these, as perfbench's empirical configs carry n_omega
+_SENS_KEYS = ("seed", "feature_map", "sample_path", "p", "input_norm_budget", "n_omega")
 SENSITIVITY = Section(
     dict(_TOP, weights=_LIST, feature_map=_FEATURE_MAP, operator=_OPERATOR, sample_path=_STR,
          p=_EXPONENT, input_norm_budget=_NONNEG, n_omega=_COUNT),
     required=("schema_version", "weights", "operator"), key="kind",
-    kinds={"empirical": ("sample_path",), "analytic_upper": (),
-           "expected_stochastic": ("sample_path",)},
+    kinds={"empirical": (("sample_path",), _SENS_KEYS), "analytic_upper": ((), _SENS_KEYS),
+           "expected_stochastic": (("sample_path",), _SENS_KEYS)},
 )
 
 _COMPONENT = Section({"V": Field("array", items=_LIST, min_items=1), "mu": _LIST,
@@ -183,8 +185,8 @@ GEOMETRY = Section(
      "mus": Field("array", items=_LIST, min_items=1),
      "components": Field("array", items=_COMPONENT, min_items=1)},
     required=("p",), key="variant",
-    kinds={"pball": ("radius",), "ellipse": ("mu",), "axis_union": ("mus",),
-           "rotated_union": ("components",), "clustered": ("components",)},
+    kinds={"pball": (("radius",), ()), "ellipse": (("mu",), ()), "axis_union": (("mus",), ()),
+           "rotated_union": (("components",), ()), "clustered": (("components",), ())},
 )
 
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
@@ -225,15 +227,15 @@ def _check(value, spec: Field | Section, path: tuple = ()) -> None:
                 _fail((*path, key), "unknown key")
             _check(item, fields[key], (*path, key))
         if spec.key is not None:  # the kind is valid here, if present
-            required = (spec.key, *required, *spec.kinds.get(value.get(spec.key), ()))
+            needs, reads = spec.kinds.get(value.get(spec.key), ((), ()))
+            required = (spec.key, *required, *needs)
         for key in required:
             if key not in value:
                 _fail((*path, key), "required key is missing")
-        if spec.reads is not None:  # the kind is present and valid here
-            kind = value[spec.key]
+        if spec.key is not None:  # the kind is present and valid here
             for key in value:
-                if key not in required and key not in spec.reads[kind]:
-                    _fail((*path, key), f"not read by {spec.key} {kind!r}")
+                if key not in required and key not in reads:
+                    _fail((*path, key), f"not read by {spec.key} {value[spec.key]!r}")
         return
     # a bool is an int in Python but not a JSON number; 7.0 is not an integer
     types = spec.type.split("|")
@@ -547,7 +549,8 @@ _BOUND_PARAMS = {"rho": _NUM, "m": _COUNT, "delta": _POSITIVE, "t": _NUM, "w_k":
 BOUND = Section(
     {"schema_version": _TOP["schema_version"], "params": Field("object"),
      "constituents": Field("object", items=_STR)},
-    required=("schema_version", "params"), key="bound", kinds=dict.fromkeys(_BOUNDS, ()),
+    required=("schema_version", "params"), key="bound",
+    kinds=dict.fromkeys(_BOUNDS, ((), ("constituents",))),
 )
 
 

@@ -257,7 +257,7 @@ def _check_rotation(V: np.ndarray, m: int) -> np.ndarray:
     return V
 
 
-def _rotated_component_norm(V: np.ndarray, mu: np.ndarray, p: float, m: int) -> tuple[float, bool]:
+def _rotated_component_norm(V, mu: np.ndarray, p: float, m: int) -> tuple[float, bool]:
     """Return (operator-norm value, exact flag) for one rotated ellipse.
 
     The general-p value is the certified over-estimate
@@ -265,6 +265,8 @@ def _rotated_component_norm(V: np.ndarray, mu: np.ndarray, p: float, m: int) -> 
     exact operator norm when V = I (column 1-norms are 1) and when p = 1
     (conjugate max norm picks the best column).
     """
+    if V is None:  # the identity, without forming it: O(m)
+        return dual_norm(mu, p), True
     column_l1 = np.abs(V).sum(axis=0)
     value = dual_norm(mu * column_l1, p)
     exact = p == 1 or bool(np.max(np.abs(V - np.eye(m))) <= ORTHOGONALITY_TOL)
@@ -275,8 +277,9 @@ def rotated_union_bound(components, p: float, m: int) -> RadEstimate:
     """Upper bound (1/m) max_i N_i for a union of rotated p-ellipses.
 
     N_i is the exact p->1 operator norm of V_i Lambda_i when available
-    (V_i = I or p = 1) and its certified over-estimate otherwise.  With every
-    V_i = I it is the exact complexity of an axis-aligned union or p-ellipse.
+    (V_i = I or p = 1) and its certified over-estimate otherwise.  V_i = None
+    is the identity in O(m), where an m x m V_i costs O(m^3): with every
+    V_i = None an axis-aligned union or p-ellipse has its exact complexity.
     """
     if not len(components):
         raise InvalidParameterError("need at least one component")
@@ -284,7 +287,7 @@ def rotated_union_bound(components, p: float, m: int) -> RadEstimate:
     all_exact = True
     for V, mu in components:
         mu = _check_mu(mu, m)
-        V = _check_rotation(V, m)
+        V = None if V is None else _check_rotation(V, m)
         value, exact = _rotated_component_norm(V, mu, p, m)
         vals.append(value)
         all_exact = all_exact and exact
@@ -298,8 +301,6 @@ def cluster_bound(components, p: float, m: int) -> RadEstimate:
     value = (1/m) max_i N_i + max_i ||c_i||_2 sqrt(2 ln l) / m, with l the
     number of clusters.  All centers at the origin recovers the union bound.
     """
-    if not len(components):
-        raise InvalidParameterError("need at least one component")
     union = rotated_union_bound([(V, mu) for _, V, mu in components], p, m)
     centers = [np.asarray(c, dtype=float) for c, _, _ in components]
     if any(c.shape != (m,) for c in centers):
@@ -436,8 +437,7 @@ class GeometryModel:
             )
         if self.variant in ("ellipse", "axis_union"):
             mus = [self.mu] if self.variant == "ellipse" else self.mus
-            m = len(mus[0])
-            return rotated_union_bound([(np.eye(m), mu) for mu in mus], p, m)
+            return rotated_union_bound([(None, mu) for mu in mus], p, len(mus[0]))
         if self.variant == "rotated_union":
             comps = [(c["V"], c["mu"]) for c in self.components]
             return rotated_union_bound(comps, p, len(comps[0][1]))

@@ -152,43 +152,34 @@ def _random_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
 _EXPONENTS = (1.0, 1.5, 2.0, 3.0)  # the p that the geometry suites draw
 
 
-def _axis_union_trial(mus: list, p: float, m: int):
-    """(ok, slack): sign enumeration with the union's support value, the
-    largest member dual norm, must reproduce the closed form to 1e-9."""
+def _axis_union_trial(rng: np.random.Generator, union: bool):
+    """(ok, slack) for one p-ellipse, or with ``union`` one axis-aligned union
+    of 1-5 of them: sign enumeration with the support value, the largest
+    member dual norm, must reproduce the closed form to 1e-9."""
+    m = int(rng.integers(2, 13))
+    p = _EXPONENTS[rng.integers(len(_EXPONENTS))]
+    mus = [rng.uniform(0.1, 3.0, size=m) for _ in range(int(rng.integers(1, 6)) if union else 1)]
 
     def support(sig_block: np.ndarray) -> np.ndarray:
         return np.max(np.stack([dual_norm(sig_block * mu, p) for mu in mus]), axis=0)
 
     enum = exact_rademacher_support(support, m)
-    closed = rotated_union_bound([(np.eye(m), mu) for mu in mus], p, m).value
+    closed = rotated_union_bound([(None, mu) for mu in mus], p, m).value
     gap = abs(enum - closed)
     return gap <= 1e-9, 1e-9 - gap
 
 
 def suite_ellipse_exact(trials: int = 100, seed: int = 0, threads: int = 1) -> CoverageReport:
     """One p-ellipse: enumeration equals the closed-form complexity."""
-
-    def one(i: int):
-        rng = derived_rng(seed, 20, i)
-        m = int(rng.integers(2, 13))
-        p = _EXPONENTS[rng.integers(len(_EXPONENTS))]
-        return _axis_union_trial([rng.uniform(0.1, 3.0, size=m)], p, m)
-
-    results = _run_trials(trials, one, threads)
+    results = _run_trials(trials, lambda i: _axis_union_trial(derived_rng(seed, 20, i), False),
+                          threads)
     return _report("ellipse_exact", results, 1.0, 1.0, seed)
 
 
 def suite_union_exact(trials: int = 100, seed: int = 0, threads: int = 1) -> CoverageReport:
     """Axis-aligned unions: enumeration equals the max-member closed form."""
-
-    def one(i: int):
-        rng = derived_rng(seed, 21, i)
-        m = int(rng.integers(2, 13))
-        p = _EXPONENTS[rng.integers(len(_EXPONENTS))]
-        n_ellipses = int(rng.integers(1, 6))
-        return _axis_union_trial([rng.uniform(0.1, 3.0, size=m) for _ in range(n_ellipses)], p, m)
-
-    results = _run_trials(trials, one, threads)
+    results = _run_trials(trials, lambda i: _axis_union_trial(derived_rng(seed, 21, i), True),
+                          threads)
     return _report("union_exact", results, 1.0, 1.0, seed)
 
 

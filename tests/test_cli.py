@@ -65,7 +65,7 @@ def train_config(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_generate_and_reproducibility(tmp_path):
+def test_generate_and_reproducibility(tmp_path, capsys):
     config = write_json(
         tmp_path / "gen.json",
         {
@@ -88,6 +88,12 @@ def test_generate_and_reproducibility(tmp_path):
     assert a == b
     sample = read_sample_csv(tmp_path / "a" / "labelled.csv")
     assert sample.m == 25 and sample.dim == 1
+    # generate draws config["m"] rows: the task's m_labelled is not read
+    payload = json.loads(Path(config).read_text())
+    payload["task"]["m_labelled"] = 40
+    code, _, err = run_cli("generate", "--config", write_json(tmp_path / "gen2.json", payload),
+                           "--out", str(tmp_path / "c"), capsys=capsys)
+    assert code == 2 and json.loads(err)["field"] == "task/m_labelled"
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +642,10 @@ MALFORMED = {
     "learner_rho": ("train", {"learner/algorithm": "sensitivity_regularized_erm",
                               "learner/lambda": DROP, "learner/rho": 0.5}, "config_invalid",
                     "learner/rho"),
+    "csv_task_with_input_law": ("train", {"task": {"kind": "csv", "labelled_path": "lab.csv",
+                                                   "input_law": {"kind": "uniform_box"}}},
+                                "config_invalid", "task/input_law"),
+    "ellipse_with_radius": ("rademacher", {"radius": 1.0}, "config_invalid", "radius"),
     "unknown_bound_param": ("bound", {"params/epsilon_U": 0.01}, "config_invalid",
                             "params/epsilon_U"),
     "srm_selection_negative_complexity": (

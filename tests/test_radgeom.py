@@ -47,8 +47,9 @@ def brute_force_rademacher(rows: np.ndarray) -> float:
 
 def axis_union(mus, p: float, m: int) -> RadEstimate:
     """The closed form of an axis-aligned union of p-ellipses (one member: a
-    single ellipse), as the package computes it: identity rotations."""
-    return rotated_union_bound([(np.eye(m), mu) for mu in mus], p, m)
+    single ellipse), as the package computes it: identity rotations, given
+    as None."""
+    return rotated_union_bound([(None, mu) for mu in mus], p, m)
 
 
 def reference_sign_block(start: int, stop: int, m: int) -> np.ndarray:
@@ -391,6 +392,19 @@ def test_rotated_identity_reduces_to_union():
         # column 1-norms of I are exactly 1, so the value is the max member dual norm
         assert rotated.value == max(dual_norm(mu, p) for mu in mus) / m
         assert rotated.method == "closed_form"
+        assert rotated == axis_union(mus, p, m)  # V = None is the same identity
+
+
+def test_identity_members_cost_linear_in_m():
+    # V = None never forms the m x m identity: at m = 10^6 a matrix would
+    # need 8 TB, and a geometry file puts no cap on the length of mu
+    m = 1_000_000
+    mu = np.linspace(0.5, 2.0, m)
+    est = GeometryModel(variant="ellipse", p=2, mu=mu.tolist()).rademacher()
+    assert est == axis_union([mu], 2.0, m)
+    assert est.value == dual_norm(mu, 2.0) / m and est.method == "closed_form"
+    union = GeometryModel(variant="axis_union", p=1, mus=[mu.tolist(), (mu[::-1]).tolist()])
+    assert union.rademacher().value == 2.0 / m
 
 
 def test_rotated_p1_hand_case():
