@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError
 from .radgeom import RadEstimate
@@ -52,7 +52,7 @@ class BoundReport:
     terms: tuple[tuple[str, float], ...]
     delta: float
     certified: bool
-    inputs_digest: str
+    inputs: dict = field(hash=False, repr=False)
     metadata: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
@@ -65,6 +65,14 @@ class BoundReport:
             if name == label:
                 return value
         raise KeyError(label)
+
+    @property
+    def inputs_digest(self) -> str:
+        """Hash of the name and inputs, computed when read: most callers read
+        only ``value``."""
+        payload = json.dumps({"name": self.name, "inputs": self.inputs}, sort_keys=True,
+                             default=repr)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> dict:
         d = {
@@ -80,11 +88,6 @@ class BoundReport:
         return d
 
 
-def _digest(name: str, inputs: dict) -> str:
-    payload = json.dumps({"name": name, "inputs": inputs}, sort_keys=True, default=repr)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
 def _report(name, terms, delta, inputs, certified=True, metadata=()) -> BoundReport:
     return BoundReport(
         name=name,
@@ -92,7 +95,7 @@ def _report(name, terms, delta, inputs, certified=True, metadata=()) -> BoundRep
         terms=tuple(terms),
         delta=delta,
         certified=certified,
-        inputs_digest=_digest(name, inputs),
+        inputs=inputs,
         metadata=tuple(metadata),
     )
 

@@ -167,14 +167,16 @@ GENERATE = Section(
          m=_COUNT, labelled=Field("boolean")),
     required=("schema_version", "seed", "task", "m", "labelled"),
 )
-# every sensitivity kind accepts these, as perfbench's empirical configs carry n_omega
-_SENS_KEYS = ("seed", "feature_map", "sample_path", "p", "input_norm_budget", "n_omega")
+_SAMPLED = (("sample_path",), ("seed", "feature_map", "p", "n_omega"))
 SENSITIVITY = Section(
     dict(_TOP, weights=_LIST, feature_map=_FEATURE_MAP, operator=_OPERATOR, sample_path=_STR,
          p=_EXPONENT, input_norm_budget=_NONNEG, n_omega=_COUNT),
     required=("schema_version", "weights", "operator"), key="kind",
-    kinds={"empirical": (("sample_path",), _SENS_KEYS), "analytic_upper": ((), _SENS_KEYS),
-           "expected_stochastic": (("sample_path",), _SENS_KEYS)},
+    # empirical reads neither n_omega nor seed; it accepts both because the
+    # benchmark's empirical configs (perfbench/workloads.py) write them
+    kinds={"empirical": _SAMPLED,
+           "analytic_upper": ((), ("seed", "feature_map", "input_norm_budget")),
+           "expected_stochastic": _SAMPLED},
 )
 
 _COMPONENT = Section({"V": Field("array", items=_LIST, min_items=1), "mu": _LIST,
@@ -382,11 +384,16 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     config = _load_json(args.config)
     _check(config, TRAIN)
+    lcfg = config["learner"]
+    if lcfg["algorithm"] == "sensitivity_regularized_erm":  # its keys depend on the sensitivity
+        sens = lcfg.get("sensitivity", "empirical")
+        unread = "input_norm_budget" if sens == "empirical" else "p"
+        if unread in lcfg:
+            _fail(("learner", unread), f"not read with sensitivity {sens!r}")
     seed = args.seed if args.seed is not None else config["seed"]
     labelled, unlabelled = _build_samples(config["task"], seed)
     op = _build_operator(config["operator"])
     loss = LossSpec(**config["loss"])  # the loss and domain tables hold their fields only
-    lcfg = config["learner"]
     domain = SearchDomain(**lcfg["domain"])
     fmap = _build_feature_map(config["task"].get("feature_map"), input_dim=labelled.dim)
     p = lcfg.get("p", 1.0)

@@ -8,14 +8,16 @@ index, which keeps every learner deterministic.
 
 Search screens candidates in blocks, then re-scores a few of them exactly:
 
-* **Screen.**  A block of candidates (consecutive grid or random rows, or
-  every axis value of one coordinate in a descent sweep) is scored at once:
-  emp_err(Q(w)) once per distinct Q(w) in the block (core._distinct_rows
-  finds them), the empirical sensitivity as one product U @ (C - Q(C)).T,
-  the analytic bound as a row norm.  These values differ from a
-  per-candidate evaluation by rounding only (about 1e-13 here).  Each block
-  carries a margin, SCREEN_MARGIN times the magnitudes its values are summed
-  from, that bounds this difference with a wide safety factor.
+* **Screen.**  ``_Workspace.blocks`` is the one place that cuts a grid or
+  random domain's candidates into blocks; a descent sweep (every axis value
+  of one coordinate) is a block of its own.  A ``_Block`` computes its
+  lambda- and t-free values when first read: Q(C), emp_err(Q(C)) once per
+  distinct Q(w) (core._distinct_rows finds them), emp_err(C), ||C - Q(C)||
+  and the empirical sensitivities as one product U @ (C - Q(C)).T.  An
+  objective combines them with lambda, t or the penalties.  These values
+  differ from a per-candidate evaluation by rounding only (about 1e-13
+  here).  Each screen carries a margin, SCREEN_MARGIN times the magnitudes
+  its values are summed from, that bounds this with a wide safety factor.
 * **Re-score.**  In enumeration order, the scalar objective is run only on
   candidates whose screened value lies within twice the margin of the
   running screened minimum, and the first strict minimum is kept.  Every
@@ -23,7 +25,7 @@ Search screens candidates in blocks, then re-scores a few of them exactly:
   the objective value and the trace equal those of the scalar loop over all
   candidates, and ties still go to the lowest enumeration index.
 * **Discrete decisions are exact.**  A candidate whose screened sensitivity
-  lies within the margin of a threshold (feasibility dhat < t, the SRM
+  lies within the tolerance of a threshold (feasibility dhat < t, the SRM
   index d <= t_k + eps_u) takes the scalar check, so boundary hits, clamps
   and the infeasibility payload match the scalar loop too.
 """
@@ -118,22 +120,17 @@ class SearchResult:
     weights: np.ndarray
     value: float
     trace: tuple[float, ...]
-    n_evaluated: int
 
 
 # Objectives are objects with
-#   screen(block) -> (values, margin): every row evaluated, inf where
-#       infeasible, each value within ``margin`` of exact(row); screening
-#       counts as evaluating the rows (diagnostics and counters update here);
+#   ws: the _Workspace, which holds the search domain and its blocks;
+#   screen(block) -> (values, margin): every row of the _Block evaluated from
+#       its lambda- and t-free columns, inf where infeasible, each value within
+#       ``margin`` of exact(row); screening counts as evaluating the rows
+#       (diagnostics and counters update here);
 #   exact(w) -> float: the scalar objective, free of side effects;
-#   block_size and min_diag (smallest sensitivity seen, for the
-#       infeasibility error; inf when the objective has no constraint).
-
-
-def _search(objective, domain: SearchDomain) -> SearchResult:
-    if domain.mode in ("grid", "random"):
-        return _search_enumerated(objective, domain)
-    return _search_coordinate_descent(objective, domain)
+#   min_diag: smallest sensitivity seen, for the infeasibility error (inf
+#       when the objective has no constraint).
 
 
 def _raise_infeasible(min_diag: float) -> None:
@@ -143,62 +140,54 @@ def _raise_infeasible(min_diag: float) -> None:
     )
 
 
-def _scan(objective, block: np.ndarray, best: float) -> list[tuple[int, float]]:
+def _scan(objective, block: _Block, best: float) -> list[tuple[int, float]]:
     """Strict improvements on ``best`` over the block's rows, in row order.
 
     A row is re-scored only when its screened lower bound undercuts every
     screened upper bound before it (and ``best``); any other row is strictly
     beaten by an earlier one.
     """
-    if len(block) == 0:
+    if len(block.C) == 0:
         return []
     values, margin = objective.screen(block)
     upper = np.minimum.accumulate(np.concatenate(([best], values[:-1] + margin)))
     found = []
     for i in np.flatnonzero(values - margin < upper):
-        val = objective.exact(block[i])
+        val = objective.exact(block.C[i])
         if val < best:
             best = val
             found.append((int(i), val))
     return found
 
 
-def _search_enumerated(objective, domain) -> SearchResult:
-    candidates = domain.candidate_matrix()
-    step = objective.block_size
-    best_i = None
-    best_val = math.inf
+def _search(objective) -> SearchResult:
+    if objective.ws.domain.mode == "coordinate_descent":
+        return _search_coordinate_descent(objective)
+    best_w, best_val = None, math.inf
     trace: list[float] = []
-    for lo in range(0, len(candidates), step):
-        for i, val in _scan(objective, candidates[lo : lo + step], best_val):
-            best_i, best_val = lo + i, val
+    for block in objective.ws.blocks:
+        for i, val in _scan(objective, block, best_val):
+            best_w, best_val = block.C[i], val
             trace.append(val)
-    if best_i is None:
+    if best_w is None:
         _raise_infeasible(objective.min_diag)
-    return SearchResult(
-        weights=candidates[best_i].copy(),
-        value=best_val,
-        trace=tuple(trace),
-        n_evaluated=len(candidates),
-    )
+    return SearchResult(weights=best_w.copy(), value=best_val, trace=tuple(trace))
 
 
-def _search_coordinate_descent(objective, domain) -> SearchResult:
+def _search_coordinate_descent(objective) -> SearchResult:
+    domain = objective.ws.domain
     axis = domain.axis_values()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=domain.seed, spawn_key=(8,)))
     starts = rng.uniform(-domain.halfwidth, domain.halfwidth, size=(domain.restarts, domain.dim))
     best_w = None
     best_val = math.inf
     trace: list[float] = []
-    evaluated = 0
 
     def sweep(w: np.ndarray, val: float, j: int, values: np.ndarray):
         """Try w with coordinate j set to each of ``values`` in turn."""
-        nonlocal evaluated
-        evaluated += len(values)
         block = np.repeat(w[None, :], len(values), axis=0)
         block[:, j] = values
-        found = _scan(objective, block, val)
+        found = _scan(objective, _Block(objective.ws, block), val)
         if not found:
             return w, val, False
         i, val = found[-1]
@@ -223,9 +212,7 @@ def _search_coordinate_descent(objective, domain) -> SearchResult:
             trace.append(val)
     if best_w is None or math.isinf(best_val):
         _raise_infeasible(objective.min_diag)
-    return SearchResult(
-        weights=best_w.copy(), value=best_val, trace=tuple(trace), n_evaluated=evaluated
-    )
+    return SearchResult(weights=best_w.copy(), value=best_val, trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +289,17 @@ class LearnerOutput:
     per_lambda: list[dict] | None = None
 
 
-def _resolve_feature_map(feature_map: FeatureMap | None, input_dim: int) -> FeatureMap:
-    return feature_map if feature_map is not None else IdentityMap(input_dim=input_dim)
+class _lazy:
+    """functools.cached_property without the lock that Python < 3.12 shares
+    across instances, on which parallel validation trials' blocks would wait.
+    Not a data descriptor: once stored, the instance's value is read."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __get__(self, obj, owner=None):
+        value = obj.__dict__[self.compute.__name__] = self.compute(obj)
+        return value
 
 
 def _reach(feats: np.ndarray | None) -> float:
@@ -316,21 +312,23 @@ def _abs_max(values: np.ndarray) -> float:
 
 
 class _Workspace:
-    """Precomputed feature matrices, memoised per-weight statistics, and
-    their block forms with the margins that bound block-versus-scalar
-    rounding.  Every learner builds one, so its checks are the learners'
-    shared input checks."""
+    """Precomputed feature matrices, memoised per-weight statistics, their
+    block forms with the margins that bound block-versus-scalar rounding,
+    and the search domain's blocks.  Every learner builds one, so its checks
+    are the learners' shared input checks."""
 
     def __init__(
         self,
         op: ApproxOperator,
         loss: LossSpec | None,
-        feature_map: FeatureMap,
-        labelled: LabelledSample | None,
+        feature_map: FeatureMap | None,
+        labelled: LabelledSample,
         unlabelled: UnlabelledSample | None,
         p: float,
         domain: SearchDomain,
     ):
+        if feature_map is None:
+            feature_map = IdentityMap(input_dim=labelled.dim)
         if domain.dim != feature_map.feature_dim:
             raise DimensionMismatchError(
                 f"search domain has dim {domain.dim}, "
@@ -343,9 +341,10 @@ class _Workspace:
         self.op = op
         self.loss = loss
         self.feature_map = feature_map
+        self.domain = domain
         self.p = float(p)
-        self.lab_feats = None if labelled is None else feature_map.transform(labelled.inputs)
-        self.targets = None if labelled is None else labelled.targets
+        self.lab_feats = feature_map.transform(labelled.inputs)
+        self.targets = labelled.targets
         self.unlab_feats = None if unlabelled is None else feature_map.transform(unlabelled.inputs)
         self._dhat_cache: dict[bytes, float] = {}
         self._emp_cache: dict[bytes, float] = {}
@@ -357,6 +356,13 @@ class _Workspace:
         )
         self.lab_reach = _reach(self.lab_feats)
         self.unlab_reach = _reach(self.unlab_feats)
+
+    @_lazy
+    def blocks(self) -> list[_Block]:
+        """The grid or random domain's candidates in blocks of block_size rows."""
+        C = self.domain.candidate_matrix()
+        step = self.block_size
+        return [_Block(self, C[lo : lo + step]) for lo in range(0, len(C), step)]
 
     def emp_error(self, w: np.ndarray) -> float:
         return float(loss_values(self.loss, self.lab_feats @ w, self.targets).mean())
@@ -393,23 +399,10 @@ class _Workspace:
         distinct, inverse = _distinct_rows(Q)
         return self.emp_errors(distinct)[inverse]
 
-    def dhats(self, C: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """dhat of every row of C, given Q = Q(C)."""
-        gaps = self.unlab_feats @ (C - Q).T
-        np.abs(gaps, out=gaps)
-        if self.p != 1.0:  # x ** 1.0 == x: skipping the pass changes no bit
-            gaps **= self.p
-        return np.mean(gaps, axis=0) ** (1.0 / self.p)
-
     def emp_scale(self, W: np.ndarray) -> float:
         """Magnitude the emp_errors of W are summed from (losses are <= 1 and
         rho-Lipschitz in the prediction)."""
         return 1.0 + self.loss.lipschitz * self.lab_reach * _abs_max(W)
-
-    def dhat_scale(self, C: np.ndarray, Q: np.ndarray) -> float:
-        """Magnitude the dhats of C are summed from: it bounds every gap, and
-        the p-mean is 1-Lipschitz in the gaps."""
-        return self.unlab_reach * (_abs_max(C) + _abs_max(Q))
 
     def margin(self, values: np.ndarray, scale: float) -> float:
         """Bound on |screened - exact| for values summed from ``scale``."""
@@ -426,6 +419,51 @@ class _Workspace:
         )
 
 
+class _Block:
+    """One block of candidates C with its values that depend on neither
+    lambda, t nor the penalties, each computed the first time it is read."""
+
+    def __init__(self, ws: _Workspace, C: np.ndarray):
+        self.ws = ws
+        self.C = C
+
+    @_lazy
+    def Q(self) -> np.ndarray:
+        return self.ws.op.transform_weights(self.C)
+
+    @_lazy
+    def dhats(self) -> np.ndarray:
+        """dhat of every row, as one product U @ (C - Q).T."""
+        gaps = self.ws.unlab_feats @ (self.C - self.Q).T
+        np.abs(gaps, out=gaps)
+        if self.ws.p != 1.0:  # x ** 1.0 == x: skipping the pass changes no bit
+            gaps **= self.ws.p
+        return np.mean(gaps, axis=0) ** (1.0 / self.ws.p)
+
+    @_lazy
+    def dhat_scale(self) -> float:
+        """Bounds every gap the dhats are summed from (p-means are 1-Lipschitz)."""
+        return self.ws.unlab_reach * (_abs_max(self.C) + _abs_max(self.Q))
+
+    @_lazy
+    def dhat_tol(self) -> float:
+        """Bound on |screened - exact| for the dhats."""
+        return self.ws.rel_margin * self.dhat_scale
+
+    @_lazy
+    def approx_emp_errors(self) -> np.ndarray:
+        return self.ws.approx_emp_errors(self.Q)
+
+    @_lazy
+    def emp_errors(self) -> np.ndarray:
+        return self.ws.emp_errors(self.C)
+
+    @_lazy
+    def residual_norms(self) -> np.ndarray:
+        """||C - Q|| per row; off from the scalar norm by a relative few eps."""
+        return np.linalg.norm(self.C - self.Q, axis=1)
+
+
 class _Regularised:
     """emp_err(Q(w)) + coef * S(w) for a built-in sensitivity S: the empirical
     one on the workspace's unlabelled sample, or with ``budget`` the analytic
@@ -437,29 +475,23 @@ class _Regularised:
         self.ws = ws
         self.coef = coef
         self.budget = budget
-        self.block_size = ws.block_size
-
-    def sensitivity(self, w: np.ndarray) -> float:
-        if self.budget is None:
-            return self.ws.dhat(w)
-        # analytic_sensitivity_upper's arithmetic, bit for bit
-        return float(np.linalg.norm(w - self.ws.op.transform_weights(w))) * self.budget
 
     def exact(self, w: np.ndarray) -> float:
-        return self.ws.approx_emp_error(w) + self.coef * self.sensitivity(w)
-
-    def screen(self, C: np.ndarray):
-        ws = self.ws
-        Q = ws.op.transform_weights(C)
-        scale = ws.emp_scale(Q)
         if self.budget is None:
-            sens = ws.dhats(C, Q)
-            scale += self.coef * ws.dhat_scale(C, Q)
+            sens = self.ws.dhat(w)
+        else:  # analytic_sensitivity_upper's arithmetic, bit for bit
+            sens = float(np.linalg.norm(w - self.ws.op.transform_weights(w))) * self.budget
+        return self.ws.approx_emp_error(w) + self.coef * sens
+
+    def screen(self, block: _Block):
+        scale = self.ws.emp_scale(block.Q)
+        if self.budget is None:
+            sens = block.dhats
+            scale += self.coef * block.dhat_scale
         else:
-            # a row norm is off by a relative few eps, covered by the values
-            sens = np.linalg.norm(C - Q, axis=1) * self.budget
-        values = ws.approx_emp_errors(Q) + self.coef * sens
-        return values, ws.margin(values, scale)
+            sens = block.residual_norms * self.budget
+        values = block.approx_emp_errors + self.coef * sens
+        return values, self.ws.margin(values, scale)
 
 
 class _Constrained:
@@ -468,28 +500,24 @@ class _Constrained:
     def __init__(self, ws: _Workspace, t: float):
         self.ws = ws
         self.t = t
-        self.block_size = ws.block_size
         self.min_diag = math.inf
 
     def exact(self, w: np.ndarray) -> float:
         return self.ws.approx_emp_error(w)
 
-    def screen(self, C: np.ndarray):
-        ws = self.ws
-        Q = ws.op.transform_weights(C)
-        d = ws.dhats(C, Q)
-        tol = ws.rel_margin * ws.dhat_scale(C, Q)
+    def screen(self, block: _Block):
+        ws, d, tol = self.ws, block.dhats, block.dhat_tol
         feasible = d < self.t
         for i in np.flatnonzero(np.abs(d - self.t) <= tol):
-            feasible[i] = ws.dhat(C[i]) < self.t
+            feasible[i] = ws.dhat(block.C[i]) < self.t
         lowest = float(d.min())
         if lowest - tol < self.min_diag:
             near = np.flatnonzero(d <= lowest + 2.0 * tol)
-            self.min_diag = min(self.min_diag, *(ws.dhat(C[i]) for i in near))
-        values = np.full(len(C), math.inf)
-        if feasible.any():
-            values[feasible] = ws.approx_emp_errors(Q[feasible])
-        return values, ws.margin(values, ws.emp_scale(Q))
+            self.min_diag = min(self.min_diag, *(ws.dhat(block.C[i]) for i in near))
+        values = np.full(len(d), math.inf)
+        if feasible.any():  # only the feasible rows' Q(w) are evaluated
+            values[feasible] = ws.approx_emp_errors(block.Q[feasible])
+        return values, ws.margin(values, ws.emp_scale(block.Q))
 
 
 class _Structural:
@@ -502,7 +530,6 @@ class _Structural:
         self.ws = ws
         self.limits = limits
         self.penalties = penalties
-        self.block_size = ws.block_size
         self.boundary_hits = 0
         self.clamps = 0
 
@@ -519,19 +546,16 @@ class _Structural:
         k, _ = self.level(w)
         return self.ws.emp_error(w) + self.penalties[min(k, len(self.limits) - 1)]
 
-    def screen(self, C: np.ndarray):
-        ws = self.ws
-        Q = ws.op.transform_weights(C)
-        d = ws.dhats(C, Q)
-        tol = ws.rel_margin * ws.dhat_scale(C, Q)
+    def screen(self, block: _Block):
+        d, tol = block.dhats, block.dhat_tol
         limits = np.asarray(self.limits)
         k = np.searchsorted(limits, d, side="left")
         for i in np.flatnonzero(np.any(np.abs(d[:, None] - limits) <= tol, axis=1)):
-            k[i], hit = self.level(C[i])
+            k[i], hit = self.level(block.C[i])
             self.boundary_hits += hit
         self.clamps += int(np.count_nonzero(k == len(limits)))
-        values = ws.emp_errors(C) + np.asarray(self.penalties)[np.minimum(k, len(limits) - 1)]
-        return values, ws.margin(values, ws.emp_scale(C))
+        values = block.emp_errors + np.asarray(self.penalties)[np.minimum(k, len(limits) - 1)]
+        return values, self.ws.margin(values, self.ws.emp_scale(block.C))
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +581,8 @@ def constrained_erm(
     """
     if t <= 0:
         raise InvalidParameterError("t must be positive")
-    fm = _resolve_feature_map(feature_map, labelled.dim)
-    ws = _Workspace(op, loss, fm, labelled, unlabelled, p, domain)
-    return ws.output(_search(_Constrained(ws, t), domain), chosen_t=t)
+    ws = _Workspace(op, loss, feature_map, labelled, unlabelled, p, domain)
+    return ws.output(_search(_Constrained(ws, t)), chosen_t=t)
 
 
 def srm_learner(
@@ -587,20 +610,17 @@ def srm_learner(
     """
     if epsilon_u < 0:
         raise InvalidParameterError("epsilon_u must be >= 0")
-    fm = _resolve_feature_map(feature_map, labelled.dim)
-    ws = _Workspace(op, loss, fm, labelled, unlabelled, p, domain)
+    ws = _Workspace(op, loss, feature_map, labelled, unlabelled, p, domain)
     m = labelled.m
     rho = loss.lipschitz
     penalties = []
     for t_k, w_k in zip(schedule.thresholds, schedule.weights):
         rad = rad_estimator(t_k + epsilon_u)
         rad_value = rad.value if isinstance(rad, RadEstimate) else float(rad)
-        penalties.append(
-            2.0 * rho * rad_value + hoeffding_term(3.0, 1.0 / w_k, m)
-        )
+        penalties.append(2.0 * rho * rad_value + hoeffding_term(3.0, 1.0 / w_k, m))
 
     objective = _Structural(ws, [t_k + epsilon_u for t_k in schedule.thresholds], penalties)
-    result = _search(objective, domain)
+    result = _search(objective)
     level, hit = objective.level(result.weights)
     chosen = min(level, len(schedule) - 1)
     return ws.output(
@@ -630,19 +650,18 @@ def lambda_erm(
     """
     if lam < 0:
         raise InvalidParameterError("lambda must be >= 0")
-    fm = _resolve_feature_map(feature_map, labelled.dim)
     if isinstance(sensitivity, EmpiricalSensitivity):
-        ws = _Workspace(op, loss, fm, labelled, sensitivity.sample, sensitivity.p, domain)
+        ws = _Workspace(op, loss, feature_map, labelled, sensitivity.sample, sensitivity.p, domain)
         objective = _Regularised(ws, lam)
     elif isinstance(sensitivity, AnalyticSensitivity):
-        ws = _Workspace(op, loss, fm, labelled, None, 1.0, domain)
+        ws = _Workspace(op, loss, feature_map, labelled, None, 1.0, domain)
         objective = _Regularised(ws, lam, sensitivity.input_norm_budget)
     else:
         raise InvalidParameterError(
             "the regulariser must be EmpiricalSensitivity or AnalyticSensitivity, "
             f"not {type(sensitivity).__name__}"
         )
-    return ws.output(_search(objective, domain), lam=lam, sensitivity_kind=sensitivity.kind)
+    return ws.output(_search(objective), lam=lam, sensitivity_kind=sensitivity.kind)
 
 
 def lambda_grid_srm(
@@ -672,24 +691,17 @@ def lambda_grid_srm(
         raise InvalidParameterError("weights must be positive and sum to at most 1")
     if any(lam < 0 for lam in lambdas):
         raise InvalidParameterError("lambda must be >= 0")
-    fm = _resolve_feature_map(feature_map, labelled.dim)
-    ws = _Workspace(op, loss, fm, labelled, unlabelled, p, domain)
+    ws = _Workspace(op, loss, feature_map, labelled, unlabelled, p, domain)
     m = labelled.m
 
     table = []
     results = []
     for lam, w_k in zip(lambdas, weights):
-        result = _search(_Regularised(ws, lam), domain)
+        result = _search(_Regularised(ws, lam))
         emp = ws.approx_emp_error(result.weights)
         penalty = hoeffding_term(3.0, 1.0 / w_k, m)
-        table.append(
-            {
-                "lambda": lam,
-                "empirical_error": emp,
-                "penalty": penalty,
-                "score": emp + penalty,
-            }
-        )
+        table.append({"lambda": lam, "empirical_error": emp, "penalty": penalty,
+                      "score": emp + penalty})
         results.append(result)
     best = min(range(len(table)), key=lambda i: table[i]["score"])
     return ws.output(results[best], lam=lambdas[best], per_lambda=table)
@@ -715,12 +727,9 @@ def make_restricted_rad_estimator(
     of the same sign sums, so the estimate is non-decreasing in the threshold
     once the class is non-empty.
     """
-    fm = _resolve_feature_map(feature_map, labelled.dim)
-    ws = _Workspace(op, None, fm, labelled, unlabelled, p, domain)
-    candidates = domain.candidate_matrix()
-    step = ws.block_size
-    blocks = [candidates[lo : lo + step] for lo in range(0, len(candidates), step)]
-    dhats = np.concatenate([ws.dhats(block, op.transform_weights(block)) for block in blocks])
+    ws = _Workspace(op, None, feature_map, labelled, unlabelled, p, domain)
+    candidates = np.concatenate([block.C for block in ws.blocks])
+    dhats = np.concatenate([block.dhats for block in ws.blocks])
     order = np.argsort(dhats, kind="stable")
     sorted_dhats = dhats[order]
     rows = np.ascontiguousarray((ws.lab_feats @ candidates.T).T[order])
@@ -732,17 +741,7 @@ def make_restricted_rad_estimator(
 
     def estimator(threshold: float) -> RadEstimate:
         k = int(np.searchsorted(sorted_dhats, threshold, side="right"))
-        if k == 0:
-            return RadEstimate(
-                value=0.0,
-                method="monte_carlo",
-                m=m,
-                standard_error=0.0,
-                n_sigma=n_sigma,
-                seed=seed,
-                note="restricted class empty at this threshold",
-            )
-        value, se = _mc_mean_se(sums[:, :k].max(axis=1), m)
+        value, se = _mc_mean_se(sums[:, :k].max(axis=1), m) if k else (0.0, 0.0)
         return RadEstimate(
             value=value,
             method="monte_carlo",
@@ -750,6 +749,7 @@ def make_restricted_rad_estimator(
             standard_error=se,
             n_sigma=n_sigma,
             seed=seed,
+            note=None if k else "restricted class empty at this threshold",
         )
 
     return estimator

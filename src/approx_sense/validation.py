@@ -140,6 +140,25 @@ def _uniform_box_abs_mean(residuals: np.ndarray) -> np.ndarray:
     return np.where(a > 0, a / 2.0 + b**2 / (6.0 * np.where(a > 0, a, 1.0)), 0.0)
 
 
+def _deviation_trial(residuals: np.ndarray, m: int, seed: int, stream: int, n_sigma: int,
+                     multiplier: int):
+    """The trial of the deviation suites over residual rows r: trial i draws
+    m inputs uniform on [-1, 1]^2 and returns the sup over r of
+    |E|<x, r>| - mean |<x_i, r>||, the sampled complexity of the gap rows
+    and the constant C."""
+    d_true = _uniform_box_abs_mean(residuals)
+    sup_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
+
+    def draw(i: int) -> tuple[float, float, float]:
+        inputs = derived_rng(seed, stream, i).uniform(-1.0, 1.0, size=(m, 2))
+        gaps = np.abs(inputs @ residuals.T)
+        sup_dev = float(np.max(np.abs(d_true - gaps.mean(axis=0))))
+        rad, _ = mc_rademacher_rows(gaps.T, n_sigma=n_sigma, seed=seed * multiplier + i)
+        return sup_dev, rad, sup_residual * float(np.max(np.linalg.norm(inputs, axis=1)))
+
+    return draw
+
+
 def _random_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(m, m)))
     return q * np.sign(np.diag(r))
@@ -284,19 +303,12 @@ def suite_lemma1(trials: int = 500, seed: int = 0, threads: int = 1) -> Coverage
     grid = SearchDomain(dim=2, halfwidth=1.0, points_per_axis=11).candidate_matrix()
     # every supremum below is over rows, so each distinct residual is kept once
     residuals, _ = _distinct_rows(grid - op.transform_weights(grid))
-    d_true = _uniform_box_abs_mean(residuals)
     # exact 2-sensitivity for the fast-rate variance term: ||r|| / sqrt(3)
     t_two = float(np.max(np.linalg.norm(residuals, axis=1)) / math.sqrt(3.0))
-    sup_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
+    draw = _deviation_trial(residuals, m, seed, 31, 800, 100_003)
 
     def one(i: int):
-        rng = derived_rng(seed, 31, i)
-        inputs = rng.uniform(-1.0, 1.0, size=(m, 2))
-        gaps = np.abs(inputs @ residuals.T)
-        d_hat = gaps.mean(axis=0)
-        sup_dev = float(np.max(np.abs(d_true - d_hat)))
-        rad, _ = mc_rademacher_rows(gaps.T, n_sigma=800, seed=seed * 100_003 + i)
-        C = sup_residual * float(np.max(np.linalg.norm(inputs, axis=1)))
+        sup_dev, rad, C = draw(i)
         bound = sensitivity_deviation_bound(rad, C, m, delta).value
         fast = fast_rate_deviation_bound(rad, t_two, C, m, delta).value
         return sup_dev <= bound, bound - sup_dev, sup_dev > fast
@@ -502,16 +514,10 @@ def suite_prop10(trials: int = 300, seed: int = 0, threads: int = 1) -> Coverage
     residuals, _ = _distinct_rows(weights - op.transform_weights(weights))
     # uniform box inputs: 2-sensitivity is exactly ||r|| / sqrt(3) <= t
     assert float(np.max(np.linalg.norm(residuals, axis=1))) / math.sqrt(3.0) <= t
-    d_true = _uniform_box_abs_mean(residuals)
-    sup_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
+    draw = _deviation_trial(residuals, m, seed, 61, 600, 66_601)
 
     def one(i: int):
-        rng = derived_rng(seed, 61, i)
-        inputs = rng.uniform(-1.0, 1.0, size=(m, 2))
-        gaps = np.abs(inputs @ residuals.T)
-        sup_dev = float(np.max(np.abs(d_true - gaps.mean(axis=0))))
-        rad, _ = mc_rademacher_rows(gaps.T, n_sigma=600, seed=seed * 66_601 + i)
-        C = sup_residual * float(np.max(np.linalg.norm(inputs, axis=1)))
+        sup_dev, rad, C = draw(i)
         bound = fast_rate_deviation_bound(rad, t, C, m, delta).value
         return sup_dev <= bound, bound - sup_dev
 

@@ -577,6 +577,10 @@ BOUND_CONFIG = {
     "params": {"emp_err": 0.1, "rad_Ht": 0.05, "rho": 1.0, "m": 50, "delta": 0.05},
 }
 GEOMETRY = {"variant": "ellipse", "p": 2.0, "mu": [3.0, 4.0]}
+# the config check fails before the sample file is read, so it need not exist
+SENSITIVITY_CONFIG = {"schema_version": 1, "kind": "empirical", "weights": [0.3, -0.2],
+                      "operator": {"kind": "uniform_quantizer", "step": 0.5, "clamp": 1.0},
+                      "sample_path": "sample.csv"}
 # finite entries whose sign sums overflow, so every estimate is NaN
 OVERFLOWING_POINTSET = "x0,x1,x2\n1e308,1e308,1e308\n"
 
@@ -585,8 +589,8 @@ HUGE = 10**400
 _V = [[1.0, 0.0], [0.0, 1.0]]
 
 # id: (command, edits, code, field).  Edits set (or DROP) the value at a path
-# of the command's base config, the train_config fixture, BOUND_CONFIG or
-# GEOMETRY; the edits of validate, and of pointset (rademacher on
+# of the command's base config, the train_config fixture, BOUND_CONFIG,
+# SENSITIVITY_CONFIG or GEOMETRY; the edits of validate, and of pointset (rademacher on
 # OVERFLOWING_POINTSET), are extra arguments.
 MALFORMED = {
     "quantizer_without_step": ("train", {"operator/step": DROP}, "config_invalid",
@@ -646,6 +650,31 @@ MALFORMED = {
                                                    "input_law": {"kind": "uniform_box"}}},
                                 "config_invalid", "task/input_law"),
     "ellipse_with_radius": ("rademacher", {"radius": 1.0}, "config_invalid", "radius"),
+    # sensitivity_regularized_erm reads p or input_norm_budget by its sensitivity
+    "sensreg_analytic_with_p": ("train", {"learner/algorithm": "sensitivity_regularized_erm",
+                                          "learner/lambda": DROP,
+                                          "learner/sensitivity": "analytic", "learner/p": 2.0},
+                                "config_invalid", "learner/p"),
+    "sensreg_empirical_with_budget": (
+        "train", {"learner/algorithm": "sensitivity_regularized_erm", "learner/lambda": DROP,
+                  "learner/sensitivity": "empirical", "learner/input_norm_budget": 2.0},
+        "config_invalid", "learner/input_norm_budget"),
+    "sensreg_default_with_budget": (
+        "train", {"learner/algorithm": "sensitivity_regularized_erm", "learner/lambda": DROP,
+                  "learner/input_norm_budget": 2.0},
+        "config_invalid", "learner/input_norm_budget"),
+    "analytic_upper_with_sample_path": ("sensitivity", {"kind": "analytic_upper"},
+                                        "config_invalid", "sample_path"),
+    "analytic_upper_with_p": ("sensitivity", {"kind": "analytic_upper", "sample_path": DROP,
+                                              "p": 2.0}, "config_invalid", "p"),
+    "analytic_upper_with_n_omega": ("sensitivity", {"kind": "analytic_upper",
+                                                    "sample_path": DROP, "n_omega": 50},
+                                    "config_invalid", "n_omega"),
+    "empirical_with_budget": ("sensitivity", {"input_norm_budget": 3.0}, "config_invalid",
+                              "input_norm_budget"),
+    "expected_stochastic_with_budget": (
+        "sensitivity", {"kind": "expected_stochastic", "input_norm_budget": 3.0},
+        "config_invalid", "input_norm_budget"),
     "unknown_bound_param": ("bound", {"params/epsilon_U": 0.01}, "config_invalid",
                             "params/epsilon_U"),
     "srm_selection_negative_complexity": (
@@ -727,7 +756,7 @@ def test_malformed_input_structured_error(tmp_path, train_config, capsys, case):
         argv = ["rademacher", "--pointset", str(points), *edits]
     else:
         base = {"train": json.loads(Path(train_config).read_text()), "bound": BOUND_CONFIG,
-                "rademacher": GEOMETRY}[command]
+                "sensitivity": SENSITIVITY_CONFIG, "rademacher": GEOMETRY}[command]
         path = write_json(tmp_path / "malformed.json", _edited(base, edits))
         argv = [command, "--geometry" if command == "rademacher" else "--config", path]
     exit_code, _, err = run_cli(*argv, "--out", str(tmp_path / "out"), capsys=capsys)

@@ -78,15 +78,25 @@ def exhaustive_argmin(domain, objective, feasibility=None):
 # ---------------------------------------------------------------------------
 
 
+class PointWorkspace(_Workspace):
+    """Only a search domain, cut into blocks of 7 rows so that every search
+    spans several blocks."""
+
+    block_size = 7
+
+    def __init__(self, domain):
+        self.domain = domain
+
+
 class PointObjective:
     """A per-candidate objective in the screen/exact protocol of the learners'
     search: screened values are exact (margin 0), inf where ``feasibility``
-    fails.  Blocks of 7 rows make every search span several blocks."""
+    fails."""
 
-    block_size = 7
     min_diag = math.inf
 
-    def __init__(self, fn, feasibility=None):
+    def __init__(self, fn, domain, feasibility=None):
+        self.ws = PointWorkspace(domain)
         self.fn = fn
         self.feasibility = feasibility
 
@@ -94,12 +104,12 @@ class PointObjective:
         return float(self.fn(w))
 
     def screen(self, block):
-        ok = [self.feasibility is None or self.feasibility(w) for w in block]
-        return np.array([self.exact(w) if f else math.inf for w, f in zip(block, ok)]), 0.0
+        ok = [self.feasibility is None or self.feasibility(w) for w in block.C]
+        return np.array([self.exact(w) if f else math.inf for w, f in zip(block.C, ok)]), 0.0
 
 
 def optimize(fn, domain, feasibility=None):
-    return _search(PointObjective(fn, feasibility), domain).weights
+    return _search(PointObjective(fn, domain, feasibility)).weights
 
 
 def test_optimize_quadratic_snaps_to_grid():
@@ -508,6 +518,27 @@ def test_lambda_grid_empty_rejected():
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=5)
     with pytest.raises(InvalidParameterError):
         lambda_grid_srm(labelled, unlabelled, OP, [], [], 1.0, LOSS, domain)
+
+
+def test_lambda_grid_transforms_each_block_once(monkeypatch):
+    # 2,000 unlabelled rows make blocks of 65 candidates: 7 on the 21 x 21 grid,
+    # screened once for all three lambdas
+    _, labelled, unlabelled = _make_data(seed=20, m_u=2000)
+    domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=21)
+    blocks = []
+    transform = UniformQuantizer.transform_weights
+
+    def counted(self, w, rng=None):
+        if np.ndim(w) == 2:
+            blocks.append(len(w))
+        return transform(self, w, rng)
+
+    monkeypatch.setattr(UniformQuantizer, "transform_weights", counted)
+    out = lambda_grid_srm(labelled, unlabelled, OP, [0.1, 0.5, 2.0], [0.25] * 3, 1.0, LOSS, domain)
+    assert blocks == [65] * 6 + [51]
+    direct = lambda_erm(labelled, OP, out.lam, EmpiricalSensitivity(unlabelled, 1.0), LOSS, domain)
+    assert np.array_equal(out.hypothesis.weights, direct.hypothesis.weights)
+    assert out.objective_value == direct.objective_value
 
 
 # ---------------------------------------------------------------------------

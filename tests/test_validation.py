@@ -128,7 +128,7 @@ SUITE_RHS = {
 @pytest.mark.parametrize("suite", sorted(SUITE_RHS))
 def test_suite_fails_when_its_bound_is_too_small(monkeypatch, suite):
     name, value = SUITE_RHS[suite]
-    report = BoundReport(name, value, (("constant", value),), 0.05, True, "")
+    report = BoundReport(name, value, (("constant", value),), 0.05, True, {})
     # joint_bounds returns its three reports at once
     result = (report,) * 3 if name == "joint_bounds" else report
     monkeypatch.setattr(validation, name, lambda *args, **kwargs: result)
