@@ -193,14 +193,31 @@ def exact_rademacher_support(support_fn, m: int) -> float:
 
 
 def _mc_signs(n_sigma: int, m: int, seed: int) -> np.ndarray:
-    """The Monte Carlo oracles' (n_sigma, m) sign draws: one stream per seed."""
+    """The Monte Carlo oracles' (n_sigma, m) sign draws: one stream per seed.
+
+    A fresh C-contiguous float64 array of ±1.0.  Callers multiply it as is,
+    and a GEMM's last bit can depend on the layout of its operands.
+    """
     if n_sigma < 1:
         raise InvalidParameterError("n_sigma must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(6,)))
-    signs = rng.integers(0, 2, size=(n_sigma, m)).astype(float)
-    signs *= 2.0
-    signs -= 1.0
-    return signs
+    n = n_sigma * m
+    bitgen = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(6,)))
+    try:
+        # sign j of draw i is the top bit of 32-bit half i*m + j of the raw
+        # 64-bit words, low half first (the words are read little-endian on
+        # any host): +1 for 1, -1 for 0.  That is the bit integers(0, 2)
+        # returns on the same generator.  As int32 the top bit is the sign,
+        # so (~h >> 31) | 1 maps it to ±1 in place, and the cast to float is
+        # the only pass over 8-byte values.
+        halves = bitgen.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<i4")
+        np.invert(halves, out=halves)
+        halves >>= 31
+        halves |= 1
+        return halves[:n].reshape(n_sigma, m).astype(float)
+    except (MemoryError, ValueError) as exc:  # ValueError: more than numpy can index
+        raise InvalidParameterError(
+            f"cannot allocate Monte Carlo signs for n_sigma={n_sigma}, m={m}"
+        ) from exc
 
 
 def _mc_mean_se(sups: np.ndarray, m: int) -> tuple[float, float]:

@@ -324,6 +324,34 @@ def test_rademacher_cap_error(tmp_path, capsys):
     assert json.loads(err)["code"] == "invalid_parameter"
 
 
+# sign draws too large for memory or for a numpy array: each fails when it is
+# allocated, before any memory is used
+UNALLOCATABLE_SIGNS = {
+    "rademacher_mc": ("rademacher", 10**15, 8),
+    "rademacher_mc_past_any_index": ("rademacher", 10**20, 8),
+    "train_srm": ("train", 10**15, 40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNALLOCATABLE_SIGNS))
+def test_unallocatable_sign_draw_structured_error(tmp_path, train_config, capsys, case):
+    command, n_sigma, m = UNALLOCATABLE_SIGNS[case]
+    if command == "rademacher":
+        fixture = Path(__file__).parent / "fixtures" / "pointset.csv"
+        argv = ["rademacher", "--pointset", str(fixture), "--method", "mc",
+                "--n-sigma", str(n_sigma)]
+    else:
+        config = json.loads(Path(train_config).read_text())
+        config["learner"] = {"algorithm": "srm", "thresholds": [0.2, 0.4], "n_sigma": n_sigma,
+                             "domain": config["learner"]["domain"]}
+        argv = ["train", "--config", write_json(tmp_path / "srm.json", config)]
+    code, _, err = run_cli(*argv, "--out", str(tmp_path / "out"), capsys=capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["code"] == "invalid_parameter"
+    assert f"n_sigma={n_sigma}, m={m}" in payload["message"]
+
+
 BAD_CSV = {
     "non_numeric": ("x0,x1\n0.5,0.25\nabc,0.5\n", "non-numeric cell on line 3"),
     "ragged": ("x0,x1\n0.5,0.25\n0.5,0.25,0.75\n", "line 3 has 3 cells but the header has 2"),
@@ -515,14 +543,14 @@ def test_validate_deterministic_and_thread_independent(tmp_path):
     assert payload["passed"] is True and payload["violations"] == 0
 
 
-COVERAGE_TRIALS = {"lemma1": 40, "prop10": 20, "prop2": 4}
+COVERAGE_TRIALS = {"lemma1": 40, "prop10": 20, "prop2": 4, "prop4": 4}
 
 
 @pytest.mark.parametrize("suite", sorted(COVERAGE_TRIALS))
 def test_validate_coverage_thread_independent(tmp_path, suite):
-    # the blocked Monte Carlo references, and lemma1's fast_rate_violations
-    # (summed from per-trial results, not from a counter the worker threads
-    # share), must not depend on the thread count
+    # each trial's Monte Carlo sign draws (two per prop4 trial), and lemma1's
+    # fast_rate_violations (summed from per-trial results, not from a counter
+    # the worker threads share), must not depend on the thread count
     args = ["validate", "--suite", suite, "--trials", str(COVERAGE_TRIALS[suite]), "--seed", "2"]
     assert run_cli(*args, "--threads", "1", "--out", str(tmp_path / "t1"))[0] == 0
     assert run_cli(*args, "--threads", "4", "--out", str(tmp_path / "t4"))[0] == 0

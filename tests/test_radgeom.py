@@ -32,7 +32,8 @@ from approx_sense import (
     positive_orthant_ball_sup,
     rotated_union_bound,
 )
-from approx_sense.radgeom import _rotated_component_norm, dual_norm
+from approx_sense.dataio import read_matrix_csv
+from approx_sense.radgeom import _mc_signs, _rotated_component_norm, dual_norm
 
 
 def brute_force_rademacher(rows: np.ndarray) -> float:
@@ -278,6 +279,31 @@ def test_mc_zero_matrix():
 def test_mc_same_seed_identical():
     ps = SensitivityPointSet(points=np.random.default_rng(4).uniform(0, 1, size=(5, 8)))
     assert mc_rademacher_pointset(ps, 500, 7) == mc_rademacher_pointset(ps, 500, 7)
+
+
+def integers_signs(n_sigma: int, m: int, seed: int) -> np.ndarray:
+    """The sign draw as numpy's bounded-integer path makes it: the reference
+    for the raw-word draw in _mc_signs."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(6,)))
+    return rng.integers(0, 2, size=(n_sigma, m)).astype(float) * 2.0 - 1.0
+
+
+# odd n_sigma * m leaves the last word's high half unused
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 7), (801, 99), (800, 100), (20000, 22)])
+@pytest.mark.parametrize("seed", [0, 7, 61 * 100_003 + 4, 2**40 + 3])
+def test_mc_signs_are_the_integers_stream(shape, seed):
+    signs = _mc_signs(*shape, seed)
+    expected = integers_signs(*shape, seed)
+    assert signs.dtype == expected.dtype == np.float64
+    assert signs.flags.c_contiguous
+    assert np.array_equal(signs, expected)
+
+
+def test_mc_pointset_value_pinned():
+    # a change in how signs are drawn, numpy's included, moves this value
+    points = read_matrix_csv(Path(__file__).parent / "fixtures" / "pointset.csv")
+    est = mc_rademacher_pointset(SensitivityPointSet(points=points), 500, 7)
+    assert est.value.hex() == "0x1.a0967215c455fp-4"
 
 
 def test_mc_agrees_with_exact():
