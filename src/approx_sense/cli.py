@@ -175,7 +175,7 @@ SENSITIVITY = Section(
     # empirical reads neither n_omega nor seed; it accepts both because the
     # benchmark's empirical configs (perfbench/workloads.py) write them
     kinds={"empirical": _SAMPLED,
-           "analytic_upper": ((), ("seed", "feature_map", "input_norm_budget")),
+           "analytic_upper": ((), ("feature_map", "input_norm_budget")),
            "expected_stochastic": _SAMPLED},
 )
 

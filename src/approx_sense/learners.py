@@ -9,9 +9,12 @@ index, which keeps every learner deterministic.
 Search screens candidates in blocks, then re-scores a few of them exactly:
 
 * **Screen.**  ``_Workspace.blocks`` is the one place that cuts a grid or
-  random domain's candidates into blocks; a descent sweep (every axis value
-  of one coordinate) is a block of its own.  A ``_Block`` computes its
-  lambda- and t-free values when first read: Q(C), emp_err(Q(C)) once per
+  random domain's candidates into blocks.  Coordinate descent runs its
+  restarts in lockstep: each half-sweep of a coordinate (the axis values
+  below the current one, then the rest) is one block holding every active
+  restart's rows, and each restart's segment is re-scored against that
+  restart's own running best.  A ``_Block`` computes its lambda- and
+  t-free values when first read: Q(C), emp_err(Q(C)) once per
   distinct Q(w) (core._distinct_rows finds them), emp_err(C), ||C - Q(C)||
   and the empirical sensitivities as one product U @ (C - Q(C)).T.  An
   objective combines them with lambda, t or the penalties.  These values
@@ -23,7 +26,9 @@ Search screens candidates in blocks, then re-scores a few of them exactly:
   running screened minimum, and the first strict minimum is kept.  Every
   skipped candidate is strictly beaten by an earlier one, so the weights,
   the objective value and the trace equal those of the scalar loop over all
-  candidates, and ties still go to the lowest enumeration index.
+  candidates, and ties still go to the lowest enumeration index.  Every
+  block's margin bounds its own rounding, so which block a candidate is
+  screened in changes only how many rows are re-scored, not the result.
 * **Discrete decisions are exact.**  A candidate whose screened sensitivity
   lies within the tolerance of a threshold (feasibility dhat < t, the SRM
   index d <= t_k + eps_u) takes the scalar check, so boundary hits, clamps
@@ -140,20 +145,18 @@ def _raise_infeasible(min_diag: float) -> None:
     )
 
 
-def _scan(objective, block: _Block, best: float) -> list[tuple[int, float]]:
-    """Strict improvements on ``best`` over the block's rows, in row order.
+def _improvements(objective, C, values, margin, best) -> list[tuple[int, float]]:
+    """Strict improvements on ``best`` over the rows of C, in row order, given
+    their screened ``values`` and the screen's ``margin``.
 
     A row is re-scored only when its screened lower bound undercuts every
     screened upper bound before it (and ``best``); any other row is strictly
     beaten by an earlier one.
     """
-    if len(block.C) == 0:
-        return []
-    values, margin = objective.screen(block)
     upper = np.minimum.accumulate(np.concatenate(([best], values[:-1] + margin)))
     found = []
     for i in np.flatnonzero(values - margin < upper):
-        val = objective.exact(block.C[i])
+        val = objective.exact(C[i])
         if val < best:
             best = val
             found.append((int(i), val))
@@ -166,7 +169,8 @@ def _search(objective) -> SearchResult:
     best_w, best_val = None, math.inf
     trace: list[float] = []
     for block in objective.ws.blocks:
-        for i, val in _scan(objective, block, best_val):
+        values, margin = objective.screen(block)
+        for i, val in _improvements(objective, block.C, values, margin, best_val):
             best_w, best_val = block.C[i], val
             trace.append(val)
     if best_w is None:
@@ -175,42 +179,60 @@ def _search(objective) -> SearchResult:
 
 
 def _search_coordinate_descent(objective) -> SearchResult:
+    """Seeded restarts refined by per-coordinate sweeps, all restarts in
+    lockstep (see the module docstring): each one moves as if it ran alone."""
     domain = objective.ws.domain
     axis = domain.axis_values()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=domain.seed, spawn_key=(8,)))
     starts = rng.uniform(-domain.halfwidth, domain.halfwidth, size=(domain.restarts, domain.dim))
+    W = axis[np.argmin(np.abs(axis[None, None, :] - starts[:, :, None]), axis=2)]
+    vals = [math.inf] * domain.restarts
+
+    def sweep(active: list[int], j: int, segments: list[np.ndarray]) -> set[int]:
+        """Try each active restart's w with coordinate j set to each value of
+        its segment in turn; the restarts that moved."""
+        counts = [len(s) for s in segments]
+        moved = set()
+        if not sum(counts):
+            return moved
+        C = np.repeat(W[active], counts, axis=0)
+        C[:, j] = np.concatenate(segments)
+        values, margin = objective.screen(_Block(objective.ws, C))
+        hi = 0
+        for r, count in zip(active, counts):
+            lo, hi = hi, hi + count
+            if not count:
+                continue
+            found = _improvements(objective, C[lo:hi], values[lo:hi], margin, vals[r])
+            if found:
+                i, vals[r] = found[-1]
+                W[r] = C[lo + i]
+                moved.add(r)
+        return moved
+
+    active = list(range(domain.restarts))
+    sweep(active, 0, list(W[:, :1]))  # the start points themselves
+    for _ in range(domain.iterations):
+        improved: set[int] = set()
+        for j in range(domain.dim):
+            # the current value is skipped only until the coordinate first moves
+            here = [int(np.flatnonzero(axis == W[r, j])[0]) for r in active]
+            moved = sweep(active, j, [axis[:h] for h in here])
+            later = sweep(active, j, [axis[h:] if r in moved else axis[h + 1 :]
+                                      for r, h in zip(active, here)])
+            improved |= moved | later
+        active = [r for r in active if r in improved]
+        if not active:
+            break
     best_w = None
     best_val = math.inf
     trace: list[float] = []
-
-    def sweep(w: np.ndarray, val: float, j: int, values: np.ndarray):
-        """Try w with coordinate j set to each of ``values`` in turn."""
-        block = np.repeat(w[None, :], len(values), axis=0)
-        block[:, j] = values
-        found = _scan(objective, _Block(objective.ws, block), val)
-        if not found:
-            return w, val, False
-        i, val = found[-1]
-        return block[i].copy(), val, True
-
-    for start in starts:
-        w = axis[np.argmin(np.abs(axis[None, :] - start[:, None]), axis=1)]
-        w, val, _ = sweep(w, math.inf, 0, w[:1])  # the start point itself
-        for _ in range(domain.iterations):
-            improved = False
-            for j in range(domain.dim):
-                # the current value is skipped only until the coordinate first moves
-                here = int(np.flatnonzero(axis == w[j])[0])
-                w, val, moved = sweep(w, val, j, axis[:here])
-                w, val, later = sweep(w, val, j, axis[here:] if moved else axis[here + 1 :])
-                improved = improved or moved or later
-            if not improved:
-                break
+    for w, val in zip(W, vals):
         if val < best_val:
             best_val = val
             best_w = w
             trace.append(val)
-    if best_w is None or math.isinf(best_val):
+    if best_w is None:
         _raise_infeasible(objective.min_diag)
     return SearchResult(weights=best_w.copy(), value=best_val, trace=tuple(trace))
 

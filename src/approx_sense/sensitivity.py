@@ -137,9 +137,11 @@ def analytic_sensitivity_upper(
     )
 
 
-def _per_draw(op: ApproxOperator, h: Hypothesis, inputs, streams, value) -> np.ndarray:
-    """``value(base, drawn)`` per operator draw, one draw per generator in
-    ``streams``: the predictions of ``h`` and of its draw on ``inputs``.
+def _per_draw(
+    op: ApproxOperator, h: Hypothesis, inputs, n_omega: int, stream, value
+) -> np.ndarray:
+    """``value(base, drawn)`` per operator draw, draw i from the generator
+    ``stream(i)``: the predictions of ``h`` and of its draw on ``inputs``.
 
     Each generator draws as ``apply_operator`` would; the draws are rounded as
     one block, and each distinct drawn weight vector is evaluated once with
@@ -148,7 +150,14 @@ def _per_draw(op: ApproxOperator, h: Hypothesis, inputs, streams, value) -> np.n
     """
     feats = h.feature_map.transform(np.asarray(inputs, dtype=float))
     base = feats @ h.weights
-    uniforms = np.stack([rng.random(len(h.weights)) for rng in streams])
+    try:  # the whole table, before any draw: a count too large fails here
+        uniforms = np.empty((n_omega, len(h.weights)))
+    except (MemoryError, ValueError) as exc:  # ValueError: more than numpy can index
+        raise InvalidParameterError(
+            f"cannot allocate operator draws for n_omega={n_omega}, d={len(h.weights)}"
+        ) from exc
+    for i, row in enumerate(uniforms):
+        stream(i).random(out=row)
     distinct, inverse = _distinct_rows(op.round_with(h.weights, uniforms))
     return np.array([value(base, feats @ row) for row in distinct])[inverse]
 
@@ -169,8 +178,8 @@ def expected_sensitivity(
         )
     if n_omega < 1:
         raise InvalidParameterError("n_omega must be >= 1")
-    streams = (derived_rng(seed, 4, i) for i in range(n_omega))
-    vals = _per_draw(op, h, sample.inputs, streams, lambda base, drawn: _p_mean(base - drawn, p))
+    vals = _per_draw(op, h, sample.inputs, n_omega, lambda i: derived_rng(seed, 4, i),
+                     lambda base, drawn: _p_mean(base - drawn, p))
     se = float(vals.std(ddof=1) / np.sqrt(n_omega)) if n_omega > 1 else 0.0
     return SensitivityEstimate(
         p=p,
@@ -220,8 +229,7 @@ def variance_condition_check(
         raise InvalidParameterError("n_omega must be >= 1")
     reports = []
     for j, h in enumerate(hypotheses):
-        streams = (derived_rng(seed, 5, j, i) for i in range(n_omega))
-        sq = _per_draw(op, h, sample.inputs, streams,
+        sq = _per_draw(op, h, sample.inputs, n_omega, lambda i: derived_rng(seed, 5, j, i),
                        lambda base, drawn: float(np.mean((drawn - base) ** 2)))
         lhs = float(sq.mean())
         se = float(sq.std(ddof=1) / np.sqrt(n_omega)) if n_omega > 1 else 0.0

@@ -352,6 +352,20 @@ def test_unallocatable_sign_draw_structured_error(tmp_path, train_config, capsys
     assert f"n_sigma={n_sigma}, m={m}" in payload["message"]
 
 
+def test_unallocatable_operator_draws_structured_error(tmp_path, capsys):
+    sample = tmp_path / "sample.csv"
+    sample.write_text("x0,x1\n0.5,0.25\n-0.5,0.75\n", encoding="utf-8")
+    config = dict(SENSITIVITY_CONFIG, kind="expected_stochastic", sample_path=str(sample),
+                  operator={"kind": "stochastic_rounder", "step": 0.5, "clamp": 1.0},
+                  n_omega=10**15)
+    code, _, err = run_cli("sensitivity", "--config", write_json(tmp_path / "sens.json", config),
+                           "--out", str(tmp_path / "out"), capsys=capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["code"] == "invalid_parameter"
+    assert "n_omega=1000000000000000" in payload["message"]
+
+
 BAD_CSV = {
     "non_numeric": ("x0,x1\n0.5,0.25\nabc,0.5\n", "non-numeric cell on line 3"),
     "ragged": ("x0,x1\n0.5,0.25\n0.5,0.25,0.75\n", "line 3 has 3 cells but the header has 2"),
@@ -698,6 +712,8 @@ MALFORMED = {
     "analytic_upper_with_n_omega": ("sensitivity", {"kind": "analytic_upper",
                                                     "sample_path": DROP, "n_omega": 50},
                                     "config_invalid", "n_omega"),
+    "analytic_upper_with_seed": ("sensitivity", {"kind": "analytic_upper", "sample_path": DROP,
+                                                 "seed": 3}, "config_invalid", "seed"),
     "empirical_with_budget": ("sensitivity", {"input_norm_budget": 3.0}, "config_invalid",
                               "input_norm_budget"),
     "expected_stochastic_with_budget": (

@@ -43,6 +43,7 @@ from approx_sense import (
     true_error_mc,
     true_sensitivity_mc,
 )
+from approx_sense import learners
 from approx_sense.learners import _Workspace, _search
 from approx_sense.radgeom import mc_rademacher_rows
 
@@ -541,6 +542,25 @@ def test_lambda_grid_transforms_each_block_once(monkeypatch):
     assert out.objective_value == direct.objective_value
 
 
+@pytest.mark.parametrize("restarts", [1, 4])
+def test_coordinate_descent_screens_one_block_per_half_sweep(monkeypatch, restarts):
+    # all restarts share the start block and each half-sweep's block
+    _, labelled, unlabelled = _make_data(seed=22, d=3, teacher=[0.5, -0.5, 0.25])
+    domain = SearchDomain(dim=3, halfwidth=1.0, mode="coordinate_descent", points_per_axis=9,
+                          restarts=restarts, iterations=3, seed=4)
+    blocks = []
+
+    class CountedBlock(learners._Block):
+        def __init__(self, ws, C):
+            super().__init__(ws, C)
+            blocks.append(len(C))
+
+    monkeypatch.setattr(learners, "_Block", CountedBlock)
+    lambda_erm(labelled, OP, 0.5, EmpiricalSensitivity(unlabelled, 1.0), LOSS, domain)
+    assert blocks[0] == restarts
+    assert len(blocks) <= 1 + 2 * domain.dim * domain.iterations
+
+
 # ---------------------------------------------------------------------------
 # deployment penalty and the analytic equivalence analogue
 # ---------------------------------------------------------------------------
@@ -672,7 +692,8 @@ def assert_same_search(out, weights, value, trace):
 @st.composite
 def problems(draw):
     """A small learning problem: data, operator, loss, p and a search domain
-    in any of the three modes."""
+    in any of the three modes.  Coordinate descent runs one restart or
+    several, which may stop at different iterations."""
     mode = draw(st.sampled_from(["grid", "random", "coordinate_descent"]))
     seed = draw(st.integers(0, 2**16))
     if mode == "grid":
@@ -689,7 +710,8 @@ def problems(draw):
     else:
         domain = SearchDomain(
             dim=draw(st.integers(2, 4)), halfwidth=1.0, mode="coordinate_descent",
-            points_per_axis=draw(st.integers(3, 11)), restarts=2, iterations=3, seed=seed,
+            points_per_axis=draw(st.integers(3, 11)), restarts=draw(st.integers(1, 4)),
+            iterations=draw(st.integers(1, 3)), seed=seed,
         )
     op = draw(
         st.one_of(
