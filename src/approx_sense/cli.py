@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -20,55 +21,51 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    Constituent,
-    joint_bounds,
-    lambda_equivalence_bound,
-    regularized_bound,
-    srm_selection_bound,
-    srm_uniform_bound,
-    stochastic_bound,
-    uniform_restricted_bound,
-)
-from .core import (
-    Hypothesis,
-    IdentityMap,
-    LabelledSample,
-    LossSpec,
-    MagnitudePruner,
-    PolynomialMap,
-    RbfMap,
-    StochasticRounder,
-    UniformQuantizer,
-    UnlabelledSample,
-)
-from .dataio import append_csv_row, format_float, read_matrix_csv, read_sample_csv, write_sample_csv
 from .errors import ApproxSenseError, ConfigError, InvalidParameterError, MissingInputError
-from .learners import (
-    AnalyticSensitivity,
-    EmpiricalSensitivity,
-    SearchDomain,
-    ThresholdSchedule,
-    constrained_erm,
-    lambda_erm,
-    lambda_grid_srm,
-    make_restricted_rad_estimator,
-    srm_learner,
-)
-from .radgeom import (
-    EXACT_ENUMERATION_CAP,
-    GeometryModel,
-    SensitivityPointSet,
-    exact_rademacher_pointset,
-    mc_rademacher_pointset,
-)
-from .sensitivity import (
-    analytic_sensitivity_upper,
-    empirical_sensitivity,
-    expected_sensitivity,
-)
-from .synthetic import GaussianMixture, IsotropicGaussian, SyntheticTask, UniformBox, generate
-from .validation import run_suite
+
+# module -> the names of it that the subcommands call.  Each is a global of
+# this module, bound on first use: by __getattr__ for an access from outside,
+# or by main, which loads the modules its subcommand runs (_COMMANDS).  So a
+# subcommand imports only what it runs, and a name replaced from outside
+# (setattr) is the one that the subcommands call.
+_LAZY = {
+    "bounds": ("Constituent", "joint_bounds", "lambda_equivalence_bound", "regularized_bound",
+               "srm_selection_bound", "srm_uniform_bound", "stochastic_bound",
+               "uniform_restricted_bound"),
+    "core": ("Hypothesis", "IdentityMap", "LabelledSample", "LossSpec", "MagnitudePruner",
+             "PolynomialMap", "RbfMap", "StochasticRounder", "UniformQuantizer",
+             "UnlabelledSample"),
+    "dataio": ("append_csv_row", "format_float", "read_matrix_csv", "read_sample_csv",
+               "write_sample_csv"),
+    "learners": ("AnalyticSensitivity", "EmpiricalSensitivity", "SearchDomain",
+                 "ThresholdSchedule", "constrained_erm", "lambda_erm", "lambda_grid_srm",
+                 "make_restricted_rad_estimator", "srm_learner"),
+    "radgeom": ("EXACT_ENUMERATION_CAP", "GeometryModel", "SensitivityPointSet",
+                "exact_rademacher_pointset", "mc_rademacher_pointset"),
+    "sensitivity": ("analytic_sensitivity_upper", "empirical_sensitivity",
+                    "expected_sensitivity"),
+    "synthetic": ("GaussianMixture", "IsotropicGaussian", "SyntheticTask", "UniformBox",
+                  "generate"),
+    "validation": ("run_suite",),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _load(*modules: str) -> None:
+    """Import each module and bind its names here, keeping a name already bound."""
+    for module in modules:
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
+
 
 SCHEMA_VERSION = 1
 
@@ -679,13 +676,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# subcommand -> its function and the modules it runs
 _COMMANDS = {
-    "generate": cmd_generate,
-    "train": cmd_train,
-    "sensitivity": cmd_sensitivity,
-    "rademacher": cmd_rademacher,
-    "bound": cmd_bound,
-    "validate": cmd_validate,
+    "generate": (cmd_generate, ("core", "dataio", "synthetic")),
+    "train": (cmd_train, ("core", "dataio", "learners", "synthetic")),
+    "sensitivity": (cmd_sensitivity, ("core", "dataio", "sensitivity")),
+    "rademacher": (cmd_rademacher, ("dataio", "radgeom")),
+    "bound": (cmd_bound, ("bounds", "dataio")),
+    "validate": (cmd_validate, ("validation",)),
 }
 
 
@@ -694,7 +692,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
-        return _COMMANDS[args.command](args)
+        command, modules = _COMMANDS[args.command]
+        _load(*modules)
+        return command(args)
     except ApproxSenseError as exc:
         sys.stderr.write(json.dumps(exc.to_dict(), sort_keys=True) + "\n")
         return 2

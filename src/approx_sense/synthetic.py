@@ -132,11 +132,16 @@ def generate(
         raise InvalidParameterError("m must be >= 1")
     stream = 0 if labelled else 1
     rng = derived_rng(task.seed, stream)
-    inputs = task.draw_inputs(rng, m)
+    try:
+        inputs = task.draw_inputs(rng, m)
+        targets = task.label(rng, inputs) if labelled else None
+    except (MemoryError, ValueError) as exc:  # ValueError: more than numpy can index
+        raise InvalidParameterError(
+            f"cannot allocate a sample of m={m} points of dimension {task.input_dim}"
+        ) from exc
     source = f"synthetic:{task.seed}:{stream}"
     if not labelled:
         return UnlabelledSample(inputs=inputs, source_id=source)
-    targets = task.label(rng, inputs)
     return LabelledSample(inputs=inputs, targets=targets, source_id=source)
 
 

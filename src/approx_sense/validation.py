@@ -9,7 +9,6 @@ bit-identical across runs and thread counts.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +96,8 @@ def _run_trials(n: int, fn, threads: int = 1) -> list:
     """Map fn over trial indices; results are collected in index order."""
     if threads <= 1:
         return [fn(i) for i in range(n)]
+    from concurrent.futures import ThreadPoolExecutor  # only here: a 1-thread run skips it
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n)))
 
@@ -585,6 +586,8 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, threads: int 
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose one of {sorted(SUITES)}", suite=name
         )
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     if trials is None:  # the suite's own default
         return SUITES[name](seed=seed, threads=threads)
     if trials < 1:

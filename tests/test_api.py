@@ -4,10 +4,13 @@ a caller inside the package, or a test that says why it exists."""
 from __future__ import annotations
 
 import ast
+import importlib
 import io
 import re
 import tokenize
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "approx_sense"
 
@@ -20,14 +23,16 @@ UNCALLED = {
 }
 
 
-def _exported() -> set[str]:
+def _export_table() -> dict[str, tuple[str, ...]]:
+    """The package's export table, module -> names, read from its source."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    (node,) = [node for node in tree.body if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]]
+    return ast.literal_eval(node.value)
+
+
+def _exported() -> set[str]:
+    return {name for names in _export_table().values() for name in names}
 
 
 def _mentions(path: Path) -> str:
@@ -55,3 +60,19 @@ def test_every_export_without_a_caller_is_listed():
         if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)
     }
     assert uncalled == UNCALLED
+
+
+def test_every_export_is_its_defining_modules_attribute():
+    """Each name resolves, on first access, to the attribute of the module
+    that the table names; __all__ and dir() list exactly the table."""
+    import approx_sense
+
+    table = _export_table()
+    assert approx_sense.__all__ == [name for names in table.values() for name in names]
+    for module, names in table.items():
+        defining = importlib.import_module(f"approx_sense.{module}")
+        for name in names:
+            assert getattr(approx_sense, name) is getattr(defining, name), name
+    assert set(approx_sense.__all__) <= set(dir(approx_sense))
+    with pytest.raises(AttributeError):
+        approx_sense.not_an_export  # noqa: B018

@@ -366,6 +366,33 @@ def test_unallocatable_operator_draws_structured_error(tmp_path, capsys):
     assert "n_omega=1000000000000000" in payload["message"]
 
 
+# samples too large for memory or for a numpy array: the draw fails as a
+# structured error naming m and the input dimension
+UNALLOCATABLE_SAMPLES = {
+    "generate_m": ("generate", "m", 10**15),
+    "generate_m_past_any_index": ("generate", "m", 10**20),
+    "train_m_labelled": ("train", "m_labelled", 10**15),
+    "train_m_unlabelled": ("train", "m_unlabelled", 10**15),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNALLOCATABLE_SAMPLES))
+def test_unallocatable_sample_structured_error(tmp_path, train_config, capsys, case):
+    command, key, m = UNALLOCATABLE_SAMPLES[case]
+    config = json.loads(Path(train_config).read_text())
+    if command == "generate":
+        task = {k: config["task"][k] for k in ("kind", "teacher_weights", "input_law")}
+        config = {"schema_version": 1, "seed": 3, "task": task, key: m, "labelled": True}
+    else:
+        config["task"][key] = m
+    code, _, err = run_cli(command, "--config", write_json(tmp_path / "big.json", config),
+                           "--out", str(tmp_path / "out"), capsys=capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["code"] == "invalid_parameter"
+    assert f"m={m} points of dimension 2" in payload["message"]
+
+
 BAD_CSV = {
     "non_numeric": ("x0,x1\n0.5,0.25\nabc,0.5\n", "non-numeric cell on line 3"),
     "ragged": ("x0,x1\n0.5,0.25\n0.5,0.25,0.75\n", "line 3 has 3 cells but the header has 2"),
@@ -555,6 +582,17 @@ def test_validate_deterministic_and_thread_independent(tmp_path):
     assert b1 == (tmp_path / "v3" / "validate_crude_sandwich.json").read_bytes()
     payload = json.loads(b1)
     assert payload["passed"] is True and payload["violations"] == 0
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_validate_rejects_threads_below_one(tmp_path, capsys, threads):
+    code, out, err = run_cli("validate", "--suite", "crude_sandwich", "--trials", "2",
+                             "--threads", str(threads), "--out", str(tmp_path), capsys=capsys)
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["code"] == "invalid_parameter"
+    assert f"threads must be >= 1, got {threads}" in payload["message"]
+    assert not list(tmp_path.iterdir())
 
 
 COVERAGE_TRIALS = {"lemma1": 40, "prop10": 20, "prop2": 4, "prop4": 4}
