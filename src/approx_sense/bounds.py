@@ -56,8 +56,8 @@ class BoundReport:
     metadata: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        total = math.fsum(v for _, v in self.terms)
-        if abs(total - self.value) > 1e-12 * max(1.0, abs(total)):
+        total = _finite_sum(self.name, self.terms)
+        if not abs(total - self.value) <= 1e-12 * max(1.0, abs(total)):  # NaN fails too
             raise InvalidParameterError("report value must equal the sum of its terms")
 
     def term(self, label: str) -> float:
@@ -88,10 +88,22 @@ class BoundReport:
         return d
 
 
+def _finite_sum(name: str, terms) -> float:
+    """The exact sum of the terms' values; InvalidParameterError when a term
+    or the sum is not a finite float."""
+    try:
+        total = math.fsum(v for _, v in terms)
+    except (OverflowError, ValueError):  # finite terms past the float range; inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise InvalidParameterError(f"bound {name} is not finite: terms {list(terms)}")
+    return total
+
+
 def _report(name, terms, delta, inputs, certified=True, metadata=()) -> BoundReport:
     return BoundReport(
         name=name,
-        value=math.fsum(v for _, v in terms),
+        value=_finite_sum(name, terms),
         terms=tuple(terms),
         delta=delta,
         certified=certified,

@@ -23,11 +23,12 @@ import numpy as np
 from . import __version__
 from .errors import ApproxSenseError, ConfigError, InvalidParameterError, MissingInputError
 
-# module -> the names of it that the subcommands call.  Each is a global of
-# this module, bound on first use: by __getattr__ for an access from outside,
-# or by main, which loads the modules its subcommand runs (_COMMANDS).  So a
-# subcommand imports only what it runs, and a name replaced from outside
-# (setattr) is the one that the subcommands call.
+# module -> the names of it that the subcommands call, directly or (a kind's
+# class) through _build.  Each is a global of this module, bound on first
+# use: by __getattr__ for an access from outside, or by main, which loads the
+# modules its subcommand runs (_COMMANDS).  So a subcommand imports only what
+# it runs, and a name replaced from outside (setattr) is the one that the
+# subcommands call.
 _LAZY = {
     "bounds": ("Constituent", "joint_bounds", "lambda_equivalence_bound", "regularized_bound",
                "srm_selection_bound", "srm_uniform_bound", "stochastic_bound",
@@ -94,7 +95,8 @@ class Section:
     """A JSON object: its fields (a Field or a nested Section each) and the
     keys every config needs.  A section keyed by ``key`` maps each kind (an
     allowed value of ``key``) to (the keys it needs, the optional keys it
-    reads); any other key is rejected for that kind."""
+    reads), plus, where _build makes an object of it, the name of its class;
+    any other key is rejected for that kind."""
 
     fields: dict
     required: tuple = ()
@@ -110,13 +112,15 @@ _CENTERS = Field("array", items=Field("number|array", items=_NUM), min_items=1)
 
 _FEATURE_MAP = Section(
     {"input_dim": _COUNT, "degree": _COUNT, "centers": _CENTERS, "width": _POSITIVE}, key="kind",
-    kinds={"identity": ((), ("input_dim",)), "polynomial": (("degree",), ("input_dim",)),
-           "rbf": (("centers", "width"), ())},
+    kinds={"identity": ((), ("input_dim",), "IdentityMap"),
+           "polynomial": (("degree",), ("input_dim",), "PolynomialMap"),
+           "rbf": (("centers", "width"), (), "RbfMap")},
 )
 _INPUT_LAW = Section(
     {"halfwidth": _POSITIVE, "sd": _POSITIVE, "centers": _CENTERS}, key="kind",
-    kinds={"uniform_box": ((), ("halfwidth",)), "isotropic_gaussian": ((), ("sd",)),
-           "gaussian_mixture": (("centers",), ("sd",))},
+    kinds={"uniform_box": ((), ("halfwidth",), "UniformBox"),
+           "isotropic_gaussian": ((), ("sd",), "IsotropicGaussian"),
+           "gaussian_mixture": (("centers",), ("sd",), "GaussianMixture")},
 )
 _TASK = Section(
     {"teacher_weights": _LIST, "feature_map": _FEATURE_MAP,
@@ -128,8 +132,9 @@ _TASK = Section(
 )
 _OPERATOR = Section(
     {"step": _POSITIVE, "clamp": _POSITIVE, "keep": _UINT}, key="kind",
-    kinds={"uniform_quantizer": (("step", "clamp"), ()), "magnitude_pruner": (("keep",), ()),
-           "stochastic_rounder": (("step", "clamp"), ())},
+    kinds={"uniform_quantizer": (("step", "clamp"), (), "UniformQuantizer"),
+           "magnitude_pruner": (("keep",), (), "MagnitudePruner"),
+           "stochastic_rounder": (("step", "clamp"), (), "StochasticRounder")},
 )
 _LOSS = Section({"lipschitz": _POSITIVE}, key="kind",
                 kinds=dict.fromkeys(("clipped_absolute", "clipped_hinge", "clipped_squared"),
@@ -226,7 +231,7 @@ def _check(value, spec: Field | Section, path: tuple = ()) -> None:
                 _fail((*path, key), "unknown key")
             _check(item, fields[key], (*path, key))
         if spec.key is not None:  # the kind is valid here, if present
-            needs, reads = spec.kinds.get(value.get(spec.key), ((), ()))
+            needs, reads = spec.kinds.get(value.get(spec.key), ((), ()))[:2]
             required = (spec.key, *required, *needs)
         for key in required:
             if key not in value:
@@ -286,28 +291,18 @@ def _load_json(path: str, what: str = "config", **details):
 # ---------------------------------------------------------------------------
 
 
-def _build_feature_map(cfg: dict | None, input_dim: int):
-    if cfg is None or cfg["kind"] == "identity":
-        return IdentityMap(input_dim=int(cfg.get("input_dim", input_dim)) if cfg else input_dim)
-    if cfg["kind"] == "polynomial":
-        return PolynomialMap(input_dim=int(cfg.get("input_dim", input_dim)), degree=cfg["degree"])
-    return RbfMap(centers=np.asarray(cfg["centers"], dtype=float), width=cfg["width"])
+_IDENTITY = {"kind": "identity"}
 
 
-def _build_input_law(cfg: dict):
-    if cfg["kind"] == "uniform_box":
-        return UniformBox(halfwidth=cfg.get("halfwidth", 1.0))
-    if cfg["kind"] == "isotropic_gaussian":
-        return IsotropicGaussian(sd=cfg.get("sd", 1.0))
-    return GaussianMixture(centers=np.asarray(cfg["centers"], dtype=float), sd=cfg.get("sd", 1.0))
-
-
-def _build_operator(cfg: dict):
-    if cfg["kind"] == "uniform_quantizer":
-        return UniformQuantizer(step=cfg["step"], clamp=cfg["clamp"])
-    if cfg["kind"] == "magnitude_pruner":
-        return MagnitudePruner(keep=cfg["keep"])
-    return StochasticRounder(step=cfg["step"], clamp=cfg["clamp"])
+def _build(spec: Section, cfg: dict, **given):
+    """The object of a checked section: its kind's class, called with the
+    section's other keys and with each ``given`` value (such as input_dim
+    from the data) that the class has a field for and the section lacks."""
+    cls = globals()[spec.kinds[cfg[spec.key]][2]]
+    # a dataclass's own field table: inspect.signature costs ~300x as much
+    kwargs = {key: value for key, value in given.items() if key in cls.__dataclass_fields__}
+    kwargs.update((key, value) for key, value in cfg.items() if key != spec.key)
+    return cls(**kwargs)
 
 
 def _build_samples(task_cfg: dict, seed: int) -> tuple[LabelledSample, UnlabelledSample | None]:
@@ -329,9 +324,9 @@ def _build_samples(task_cfg: dict, seed: int) -> tuple[LabelledSample, Unlabelle
 
 def _build_task(task_cfg: dict, seed: int) -> SyntheticTask:
     weights = np.asarray(task_cfg["teacher_weights"], dtype=float)
-    fmap = _build_feature_map(task_cfg.get("feature_map"), input_dim=weights.shape[0])
+    fmap = _build(_FEATURE_MAP, task_cfg.get("feature_map", _IDENTITY), input_dim=len(weights))
     teacher = Hypothesis(weights=weights, feature_map=fmap)
-    law = _build_input_law(task_cfg.get("input_law", {"kind": "uniform_box"}))
+    law = _build(_INPUT_LAW, task_cfg.get("input_law", {"kind": "uniform_box"}))
     return SyntheticTask(
         teacher=teacher,
         input_law=law,
@@ -355,44 +350,35 @@ def _write_json(payload: dict, out_dir: Path, filename: str) -> Path:
     return path
 
 
-def _print(message: str) -> None:
-    sys.stdout.write(message + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
-    config = _load_json(args.config)
-    _check(config, GENERATE)
-    seed = args.seed if args.seed is not None else config["seed"]
+def cmd_generate(args, config: dict, seed: int) -> int:
     task = _build_task(config["task"], seed)
     sample = generate(task, config["m"], labelled=config["labelled"])
     out = Path(args.out)
     name = "labelled.csv" if config["labelled"] else "unlabelled.csv"
     out.mkdir(parents=True, exist_ok=True)
     write_sample_csv(sample, out / name)
-    _print(f"wrote {out / name}")
+    print(f"wrote {out / name}")
     return 0
 
 
-def cmd_train(args) -> int:
-    config = _load_json(args.config)
-    _check(config, TRAIN)
+def cmd_train(args, config: dict, seed: int) -> int:
     lcfg = config["learner"]
     if lcfg["algorithm"] == "sensitivity_regularized_erm":  # its keys depend on the sensitivity
         sens = lcfg.get("sensitivity", "empirical")
         unread = "input_norm_budget" if sens == "empirical" else "p"
         if unread in lcfg:
             _fail(("learner", unread), f"not read with sensitivity {sens!r}")
-    seed = args.seed if args.seed is not None else config["seed"]
     labelled, unlabelled = _build_samples(config["task"], seed)
-    op = _build_operator(config["operator"])
+    op = _build(_OPERATOR, config["operator"])
     loss = LossSpec(**config["loss"])  # the loss and domain tables hold their fields only
     domain = SearchDomain(**lcfg["domain"])
-    fmap = _build_feature_map(config["task"].get("feature_map"), input_dim=labelled.dim)
+    fmap = _build(_FEATURE_MAP, config["task"].get("feature_map", _IDENTITY),
+                  input_dim=labelled.dim)
     p = lcfg.get("p", 1.0)
     algorithm = lcfg["algorithm"]
 
@@ -474,18 +460,15 @@ def cmd_train(args) -> int:
         "seed": seed,
     }
     path = _write_json(payload, Path(args.out), "train.json")
-    _print(f"wrote {path}")
+    print(f"wrote {path}")
     return 0
 
 
-def cmd_sensitivity(args) -> int:
-    config = _load_json(args.config)
-    _check(config, SENSITIVITY)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+def cmd_sensitivity(args, config: dict, seed: int) -> int:
     weights = np.asarray(config["weights"], dtype=float)
-    fmap = _build_feature_map(config.get("feature_map"), input_dim=weights.shape[0])
+    fmap = _build(_FEATURE_MAP, config.get("feature_map", _IDENTITY), input_dim=len(weights))
     h = Hypothesis(weights=weights, feature_map=fmap)
-    op = _build_operator(config["operator"])
+    op = _build(_OPERATOR, config["operator"])
     kind = config["kind"]
     p = config.get("p", 1.0)
     if kind == "analytic_upper":
@@ -500,11 +483,11 @@ def cmd_sensitivity(args) -> int:
                 h, op, sample, p=p, n_omega=config.get("n_omega", 100), seed=seed
             )
     path = _write_json(estimate.to_dict(), Path(args.out), "sensitivity.json")
-    _print(f"wrote {path}")
+    print(f"wrote {path}")
     return 0
 
 
-def cmd_rademacher(args) -> int:
+def cmd_rademacher(args, config: dict | None, seed: int) -> int:
     if (args.geometry is None) == (args.pointset is None):
         raise ConfigError("pass exactly one of --geometry or --pointset")
     if args.geometry is not None:
@@ -526,9 +509,9 @@ def cmd_rademacher(args) -> int:
                 )
             estimate = exact_rademacher_pointset(ps)
         else:
-            estimate = mc_rademacher_pointset(ps, n_sigma=args.n_sigma, seed=args.seed or 0)
+            estimate = mc_rademacher_pointset(ps, n_sigma=args.n_sigma, seed=seed)
     path = _write_json(estimate.to_dict(), Path(args.out), "rademacher.json")
-    _print(f"wrote {path}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -570,9 +553,7 @@ def _read_constituent(key: str, path: str):
     return float(value)
 
 
-def cmd_bound(args) -> int:
-    config = _load_json(args.config)
-    _check(config, BOUND)
+def cmd_bound(args, config: dict, seed: int) -> int:
     kind = config["bound"]
     name, lists = _BOUNDS[kind]
     params, files = config["params"], config.get("constituents", {})
@@ -614,20 +595,20 @@ def cmd_bound(args) -> int:
                 str(report.certified).lower(),
             ],
         )
-    _print(f"wrote {len(reports)} report(s) to {out}")
+    print(f"wrote {len(reports)} report(s) to {out}")
     return 0
 
 
-def cmd_validate(args) -> int:
-    report = run_suite(args.suite, trials=args.trials, seed=args.seed or 0, threads=args.threads)
+def cmd_validate(args, config: dict | None, seed: int) -> int:
+    report = run_suite(args.suite, trials=args.trials, seed=seed, threads=args.threads)
     path = _write_json(report.to_dict(), Path(args.out), f"validate_{args.suite}.json")
     status = "PASS" if report.passed else "FAIL"
-    _print(
+    print(
         f"{status} {args.suite}: coverage {report.coverage:.4f} "
         f"(target {report.target:.2f}, floor {report.floor:.2f}, "
         f"{report.violations}/{report.trials} violations)"
     )
-    _print(f"wrote {path}")
+    print(f"wrote {path}")
     return 0 if report.passed else 1
 
 
@@ -676,25 +657,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# subcommand -> its function and the modules it runs
+# subcommand -> its function, the modules it runs and the table that checks
+# its --config (None: it has no --config)
 _COMMANDS = {
-    "generate": (cmd_generate, ("core", "dataio", "synthetic")),
-    "train": (cmd_train, ("core", "dataio", "learners", "synthetic")),
-    "sensitivity": (cmd_sensitivity, ("core", "dataio", "sensitivity")),
-    "rademacher": (cmd_rademacher, ("dataio", "radgeom")),
-    "bound": (cmd_bound, ("bounds", "dataio")),
-    "validate": (cmd_validate, ("validation",)),
+    "generate": (cmd_generate, ("core", "dataio", "synthetic"), GENERATE),
+    "train": (cmd_train, ("core", "dataio", "learners", "synthetic"), TRAIN),
+    "sensitivity": (cmd_sensitivity, ("core", "dataio", "sensitivity"), SENSITIVITY),
+    "rademacher": (cmd_rademacher, ("dataio", "radgeom"), None),
+    "bound": (cmd_bound, ("bounds", "dataio"), BOUND),
+    "validate": (cmd_validate, ("validation",), None),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command, modules, table = _COMMANDS[args.command]
     try:
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
-        command, modules = _COMMANDS[args.command]
-        _load(*modules)
-        return command(args)
+        # a numpy warning would print ahead of the JSON error; a result that
+        # an overflow makes non-finite is rejected by the object holding it.
+        # validate's pool threads do not inherit this state (numpy keeps it
+        # per context), which is harmless: the suites read no user numbers.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            seed = getattr(args, "seed", None)  # bound has no --seed
+            if seed is not None and seed < 0:
+                raise InvalidParameterError(f"--seed must be >= 0, got {seed}")
+            config = None
+            if table is not None:
+                config = _load_json(args.config)
+                _check(config, table)
+            if seed is None:  # --seed, else the config's seed, else 0
+                seed = (config or {}).get("seed", 0)
+            _load(*modules)
+            return command(args, config, seed)
     except ApproxSenseError as exc:
         sys.stderr.write(json.dumps(exc.to_dict(), sort_keys=True) + "\n")
         return 2

@@ -35,6 +35,14 @@ def _as_matrix(values, name: str) -> np.ndarray:
     return arr
 
 
+def _square(x: float) -> float:
+    """x**2 as a float, inf where that overflows (x may be an int)."""
+    try:
+        return float(x) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, inverse): the distinct rows of a 2-d array with at least one
     column, in order of first occurrence, and for each row of ``a`` the index
@@ -185,13 +193,15 @@ class RbfMap:
         object.__setattr__(self, "centers", centers)
         if self.width <= 0:
             raise InvalidParameterError("rbf width must be positive")
-        try:
-            finite = math.isfinite(2.0 * self.width**2)
-        except OverflowError:
-            finite = False
-        if not finite:
+        # transform divides by 2 width^2, which must be a positive finite float
+        denominator = 2.0 * _square(self.width)
+        if denominator == math.inf:
             raise InvalidParameterError(
                 f"rbf width {self.width} is too large: 2 width^2 overflows"
+            )
+        if denominator == 0:
+            raise InvalidParameterError(
+                f"rbf width {self.width} is too small: 2 width^2 underflows to 0"
             )
 
     @property
@@ -398,6 +408,11 @@ class LossSpec:
             raise InvalidParameterError(f"unknown loss kind {self.kind!r}")
         if self.lipschitz <= 0:
             raise InvalidParameterError("lipschitz constant must be positive")
+        if self.kind == "clipped_squared" and _square(self.lipschitz) == math.inf:
+            raise InvalidParameterError(
+                f"lipschitz constant {self.lipschitz} is too large for clipped_squared: "
+                "rho^2 overflows"
+            )
 
     @property
     def clip(self) -> float:

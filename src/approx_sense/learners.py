@@ -100,6 +100,17 @@ class SearchDomain:
         if self.n_samples < 1 or self.restarts < 1 or self.iterations < 1:
             raise InvalidParameterError("search budget parameters must be >= 1")
 
+    def _draw(self, stream: int, count: int, name: str) -> np.ndarray:
+        """``count`` seeded uniform points of the box, from generator stream
+        ``stream``; ``name`` is the parameter that sets ``count``."""
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(stream,)))
+        try:
+            return rng.uniform(-self.halfwidth, self.halfwidth, size=(count, self.dim))
+        except (MemoryError, ValueError) as exc:  # ValueError: more than numpy can index
+            raise InvalidParameterError(
+                f"cannot allocate search points for {name}={count}, dim={self.dim}"
+            ) from exc
+
     def axis_values(self) -> np.ndarray:
         return np.linspace(-self.halfwidth, self.halfwidth, self.points_per_axis)
 
@@ -115,8 +126,7 @@ class SearchDomain:
             mesh = np.meshgrid(*axes, indexing="ij")
             return np.stack([m.ravel() for m in mesh], axis=1)
         if self.mode == "random":
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(9,)))
-            return rng.uniform(-self.halfwidth, self.halfwidth, size=(self.n_samples, self.dim))
+            return self._draw(9, self.n_samples, "n_samples")
         raise InvalidParameterError("coordinate_descent does not enumerate a candidate matrix")
 
 
@@ -183,8 +193,7 @@ def _search_coordinate_descent(objective) -> SearchResult:
     lockstep (see the module docstring): each one moves as if it ran alone."""
     domain = objective.ws.domain
     axis = domain.axis_values()
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=domain.seed, spawn_key=(8,)))
-    starts = rng.uniform(-domain.halfwidth, domain.halfwidth, size=(domain.restarts, domain.dim))
+    starts = domain._draw(8, domain.restarts, "restarts")
     W = axis[np.argmin(np.abs(axis[None, None, :] - starts[:, :, None]), axis=2)]
     vals = [math.inf] * domain.restarts
 

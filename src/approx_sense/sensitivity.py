@@ -7,6 +7,7 @@ sample.  The deviation bounds that tie the two together are in ``bounds``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ class SensitivityEstimate:
     def __post_init__(self):
         if self.kind not in SENSITIVITY_KINDS:
             raise InvalidParameterError(f"unknown sensitivity kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.value, self.standard_error or 0.0))):
+            raise InvalidParameterError(f"{self.kind} sensitivity is not finite: {self.to_dict()}")
         if self.value < 0:
             raise InvalidParameterError("sensitivity value must be >= 0")
 

@@ -21,7 +21,7 @@ from approx_sense import (
     stochastic_bound,
     uniform_restricted_bound,
 )
-from approx_sense.bounds import Constituent
+from approx_sense.bounds import BoundReport, Constituent
 
 
 def term_sum(report):
@@ -127,6 +127,17 @@ def test_report_terms_sum_and_digest():
 # ---------------------------------------------------------------------------
 # srm uniform
 # ---------------------------------------------------------------------------
+
+
+def test_report_rejects_non_finite_terms_and_sums():
+    # a term that overflows to inf, and finite terms whose sum overflows
+    with pytest.raises(InvalidParameterError, match="uniform_restricted is not finite"):
+        uniform_restricted_bound(0.1, 1e308, 1e308, 50, 0.05)
+    with pytest.raises(InvalidParameterError, match="stochastic_expected is not finite"):
+        stochastic_bound(1e308, 1e308, 0.1, 1.0, 50, 0.05)
+    with pytest.raises(InvalidParameterError, match="must equal the sum"):
+        BoundReport(name="x", value=math.nan, terms=(("a", 0.5),), delta=0.05, certified=True,
+                    inputs={})
 
 
 def test_srm_uniform_weight_term():

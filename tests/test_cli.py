@@ -96,6 +96,41 @@ def test_generate_and_reproducibility(tmp_path, capsys):
     assert code == 2 and json.loads(err)["field"] == "task/m_labelled"
 
 
+def test_generate_gaussian_mixture_matches_direct_draw(tmp_path):
+    # the config's centers and sd reach the mixture: the file equals a
+    # sample drawn from the same task built in code
+    from approx_sense import GaussianMixture, Hypothesis, IdentityMap, SyntheticTask, generate
+    from approx_sense.dataio import write_sample_csv
+
+    centers, sd = [[-1.0, 0.0], [1.0, 0.5]], 0.3
+    config = write_json(tmp_path / "gen.json", {
+        "schema_version": 1, "seed": 4, "m": 20, "labelled": True,
+        "task": {"kind": "synthetic", "teacher_weights": [0.5, -0.5],
+                 "input_law": {"kind": "gaussian_mixture", "centers": centers, "sd": sd}},
+    })
+    assert run_cli("generate", "--config", config, "--out", str(tmp_path / "out"))[0] == 0
+    teacher = Hypothesis(weights=np.array([0.5, -0.5]), feature_map=IdentityMap(input_dim=2))
+    task = SyntheticTask(teacher=teacher, input_law=GaussianMixture(centers=centers, sd=sd),
+                         seed=4)
+    write_sample_csv(generate(task, 20, labelled=True), tmp_path / "direct.csv")
+    written = (tmp_path / "out" / "labelled.csv").read_bytes()
+    assert written == (tmp_path / "direct.csv").read_bytes()
+
+
+def test_build_takes_input_dim_from_the_data_only_where_the_section_lacks_it():
+    from approx_sense.cli import _FEATURE_MAP, _OPERATOR, _build
+    from approx_sense.core import IdentityMap, MagnitudePruner, PolynomialMap
+
+    assert _build(_FEATURE_MAP, {"kind": "identity"}, input_dim=2) == IdentityMap(input_dim=2)
+    assert _build(_FEATURE_MAP, {"kind": "polynomial", "degree": 2, "input_dim": 3},
+                  input_dim=2) == PolynomialMap(input_dim=3, degree=2)
+    # an rbf map's input dimension is that of its centers, not a field
+    rbf = _build(_FEATURE_MAP, {"kind": "rbf", "centers": [[0.0, 1.0, 2.0]], "width": 0.5},
+                 input_dim=2)
+    assert rbf.input_dim == 3 and rbf.width == 0.5
+    assert _build(_OPERATOR, {"kind": "magnitude_pruner", "keep": 1}) == MagnitudePruner(keep=1)
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -150,6 +185,41 @@ def test_train_missing_csv_named(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["code"] == "missing_input"
     assert "nope.csv" in payload["message"]
+
+
+def _csv_task_config(tmp_path, task: dict, learner: dict) -> str:
+    return write_json(tmp_path / "csv_task.json", {
+        "schema_version": 1, "seed": 1, "task": dict(task, kind="csv"),
+        "operator": {"kind": "uniform_quantizer", "step": 0.5, "clamp": 1.0},
+        "loss": {"kind": "clipped_absolute"},
+        "learner": dict(learner, domain={"dim": 2, "halfwidth": 1.0, "points_per_axis": 5}),
+    })
+
+
+def test_train_csv_labelled_file_without_target(tmp_path, capsys):
+    unlabelled = tmp_path / "inputs.csv"
+    unlabelled.write_text(SAMPLE, encoding="utf-8")
+    config = _csv_task_config(tmp_path, {"labelled_path": str(unlabelled)},
+                              {"algorithm": "lambda_erm", "lambda": 0.1})
+    code, _, err = run_cli("train", "--config", config, "--out", str(tmp_path / "out"),
+                           capsys=capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["code"] == "config_invalid" and "'target' column" in payload["message"]
+
+
+def test_train_csv_task_without_unlabelled_path(tmp_path, capsys):
+    # constrained_erm estimates sensitivities on unlabelled data
+    labelled = tmp_path / "lab.csv"
+    labelled.write_text("x0,x1,target\n0.5,0.25,0.1\n-0.5,0.75,-0.6\n", encoding="utf-8")
+    config = _csv_task_config(tmp_path, {"labelled_path": str(labelled)},
+                              {"algorithm": "constrained_erm", "t": 0.4})
+    code, _, err = run_cli("train", "--config", config, "--out", str(tmp_path / "out"),
+                           capsys=capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["code"] == "config_invalid" and payload["field"] == "task/unlabelled_path"
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_csv_task_and_all_algorithms(tmp_path):
@@ -250,6 +320,17 @@ def test_sensitivity_command_analytic(tmp_path):
 # ---------------------------------------------------------------------------
 # rademacher
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("inputs", ["neither", "both"])
+def test_rademacher_needs_exactly_one_input(tmp_path, capsys, inputs):
+    geom = write_json(tmp_path / "g.json", GEOMETRY)
+    pointset = str(Path(__file__).parent / "fixtures" / "pointset.csv")
+    argv = [] if inputs == "neither" else ["--geometry", geom, "--pointset", pointset]
+    code, out, err = run_cli("rademacher", *argv, "--out", str(tmp_path / "out"), capsys=capsys)
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["code"] == "config_invalid" and "exactly one of" in payload["message"]
 
 
 def test_rademacher_geometry(tmp_path):
@@ -393,6 +474,29 @@ def test_unallocatable_sample_structured_error(tmp_path, train_config, capsys, c
     assert f"m={m} points of dimension 2" in payload["message"]
 
 
+# search domains too large for memory or for a numpy array: the draw of the
+# random candidates or of the descent's start points fails as a structured
+# error naming the parameter
+UNALLOCATABLE_SEARCH = {
+    "random_n_samples": ("random", "n_samples", 10**15),
+    "random_n_samples_past_any_index": ("random", "n_samples", 10**20),
+    "descent_restarts": ("coordinate_descent", "restarts", 10**15),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNALLOCATABLE_SEARCH))
+def test_unallocatable_search_structured_error(tmp_path, train_config, capsys, case):
+    mode, key, count = UNALLOCATABLE_SEARCH[case]
+    config = json.loads(Path(train_config).read_text())
+    config["learner"]["domain"] = {"dim": 2, "halfwidth": 1.0, "mode": mode, key: count}
+    code, _, err = run_cli("train", "--config", write_json(tmp_path / "big.json", config),
+                           "--out", str(tmp_path / "out"), capsys=capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["code"] == "invalid_parameter"
+    assert f"{key}={count}, dim=2" in payload["message"]
+
+
 BAD_CSV = {
     "non_numeric": ("x0,x1\n0.5,0.25\nabc,0.5\n", "non-numeric cell on line 3"),
     "ragged": ("x0,x1\n0.5,0.25\n0.5,0.25,0.75\n", "line 3 has 3 cells but the header has 2"),
@@ -484,6 +588,40 @@ def test_bound_constituent_from_mc_file_flips_certified(tmp_path):
     assert run_cli("bound", "--config", config, "--out", str(tmp_path / "out0"))[0] == 0
     payload = json.loads((tmp_path / "out0" / "bound_uniform_restricted.json").read_text())
     assert payload["certified"] is False
+
+
+def test_bound_constituent_with_plain_value_is_certified(tmp_path):
+    # a value with no standard error and not from Monte Carlo, such as a
+    # closed form, gives the same certified report as the value inline
+    rad_file = write_json(tmp_path / "rad.json", {"value": 0.05, "method": "closed_form", "m": 2})
+    params = {"emp_err": 0.1, "rho": 1.0, "m": 50, "delta": 0.05}
+    inline = write_json(tmp_path / "inline.json", {
+        "schema_version": 1, "bound": "uniform_restricted", "params": dict(params, rad_Ht=0.05)})
+    from_file = write_json(tmp_path / "file.json", {
+        "schema_version": 1, "bound": "uniform_restricted", "params": params,
+        "constituents": {"rad_Ht": rad_file}})
+    assert run_cli("bound", "--config", inline, "--out", str(tmp_path / "a"))[0] == 0
+    assert run_cli("bound", "--config", from_file, "--out", str(tmp_path / "b"))[0] == 0
+    name = "bound_uniform_restricted.json"
+    a = json.loads((tmp_path / "a" / name).read_text())
+    b = json.loads((tmp_path / "b" / name).read_text())
+    assert b["certified"] is True and b["terms"] == a["terms"] and b["value"] == a["value"]
+
+
+def test_bound_joint_writes_nothing_when_one_report_is_not_finite(tmp_path, capsys):
+    # 2 rho t overflows in joint_full_precision only; the other two reports
+    # are finite, and none is written
+    config = write_json(tmp_path / "b.json", {
+        "schema_version": 1, "bound": "joint",
+        "params": {"err_min_approx": 0.1, "err_star": 0.1, "rad_HA": 0.1, "rho": 6e307,
+                   "t": 1.6, "m": 50, "delta": 0.05}})
+    out = tmp_path / "out"
+    code, _, err = run_cli("bound", "--config", config, "--out", str(out), capsys=capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["code"] == "invalid_parameter"
+    assert "joint_full_precision is not finite" in payload["message"]
+    assert not out.exists()
 
 
 # id: (bound, error input read from a file, the other inputs)
@@ -657,12 +795,14 @@ BOUND_CONFIG = {
     "params": {"emp_err": 0.1, "rad_Ht": 0.05, "rho": 1.0, "m": 50, "delta": 0.05},
 }
 GEOMETRY = {"variant": "ellipse", "p": 2.0, "mu": [3.0, 4.0]}
-# the config check fails before the sample file is read, so it need not exist
+# the config check fails before the sample file is read, so it need not
+# exist; the malformed-input test writes one for the cases that read it
 SENSITIVITY_CONFIG = {"schema_version": 1, "kind": "empirical", "weights": [0.3, -0.2],
                       "operator": {"kind": "uniform_quantizer", "step": 0.5, "clamp": 1.0},
                       "sample_path": "sample.csv"}
 # finite entries whose sign sums overflow, so every estimate is NaN
 OVERFLOWING_POINTSET = "x0,x1,x2\n1e308,1e308,1e308\n"
+SAMPLE = "x0,x1\n0.5,0.25\n-0.5,0.75\n"
 
 # a JSON integer too large for a float
 HUGE = 10**400
@@ -810,6 +950,35 @@ MALFORMED = {
         {"variant": "rotated_union", "mu": DROP,
          "components": [{"V": [[1.0, 0.0], [0.0]], "mu": [1.0, 2.0]}]},
         "config_invalid", "components/0/V"),
+    # finite inputs whose result overflows: the object holding the result
+    # rejects it, and no numpy warning prints first
+    "bound_sum_overflows": (
+        "bound", {"bound": "stochastic",
+                  "params": {"exp_emp_err": 1e308, "exp_sensitivity": 1e308, "exp_rad": 0.1,
+                             "rho": 1.0, "m": 50, "delta": 0.05}},
+        "invalid_parameter", None),
+    "bound_term_overflows": ("bound", {"params/rad_Ht": 1e308, "params/rho": 1e308},
+                             "invalid_parameter", None),
+    "empirical_sensitivity_overflows": ("sensitivity", {"weights": [1e308, 1e308], "p": 2.0},
+                                        "invalid_parameter", None),
+    "analytic_sensitivity_overflows": (
+        "sensitivity", {"kind": "analytic_upper", "sample_path": DROP,
+                        "weights": [1e308, -1e308], "input_norm_budget": 1e308},
+        "invalid_parameter", None),
+    "geometry_ellipse_overflows": ("rademacher", {"p": 1.0000001, "mu": [1e300, 1e300]},
+                                   "invalid_parameter", None),
+    "geometry_clusters_overflow": (
+        "rademacher",
+        {"variant": "clustered", "mu": DROP,
+         "components": [{"center": [1e308, 1e308], "V": _V, "mu": [1.0, 2.0]}] * 2},
+        "invalid_parameter", None),
+    # parameters whose own arithmetic overflows or underflows
+    "squared_loss_lipschitz_overflows": (
+        "train", {"loss": {"kind": "clipped_squared", "lipschitz": 1e200}},
+        "invalid_parameter", None),
+    "rbf_width_underflows": ("train", {"task/feature_map": {"kind": "rbf", "width": 1e-200,
+                                                            "centers": [[0.0, 0.0], [1.0, 1.0]]}},
+                             "invalid_parameter", None),
 }
 
 
@@ -837,8 +1006,11 @@ def test_malformed_input_structured_error(tmp_path, train_config, capsys, case):
         points.write_text(OVERFLOWING_POINTSET, encoding="utf-8")
         argv = ["rademacher", "--pointset", str(points), *edits]
     else:
+        sample = tmp_path / "sample.csv"
+        sample.write_text(SAMPLE, encoding="utf-8")
         base = {"train": json.loads(Path(train_config).read_text()), "bound": BOUND_CONFIG,
-                "sensitivity": SENSITIVITY_CONFIG, "rademacher": GEOMETRY}[command]
+                "sensitivity": dict(SENSITIVITY_CONFIG, sample_path=str(sample)),
+                "rademacher": GEOMETRY}[command]
         path = write_json(tmp_path / "malformed.json", _edited(base, edits))
         argv = [command, "--geometry" if command == "rademacher" else "--config", path]
     exit_code, _, err = run_cli(*argv, "--out", str(tmp_path / "out"), capsys=capsys)

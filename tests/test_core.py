@@ -75,6 +75,13 @@ def test_rbf_map_features():
     np.testing.assert_allclose(feats, [1.0, math.exp(-0.5)])
 
 
+@pytest.mark.parametrize("width, problem", [(1e300, "too large"), (1e-200, "too small")])
+def test_rbf_map_rejects_a_width_whose_denominator_is_not_a_positive_float(width, problem):
+    # transform divides by 2 width^2: inf, or 0 (NaN for an input on a center)
+    with pytest.raises(InvalidParameterError, match=problem):
+        RbfMap(centers=np.array([[0.0], [1.0]]), width=width)
+
+
 def test_hypothesis_weight_length_checked():
     with pytest.raises(DimensionMismatchError):
         Hypothesis(weights=np.array([1.0, 2.0]), feature_map=IdentityMap(input_dim=3))
@@ -263,6 +270,14 @@ def test_loss_lipschitz_and_bounded(kind, rho):
 def test_unknown_loss_kind_rejected():
     with pytest.raises(InvalidParameterError):
         LossSpec(kind="zero_one", lipschitz=1.0)
+
+
+def test_squared_loss_rejects_a_lipschitz_constant_whose_square_overflows():
+    for rho in (1e200, 10**200):
+        with pytest.raises(InvalidParameterError, match="rho\\^2 overflows"):
+            LossSpec(kind="clipped_squared", lipschitz=rho)
+    # the other kinds never square rho
+    assert loss_values(LossSpec(kind="clipped_absolute", lipschitz=1e200), [1.0], [0.0])[0] < 1
 
 
 # ---------------------------------------------------------------------------

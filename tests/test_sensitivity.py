@@ -27,7 +27,7 @@ from approx_sense import (
     true_sensitivity_mc,
     variance_condition_check,
 )
-from approx_sense.sensitivity import _p_mean
+from approx_sense.sensitivity import SensitivityEstimate, _p_mean
 from approx_sense.synthetic import derived_rng
 from approx_sense.validation import suite_lemma1
 
@@ -77,6 +77,13 @@ def test_p_must_be_at_least_one():
     sample = UnlabelledSample(inputs=[[1.0]])
     with pytest.raises(InvalidParameterError):
         empirical_sensitivity(h, QUANT, sample, p=0.5)
+
+
+def test_estimate_rejects_non_finite():
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        SensitivityEstimate(p=2.0, value=math.inf, kind="empirical")
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        SensitivityEstimate(p=1.0, value=0.5, kind="expected_stochastic", standard_error=math.nan)
 
 
 def test_jensen_monotonicity_in_p():
