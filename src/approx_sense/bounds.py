@@ -140,7 +140,7 @@ def uniform_restricted_bound(
     _check_nonneg(emp_err=err, rad_Ht=rad, rho=rho)
     terms = [
         ("empirical_error", err),
-        ("complexity", 2.0 * rho * rad),
+        ("complexity", 2.0 * (rho * rad)),
         ("confidence", hoeffding_term(3.0, 2.0 / delta, m)),
     ]
     inputs = {"emp_err": emp_err, "rad": rad, "rho": rho, "m": m, "delta": delta}
@@ -161,7 +161,7 @@ def srm_uniform_bound(
         raise InvalidParameterError("w_k must lie in (0, 1]")
     terms = [
         ("empirical_error", err),
-        ("complexity", 2.0 * rho * rad),
+        ("complexity", 2.0 * (rho * rad)),
         ("weight_confidence", hoeffding_term(3.0, 1.0 / w_k, m)),
         ("confidence", hoeffding_term(3.0, 4.0 / delta, m)),
     ]
@@ -201,12 +201,13 @@ def joint_bounds(
         "m": m,
         "delta": delta,
     }
-    shared = [("complexity", 2.0 * rho * rad), ("confidence", hoeffding_term(4.0, 9.0 / delta, m))]
+    shared = [("complexity", 2.0 * (rho * rad)),
+              ("confidence", hoeffding_term(4.0, 9.0 / delta, m))]
     heads = {
         "joint_vs_best_approx": [("best_approx_error", best_approx)],
         "joint_approx_deployment": [("class_best_error", best), ("deployment_penalty", rho * t)],
         "joint_full_precision": [("class_best_error", best),
-                                 ("sensitivity_penalty", 2.0 * rho * t)],
+                                 ("sensitivity_penalty", 2.0 * (rho * t))],
     }
     return tuple(_report(name, head + shared, delta, inputs, certified=certified)
                  for name, head in heads.items())
@@ -240,7 +241,7 @@ def regularized_bound(
     _check_nonneg(rho=rho, rad=rad)
     _check_nonneg(**{f"err_star_t[{i}]": v for i, v in enumerate(errs)})
     _check_nonneg(**{f"t[{i}]": v for i, v in enumerate(ts)})
-    tradeoffs = [e + 2.0 * rho * v for e, v in zip(errs, ts)]
+    tradeoffs = [e + 2.0 * (rho * v) for e, v in zip(errs, ts)]
     best = min(range(len(tradeoffs)), key=tradeoffs.__getitem__)
     inputs = {
         "err_star_t": errs,
@@ -253,7 +254,7 @@ def regularized_bound(
     }
     terms = [
         ("adaptive_tradeoff", tradeoffs[best]),
-        ("complexity", 2.0 * rho * rad),
+        ("complexity", 2.0 * (rho * rad)),
     ]
     if epsilon_u is None:
         name = "regularized_adaptive"
@@ -283,13 +284,13 @@ def lambda_equivalence_bound(
     rad, certified = _constituent(rad_HA)
     _check_nonneg(rho=rho, rad=rad, lam=lam)
     terms = [
-        ("complexity", 4.0 * rho * rad),
+        ("complexity", 4.0 * (rho * rad)),
         ("confidence", hoeffding_term(6.0, 8.0 / delta, m)),
     ]
     name = "analytic_lambda_equivalence"
     if epsilon_u is not None:
         _check_nonneg(epsilon_u=epsilon_u)
-        terms.append(("estimation_slack", 2.0 * lam * epsilon_u))
+        terms.append(("estimation_slack", 2.0 * (lam * epsilon_u)))
         name = "lambda_equivalence"
     inputs = {"rho": rho, "rad": rad, "m": m, "delta": delta, "lam": lam, "epsilon_u": epsilon_u}
     return _report(name, terms, delta, inputs, certified=certified)
@@ -317,7 +318,7 @@ def stochastic_bound(
     terms = [
         ("expected_empirical_error", err),
         ("expected_sensitivity", rho * sens),
-        ("expected_complexity", 2.0 * rho * rad),
+        ("expected_complexity", 2.0 * (rho * rad)),
         ("confidence", hoeffding_term(1.0, 1.0 / delta, m)),
     ]
     inputs = {"err": err, "sens": sens, "rad": rad, "rho": rho, "m": m, "delta": delta}
@@ -350,14 +351,14 @@ def srm_selection_bound(
         _check_nonneg(err_star_k=e, rad_Ht_k=r)
     _check_nonneg(rho=rho)
     inner = [
-        e + 2.0 * rho * r + hoeffding_term(3.0, 1.0 / w, m)
+        e + 2.0 * (rho * r) + hoeffding_term(3.0, 1.0 / w, m)
         for e, (r, _), w in zip(errs, rads, ws)
     ]
     best = min(range(len(inner)), key=inner.__getitem__)
     certified = rads[best][1]
     terms = [
         ("class_best_error", errs[best]),
-        ("complexity", 2.0 * rho * rads[best][0]),
+        ("complexity", 2.0 * (rho * rads[best][0])),
         ("weight_confidence", hoeffding_term(3.0, 1.0 / ws[best], m)),
         ("outer_confidence", hoeffding_term(4.0, 6.0 / delta, m)),
     ]

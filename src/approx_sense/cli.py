@@ -3,13 +3,16 @@
 Subcommands: generate, train, sensitivity, rademacher, bound, validate.
 Configs are JSON with an explicit schema_version, checked against one table
 per config section, as are geometry files; unknown keys are rejected with
-their field path.  One top-level seed fixes every output byte-for-byte;
-validate's --threads only changes the execution schedule.
+their field path.  A section that _build makes an object of is described by
+that class's fields (core.param), which its constructor checks too.  One
+top-level seed fixes every output byte-for-byte; validate's --threads only
+changes the execution schedule.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import importlib
 import json
@@ -95,33 +98,28 @@ class Section:
     """A JSON object: its fields (a Field or a nested Section each) and the
     keys every config needs.  A section keyed by ``key`` maps each kind (an
     allowed value of ``key``) to (the keys it needs, the optional keys it
-    reads), plus, where _build makes an object of it, the name of its class;
-    any other key is rejected for that kind."""
+    reads), or to the name of the class _build makes of it (see _rules); any
+    other key is rejected for that kind.  ``cls`` names a keyless section's
+    class.  With a class, ``fields`` holds only the keys it gives no rule."""
 
     fields: dict
     required: tuple = ()
     key: str | None = None
     kinds: dict | None = None
+    cls: str | None = None
 
 
 _NUM, _STR = Field("number"), Field("string")
 _POSITIVE, _NONNEG, _EXPONENT = Field(low=0, strict=True), Field(low=0), Field(low=1)
 _COUNT, _UINT = Field("integer", low=1), Field("integer", low=0)
 _LIST = Field("array", items=_NUM, min_items=1)
-_CENTERS = Field("array", items=Field("number|array", items=_NUM), min_items=1)
+_CENTERS = {"centers": Field("array", items=Field("number|array", items=_NUM), min_items=1)}
 
-_FEATURE_MAP = Section(
-    {"input_dim": _COUNT, "degree": _COUNT, "centers": _CENTERS, "width": _POSITIVE}, key="kind",
-    kinds={"identity": ((), ("input_dim",), "IdentityMap"),
-           "polynomial": (("degree",), ("input_dim",), "PolynomialMap"),
-           "rbf": (("centers", "width"), (), "RbfMap")},
-)
-_INPUT_LAW = Section(
-    {"halfwidth": _POSITIVE, "sd": _POSITIVE, "centers": _CENTERS}, key="kind",
-    kinds={"uniform_box": ((), ("halfwidth",), "UniformBox"),
-           "isotropic_gaussian": ((), ("sd",), "IsotropicGaussian"),
-           "gaussian_mixture": (("centers",), ("sd",), "GaussianMixture")},
-)
+_FEATURE_MAP = Section(_CENTERS, key="kind", kinds={
+    "identity": "IdentityMap", "polynomial": "PolynomialMap", "rbf": "RbfMap"})
+_INPUT_LAW = Section(_CENTERS, key="kind", kinds={
+    "uniform_box": "UniformBox", "isotropic_gaussian": "IsotropicGaussian",
+    "gaussian_mixture": "GaussianMixture"})
 _TASK = Section(
     {"teacher_weights": _LIST, "feature_map": _FEATURE_MAP,
      "input_law": _INPUT_LAW, "label_noise_sd": _NONNEG, "m_labelled": _COUNT,
@@ -130,22 +128,11 @@ _TASK = Section(
                                                 "m_labelled", "m_unlabelled")),
            "csv": (("labelled_path",), ("unlabelled_path", "feature_map"))},
 )
-_OPERATOR = Section(
-    {"step": _POSITIVE, "clamp": _POSITIVE, "keep": _UINT}, key="kind",
-    kinds={"uniform_quantizer": (("step", "clamp"), (), "UniformQuantizer"),
-           "magnitude_pruner": (("keep",), (), "MagnitudePruner"),
-           "stochastic_rounder": (("step", "clamp"), (), "StochasticRounder")},
-)
-_LOSS = Section({"lipschitz": _POSITIVE}, key="kind",
-                kinds=dict.fromkeys(("clipped_absolute", "clipped_hinge", "clipped_squared"),
-                                    ((), ("lipschitz",))))
-_DOMAIN = Section(
-    {"dim": _COUNT, "halfwidth": _POSITIVE,
-     "mode": Field("string", enum=("grid", "random", "coordinate_descent")),
-     "points_per_axis": Field("integer", low=2), "n_samples": _COUNT, "restarts": _COUNT,
-     "iterations": _COUNT, "seed": _UINT},
-    required=("dim", "halfwidth"),
-)
+_OPERATOR = Section({}, key="kind", kinds={
+    "uniform_quantizer": "UniformQuantizer", "magnitude_pruner": "MagnitudePruner",
+    "stochastic_rounder": "StochasticRounder"})
+_LOSS = Section({}, cls="LossSpec")
+_DOMAIN = Section({}, cls="SearchDomain")
 _LEARNER = Section(
     {"t": _POSITIVE, "p": _EXPONENT, "lambda": _NONNEG,
      "lambdas": Field("array", items=_NONNEG), "weights": Field("array", items=_POSITIVE),
@@ -217,21 +204,51 @@ def _fail(path: tuple, message: str):
     raise ConfigError(f"config field {field!r}: {message}", field=field)
 
 
+@functools.cache
+def _rules(name: str) -> tuple[dict, tuple, tuple]:
+    """The Field of each field of class ``name`` that has a rule (core.param),
+    the keys it needs (init fields without a default) and those it may read;
+    input_dim is optional, since _build takes it from the data."""
+    rules, needs, reads = {}, [], []
+    for f in dataclasses.fields(getattr(sys.modules[__name__], name)):
+        if f.metadata:
+            rules[f.name] = Field(**f.metadata)
+        if f.init:
+            optional = f.default is not dataclasses.MISSING or f.name == "input_dim"
+            (reads if optional else needs).append(f.name)
+    return rules, tuple(needs), tuple(reads)
+
+
+def _table(spec: Section) -> tuple[dict, tuple, dict]:
+    """(fields, required keys, kind -> (needs, reads)) of a section, with
+    each class it names read in by _rules."""
+    fields, required, kinds = spec.fields, spec.required, {}
+    for kind, rule in (spec.kinds or {}).items():
+        if isinstance(rule, str):
+            own, *rule = _rules(rule)
+            fields = {**own, **fields}
+        kinds[kind] = rule
+    if spec.cls is not None:
+        own, needs, _ = _rules(spec.cls)
+        fields, required = {**own, **fields}, (*required, *needs)
+    if spec.key is not None:
+        fields = dict(fields, **{spec.key: Field("string", enum=tuple(kinds))})
+    return fields, required, kinds
+
+
 def _check(value, spec: Field | Section, path: tuple = ()) -> None:
     """Raise ConfigError naming the field path of the first part of
     ``value`` that ``spec`` does not allow.  The value is left unchanged."""
     if isinstance(spec, Section):
         if not isinstance(value, dict):
             _fail(path, f"{json.dumps(value)} is not an object")
-        fields, required = spec.fields, spec.required
-        if spec.key is not None:
-            fields = dict(fields, **{spec.key: Field("string", enum=tuple(spec.kinds))})
+        fields, required, kinds = _table(spec)
         for key, item in value.items():
             if key not in fields:
                 _fail((*path, key), "unknown key")
             _check(item, fields[key], (*path, key))
         if spec.key is not None:  # the kind is valid here, if present
-            needs, reads = spec.kinds.get(value.get(spec.key), ((), ()))[:2]
+            needs, reads = kinds.get(value.get(spec.key), ((), ()))
             required = (spec.key, *required, *needs)
         for key in required:
             if key not in value:
@@ -295,10 +312,11 @@ _IDENTITY = {"kind": "identity"}
 
 
 def _build(spec: Section, cfg: dict, **given):
-    """The object of a checked section: its kind's class, called with the
-    section's other keys and with each ``given`` value (such as input_dim
-    from the data) that the class has a field for and the section lacks."""
-    cls = globals()[spec.kinds[cfg[spec.key]][2]]
+    """The object of a checked section: the class it names (``cls``, or its
+    kind's), called with the section's other keys and with each ``given``
+    value (such as input_dim from the data) that the class has a field for
+    and the section lacks."""
+    cls = getattr(sys.modules[__name__], spec.cls or spec.kinds[cfg[spec.key]])
     # a dataclass's own field table: inspect.signature costs ~300x as much
     kwargs = {key: value for key, value in given.items() if key in cls.__dataclass_fields__}
     kwargs.update((key, value) for key, value in cfg.items() if key != spec.key)
@@ -375,8 +393,8 @@ def cmd_train(args, config: dict, seed: int) -> int:
             _fail(("learner", unread), f"not read with sensitivity {sens!r}")
     labelled, unlabelled = _build_samples(config["task"], seed)
     op = _build(_OPERATOR, config["operator"])
-    loss = LossSpec(**config["loss"])  # the loss and domain tables hold their fields only
-    domain = SearchDomain(**lcfg["domain"])
+    loss = _build(_LOSS, config["loss"])
+    domain = _build(_DOMAIN, lcfg["domain"])
     fmap = _build(_FEATURE_MAP, config["task"].get("feature_map", _IDENTITY),
                   input_dim=labelled.dim)
     p = lcfg.get("p", 1.0)
@@ -681,13 +699,13 @@ def main(argv=None) -> int:
             seed = getattr(args, "seed", None)  # bound has no --seed
             if seed is not None and seed < 0:
                 raise InvalidParameterError(f"--seed must be >= 0, got {seed}")
+            _load(*modules)  # before _check, which reads the classes' fields
             config = None
             if table is not None:
                 config = _load_json(args.config)
                 _check(config, table)
             if seed is None:  # --seed, else the config's seed, else 0
                 seed = (config or {}).get("seed", 0)
-            _load(*modules)
             return command(args, config, seed)
     except ApproxSenseError as exc:
         sys.stderr.write(json.dumps(exc.to_dict(), sort_keys=True) + "\n")

@@ -7,9 +7,11 @@ vector only, so the approximate predictor is x -> <Q(w), phi(x)>.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -21,6 +23,40 @@ from .errors import (
 
 #: Losses are clipped at 1 - CLIP_MARGIN so the bound B = 1 is strict.
 CLIP_MARGIN = 2.0**-20
+_FLOAT_MAX = sys.float_info.max
+
+
+def param(default=MISSING, *, type="number", low=None, strict=False, enum=()):
+    """A dataclass field with its one rule, read by Checked and by the CLI's
+    config check: a JSON type (for the CLI only), and the allowed values or a
+    lower bound (exclusive when ``strict``)."""
+    rule = {"type": type, "low": low, "strict": strict, "enum": enum}
+    return field(default=default, metadata=rule)
+
+
+@functools.cache
+def _rules(cls) -> tuple:
+    return tuple((f.name, f.metadata["low"], f.metadata["strict"], f.metadata["enum"])
+                 for f in fields(cls) if f.metadata)
+
+
+class Checked:
+    """Base of a dataclass whose fields carry param rules.  Constructing one
+    raises InvalidParameterError naming the first field whose value is not
+    one of its allowed values, or not a finite number within its bound.
+    Values are compared, not type-checked, so numpy scalars pass."""
+
+    def __post_init__(self):
+        # NaN fails every comparison; an int too large for a float is not finite
+        for name, low, strict, enum in _rules(type(self)):
+            value = getattr(self, name)
+            if enum:
+                if value not in enum:
+                    raise InvalidParameterError(
+                        f"{type(self).__name__} {name} must be one of {list(enum)}, got {value!r}")
+            elif not (abs(value) <= _FLOAT_MAX and (value > low if strict else value >= low)):
+                raise InvalidParameterError(f"{type(self).__name__} {name} must be a finite number "
+                                            f"{'>' if strict else '>='} {low}, got {value!r}")
 
 
 def _as_matrix(values, name: str) -> np.ndarray:
@@ -33,14 +69,6 @@ def _as_matrix(values, name: str) -> np.ndarray:
         raise InvalidParameterError(f"{name} contains non-finite entries")
     arr.flags.writeable = False
     return arr
-
-
-def _square(x: float) -> float:
-    """x**2 as a float, inf where that overflows (x may be an int)."""
-    try:
-        return float(x) ** 2
-    except OverflowError:
-        return math.inf
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,10 +148,10 @@ class UnlabelledSample:
 
 
 @dataclass(frozen=True)
-class IdentityMap:
+class IdentityMap(Checked):
     """phi(x) = x."""
 
-    input_dim: int
+    input_dim: int = param(type="integer", low=1)
 
     @property
     def feature_dim(self) -> int:
@@ -139,19 +167,15 @@ class IdentityMap:
 
 
 @dataclass(frozen=True)
-class PolynomialMap:
+class PolynomialMap(Checked):
     """All monomials of total degree <= degree, constant term included.
 
     Monomials are ordered by total degree, then lexicographically in the
     coordinate indices, so the feature layout is reproducible.
     """
 
-    input_dim: int
-    degree: int
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise InvalidParameterError("polynomial degree must be >= 1")
+    input_dim: int = param(type="integer", low=1)
+    degree: int = param(type="integer", low=1)
 
     def _monomials(self) -> list[tuple[int, ...]]:
         out: list[tuple[int, ...]] = []
@@ -182,19 +206,19 @@ class PolynomialMap:
 
 
 @dataclass(frozen=True)
-class RbfMap:
+class RbfMap(Checked):
     """phi_j(x) = exp(-||x - c_j||^2 / (2 width^2)) for fixed centers c_j."""
 
     centers: np.ndarray
-    width: float
+    width: float = param(low=0, strict=True)
 
     def __post_init__(self):
-        centers = _as_matrix(self.centers, "centers")
-        object.__setattr__(self, "centers", centers)
-        if self.width <= 0:
-            raise InvalidParameterError("rbf width must be positive")
+        super().__post_init__()
+        object.__setattr__(self, "centers", _as_matrix(self.centers, "centers"))
         # transform divides by 2 width^2, which must be a positive finite float
-        denominator = 2.0 * _square(self.width)
+        # (a float product overflows to inf, where ** would raise)
+        width = float(self.width)
+        denominator = 2.0 * (width * width)
         if denominator == math.inf:
             raise InvalidParameterError(
                 f"rbf width {self.width} is too large: 2 width^2 overflows"
@@ -273,22 +297,16 @@ def predictions(h: Hypothesis, inputs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class UniformQuantizer:
+class UniformQuantizer(Checked):
     """Round each coordinate to the nearest multiple of ``step`` after clamping.
 
     Exact midpoints round to the even multiple (numpy's round-half-even),
     which keeps the operator deterministic and idempotent.
     """
 
-    step: float
-    clamp: float
+    step: float = param(low=0, strict=True)
+    clamp: float = param(low=0, strict=True)
     deterministic: bool = field(default=True, init=False)
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise InvalidParameterError("quantizer step must be positive")
-        if self.clamp <= 0:
-            raise InvalidParameterError("quantizer clamp range must be positive")
 
     def transform_weights(self, w: np.ndarray, rng=None) -> np.ndarray:
         clipped = np.clip(w, -self.clamp, self.clamp)
@@ -296,19 +314,15 @@ class UniformQuantizer:
 
 
 @dataclass(frozen=True)
-class MagnitudePruner:
+class MagnitudePruner(Checked):
     """Keep the ``keep`` largest-magnitude coordinates, zero the rest.
 
     Equal magnitudes are resolved in favour of the lower index.  A 2-d
     argument is pruned row by row.
     """
 
-    keep: int
+    keep: int = param(type="integer", low=0)
     deterministic: bool = field(default=True, init=False)
-
-    def __post_init__(self):
-        if self.keep < 0:
-            raise InvalidParameterError("keep count must be >= 0")
 
     def transform_weights(self, w: np.ndarray, rng=None) -> np.ndarray:
         if self.keep > w.shape[-1]:
@@ -324,18 +338,12 @@ class MagnitudePruner:
 
 
 @dataclass(frozen=True)
-class StochasticRounder:
+class StochasticRounder(Checked):
     """Unbiased rounding to an adjacent grid point: P(up) = fractional part."""
 
-    step: float
-    clamp: float
+    step: float = param(low=0, strict=True)
+    clamp: float = param(low=0, strict=True)
     deterministic: bool = field(default=False, init=False)
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise InvalidParameterError("rounder step must be positive")
-        if self.clamp <= 0:
-            raise InvalidParameterError("rounder clamp range must be positive")
 
     def transform_weights(self, w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self.round_with(w, rng.random(w.shape[0]))
@@ -384,11 +392,9 @@ def apply_operator(
 # Losses
 # ---------------------------------------------------------------------------
 
-LOSS_KINDS = ("clipped_absolute", "clipped_hinge", "clipped_squared")
-
 
 @dataclass(frozen=True)
-class LossSpec:
+class LossSpec(Checked):
     """Bounded rho-Lipschitz loss, clipped at 1 - CLIP_MARGIN.
 
     clipped_absolute: min(rho * |a - y|, clip)
@@ -399,16 +405,14 @@ class LossSpec:
                       slope (at the clip boundary) is exactly rho.
     """
 
-    kind: str
-    lipschitz: float = 1.0
+    kind: str = param(type="string", enum=("clipped_absolute", "clipped_hinge", "clipped_squared"))
+    lipschitz: float = param(1.0, low=0, strict=True)
     bound: float = field(default=1.0, init=False)
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise InvalidParameterError(f"unknown loss kind {self.kind!r}")
-        if self.lipschitz <= 0:
-            raise InvalidParameterError("lipschitz constant must be positive")
-        if self.kind == "clipped_squared" and _square(self.lipschitz) == math.inf:
+        super().__post_init__()
+        rho = float(self.lipschitz)
+        if self.kind == "clipped_squared" and rho * rho == math.inf:
             raise InvalidParameterError(
                 f"lipschitz constant {self.lipschitz} is too large for clipped_squared: "
                 "rho^2 overflows"

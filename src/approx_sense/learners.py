@@ -45,6 +45,7 @@ import numpy as np
 from .bounds import hoeffding_term
 from .core import (
     ApproxOperator,
+    Checked,
     FeatureMap,
     Hypothesis,
     IdentityMap,
@@ -54,6 +55,7 @@ from .core import (
     _distinct_rows,
     apply_operator,
     loss_values,
+    param,
 )
 from .errors import DimensionMismatchError, InfeasibleThresholdError, InvalidParameterError
 from .radgeom import RadEstimate, _mc_mean_se, _mc_signs
@@ -71,7 +73,7 @@ BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
-class SearchDomain:
+class SearchDomain(Checked):
     """Box [-halfwidth, halfwidth]^dim with a search mode.
 
     grid                exhaustive over a regular lattice (the oracle mode)
@@ -79,26 +81,14 @@ class SearchDomain:
     coordinate_descent  seeded random starts refined by per-axis sweeps
     """
 
-    dim: int
-    halfwidth: float
-    mode: str = "grid"
-    points_per_axis: int = 11
-    n_samples: int = 200
-    restarts: int = 4
-    iterations: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidParameterError("dim must be >= 1")
-        if self.halfwidth <= 0:
-            raise InvalidParameterError("halfwidth must be positive")
-        if self.mode not in ("grid", "random", "coordinate_descent"):
-            raise InvalidParameterError(f"unknown search mode {self.mode!r}")
-        if self.points_per_axis < 2:
-            raise InvalidParameterError("points_per_axis must be >= 2")
-        if self.n_samples < 1 or self.restarts < 1 or self.iterations < 1:
-            raise InvalidParameterError("search budget parameters must be >= 1")
+    dim: int = param(type="integer", low=1)
+    halfwidth: float = param(low=0, strict=True)
+    mode: str = param("grid", type="string", enum=("grid", "random", "coordinate_descent"))
+    points_per_axis: int = param(11, type="integer", low=2)
+    n_samples: int = param(200, type="integer", low=1)
+    restarts: int = param(4, type="integer", low=1)
+    iterations: int = param(20, type="integer", low=1)
+    seed: int = param(0, type="integer", low=0)
 
     def _draw(self, stream: int, count: int, name: str) -> np.ndarray:
         """``count`` seeded uniform points of the box, from generator stream
@@ -291,16 +281,12 @@ class EmpiricalSensitivity:
 
 
 @dataclass(frozen=True)
-class AnalyticSensitivity:
+class AnalyticSensitivity(Checked):
     """Regulariser: ||w - Q(w)||_2 * input_norm_budget under the learner's
     operator, as ``analytic_sensitivity_upper`` computes it."""
 
-    input_norm_budget: float
+    input_norm_budget: float = param(low=0)
     kind = "analytic_upper"
-
-    def __post_init__(self):
-        if self.input_norm_budget < 0:
-            raise InvalidParameterError("input_norm_budget must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypothesis, LabelledSample, LossSpec, UnlabelledSample, loss_values, predictions
+from .core import (Checked, Hypothesis, LabelledSample, LossSpec, UnlabelledSample, loss_values,
+                   param, predictions)
 from .errors import InvalidParameterError
 
 
@@ -35,46 +36,37 @@ class MCEstimate:
 
 
 @dataclass(frozen=True)
-class UniformBox:
+class UniformBox(Checked):
     """Coordinates i.i.d. uniform on [-halfwidth, halfwidth]."""
 
-    halfwidth: float = 1.0
-
-    def __post_init__(self):
-        if self.halfwidth <= 0:
-            raise InvalidParameterError("halfwidth must be positive")
+    halfwidth: float = param(1.0, low=0, strict=True)
 
     def draw(self, rng: np.random.Generator, m: int, dim: int) -> np.ndarray:
         return rng.uniform(-self.halfwidth, self.halfwidth, size=(m, dim))
 
 
 @dataclass(frozen=True)
-class IsotropicGaussian:
-    sd: float = 1.0
-
-    def __post_init__(self):
-        if self.sd <= 0:
-            raise InvalidParameterError("sd must be positive")
+class IsotropicGaussian(Checked):
+    sd: float = param(1.0, low=0, strict=True)
 
     def draw(self, rng: np.random.Generator, m: int, dim: int) -> np.ndarray:
         return rng.normal(0.0, self.sd, size=(m, dim))
 
 
 @dataclass(frozen=True)
-class GaussianMixture:
+class GaussianMixture(Checked):
     """Equal-weight mixture of isotropic components at the given centers."""
 
     centers: np.ndarray
-    sd: float = 1.0
+    sd: float = param(1.0, low=0, strict=True)
 
     def __post_init__(self):
+        super().__post_init__()
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         if not np.all(np.isfinite(centers)):
             raise InvalidParameterError("mixture centers must be finite")
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
-        if self.sd <= 0:
-            raise InvalidParameterError("sd must be positive")
 
     def draw(self, rng: np.random.Generator, m: int, dim: int) -> np.ndarray:
         if self.centers.shape[1] != dim:
@@ -94,17 +86,13 @@ InputLaw = UniformBox | IsotropicGaussian | GaussianMixture
 
 
 @dataclass(frozen=True)
-class SyntheticTask:
+class SyntheticTask(Checked):
     """A teacher hypothesis plus an input law; labels get gaussian noise."""
 
     teacher: Hypothesis
     input_law: InputLaw
-    label_noise_sd: float = 0.0
+    label_noise_sd: float = param(0.0, low=0)
     seed: int = 0
-
-    def __post_init__(self):
-        if self.label_noise_sd < 0:
-            raise InvalidParameterError("label_noise_sd must be >= 0")
 
     @property
     def input_dim(self) -> int:

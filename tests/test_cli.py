@@ -624,6 +624,20 @@ def test_bound_joint_writes_nothing_when_one_report_is_not_finite(tmp_path, caps
     assert not out.exists()
 
 
+def test_bound_joint_with_a_huge_rho_and_zero_complexity_is_finite(tmp_path):
+    # 2 (rho rad) is 0 where (2 rho) rad would be inf * 0 = NaN
+    config = write_json(tmp_path / "b.json", {
+        "schema_version": 1, "bound": "joint",
+        "params": {"err_min_approx": 0.12, "err_star": 0.1, "rad_HA": 0.0, "rho": 1e308,
+                   "t": 0.0, "m": 50, "delta": 0.05}})
+    out = tmp_path / "out"
+    assert run_cli("bound", "--config", config, "--out", str(out))[0] == 0
+    for name in ("joint_vs_best_approx", "joint_approx_deployment", "joint_full_precision"):
+        report = json.loads((out / f"bound_{name}.json").read_text())
+        assert math.isfinite(report["value"])
+        assert dict(map(tuple, report["terms"]))["complexity"] == 0.0
+
+
 # id: (bound, error input read from a file, the other inputs)
 MC_ERROR_INPUTS = {
     "uniform_restricted": ("uniform_restricted", "emp_err", {"rad_Ht": 0.05}),
@@ -823,6 +837,14 @@ MALFORMED = {
                                   "config_invalid", "task/feature_map/degree"),
     "rbf_without_centers": ("train", {"task/feature_map": {"kind": "rbf", "width": 0.5}},
                             "config_invalid", "task/feature_map/centers"),
+    "rbf_without_width": ("train", {"task/feature_map": {"kind": "rbf", "centers": [[0.0, 0.0]]}},
+                          "config_invalid", "task/feature_map/width"),
+    "identity_input_dim_zero": ("train", {"task/feature_map": {"kind": "identity", "input_dim": 0}},
+                                "config_invalid", "task/feature_map/input_dim"),
+    "domain_without_halfwidth": ("train", {"learner/domain/halfwidth": DROP}, "config_invalid",
+                                 "learner/domain/halfwidth"),
+    "pruner_negative_keep": ("train", {"operator": {"kind": "magnitude_pruner", "keep": -1}},
+                             "config_invalid", "operator/keep"),
     "rbf_width_overflows": ("train", {"task/feature_map": {"kind": "rbf", "width": 1e300,
                                                            "centers": [[0.0, 0.0], [1.0, 1.0]]}},
                             "invalid_parameter", None),
@@ -861,6 +883,10 @@ MALFORMED = {
                                     "learner/lambda"),
     "uniform_box_with_sd": ("train", {"task/input_law/sd": 0.5}, "config_invalid",
                             "task/input_law/sd"),
+    "mixture_with_halfwidth": ("train", {"task/input_law": {"kind": "gaussian_mixture",
+                                                            "centers": [[0.0, 0.0]],
+                                                            "halfwidth": 1.0}},
+                               "config_invalid", "task/input_law/halfwidth"),
     "pruner_with_step": ("train", {"operator": {"kind": "magnitude_pruner", "keep": 1,
                                                 "step": 0.5}}, "config_invalid", "operator/step"),
     "learner_rho": ("train", {"learner/algorithm": "sensitivity_regularized_erm",
@@ -1019,6 +1045,82 @@ def test_malformed_input_structured_error(tmp_path, train_config, capsys, case):
     assert payload["code"] == code
     if field is not None:
         assert payload["field"] == field
+
+
+_CENTERS = [[0.0, 0.0], [1.0, 1.0]]
+_DOMAIN = {"dim": 2, "halfwidth": 1.0, "points_per_axis": 5}
+# class -> (the train config section that gives its fields, a valid section,
+# each field that carries a rule -> the values below its bound or not allowed)
+RULED = {
+    "IdentityMap": ("task/feature_map", {"kind": "identity", "input_dim": 2}, {"input_dim": [0]}),
+    "PolynomialMap": ("task/feature_map", {"kind": "polynomial", "input_dim": 2, "degree": 2},
+                      {"input_dim": [0, -1], "degree": [0]}),
+    "RbfMap": ("task/feature_map", {"kind": "rbf", "centers": _CENTERS, "width": 0.5},
+               {"width": [0.0, -0.5]}),
+    "UniformQuantizer": ("operator", {"kind": "uniform_quantizer", "step": 0.5, "clamp": 1.0},
+                         {"step": [0.0, -0.5], "clamp": [0.0]}),
+    "MagnitudePruner": ("operator", {"kind": "magnitude_pruner", "keep": 1}, {"keep": [-1]}),
+    "StochasticRounder": ("operator", {"kind": "stochastic_rounder", "step": 0.5, "clamp": 1.0},
+                          {"step": [0.0], "clamp": [0.0, -1.0]}),
+    "LossSpec": ("loss", {"kind": "clipped_hinge", "lipschitz": 2.0},
+                 {"kind": ["zero_one"], "lipschitz": [0.0, -1.0]}),
+    "UniformBox": ("task/input_law", {"kind": "uniform_box", "halfwidth": 1.0},
+                   {"halfwidth": [0.0]}),
+    "IsotropicGaussian": ("task/input_law", {"kind": "isotropic_gaussian", "sd": 1.0},
+                          {"sd": [0.0]}),
+    "GaussianMixture": ("task/input_law", {"kind": "gaussian_mixture", "centers": _CENTERS,
+                                           "sd": 1.0}, {"sd": [0.0, -1.0]}),
+    "SearchDomain": ("learner/domain",
+                     {"dim": 2, "halfwidth": 1.0, "mode": "random", "points_per_axis": 5,
+                      "n_samples": 10, "restarts": 2, "iterations": 3, "seed": 1},
+                     {"dim": [0], "halfwidth": [0.0], "mode": ["spiral"], "points_per_axis": [1],
+                      "n_samples": [0], "restarts": [0], "iterations": [0], "seed": [-1]}),
+    "SyntheticTask": ("task", {"kind": "synthetic", "teacher_weights": [0.5, -0.5],
+                               "label_noise_sd": 0.1}, {"label_noise_sd": [-0.1]}),
+    "AnalyticSensitivity": ("learner", {"algorithm": "analytic_lambda_erm", "lambda": 0.5,
+                                        "input_norm_budget": 1.0, "domain": _DOMAIN},
+                            {"input_norm_budget": [-1.0]}),
+}
+RULE_BREAKERS = [(cls, name, value) for cls, (_, _, bad) in RULED.items()
+                 for name, values in bad.items()
+                 for value in (*values, math.nan, math.inf, -math.inf)]
+
+
+def test_every_field_with_a_rule_is_in_the_ruled_table():
+    import dataclasses
+
+    from approx_sense import learners, synthetic  # noqa: F401 (they define Checked classes)
+    from approx_sense.core import Checked
+
+    ruled = {(cls.__name__, f.name) for cls in Checked.__subclasses__()
+             for f in dataclasses.fields(cls) if f.metadata}
+    assert ruled == {(cls, name) for cls, (_, _, bad) in RULED.items() for name in bad}
+
+
+@pytest.mark.parametrize("cls, name, value", RULE_BREAKERS,
+                         ids=[f"{c}-{n}-{v}" for c, n, v in RULE_BREAKERS])
+def test_a_value_that_breaks_a_rule_fails_in_the_library_and_in_a_config(
+        tmp_path, train_config, capsys, cls, name, value):
+    import approx_sense
+    from approx_sense.errors import InvalidParameterError
+
+    path, section, _ = RULED[cls]
+    section = dict(section, **{name: value})
+    klass = getattr(approx_sense, cls)
+    kwargs = {k: v for k, v in section.items() if k in klass.__dataclass_fields__}
+    if cls == "SyntheticTask":  # the fields that the config gives as nested sections
+        kwargs.update(teacher=approx_sense.linear_hypothesis([0.5, -0.5]),
+                      input_law=approx_sense.UniformBox())
+    with pytest.raises(InvalidParameterError, match=f"{cls} {name} must be"):
+        klass(**kwargs)
+    config = _edited(json.loads(Path(train_config).read_text()), {path: section})
+    config_path = write_json(tmp_path / "ruled.json", config)
+    code, _, err = run_cli("train", "--config", config_path, "--out", str(tmp_path / "out"),
+                           capsys=capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["code"] == "config_invalid"
+    assert payload["field"] == f"{path}/{name}"
 
 
 # id: (option, raw file bytes, code).  Each file fails while it is decoded,

@@ -15,8 +15,17 @@ calls CHECKOUT's ``approx_sense.cli.main`` once per op with a fresh
 every output file byte for byte and exits 1 on any difference; for a JSON
 file that differs it prints the first differing key path and both values,
 floats in hex, so a change in the last bit shows as one.  Run ``run``
-once per checkout, each in its own interpreter; it reads OPENBLAS_NUM_THREADS
-from the environment and sets it to 1, as the benchmark does, when unset.
+once per checkout, each in its own interpreter; it keeps an
+OPENBLAS_NUM_THREADS set in the environment and sets it to 1, as the
+benchmark does, only when unset.  Outputs must not depend on the BLAS
+thread count either, so compare at one and at two threads:
+
+    for t in 1 2; do
+        export OPENBLAS_NUM_THREADS=$t
+        python tools/compare_outputs.py run PARENT cmp$t/a --seeds 0,1,2026
+        python tools/compare_outputs.py run CHANGE cmp$t/b --seeds 0,1,2026
+        python tools/compare_outputs.py diff cmp$t/a cmp$t/b
+    done
 """
 
 from __future__ import annotations
