@@ -34,6 +34,12 @@ def param(default=MISSING, *, type="number", low=None, strict=False, enum=()):
     return field(default=default, metadata=rule)
 
 
+def _in_range(value, low, strict=False) -> bool:
+    """Whether ``value`` is a finite number > ``low`` (``strict``) or >= ``low``.
+    NaN fails every comparison; an int too large for a float is not finite."""
+    return abs(value) <= _FLOAT_MAX and (value > low if strict else value >= low)
+
+
 @functools.cache
 def _rules(cls) -> tuple:
     return tuple((f.name, f.metadata["low"], f.metadata["strict"], f.metadata["enum"])
@@ -47,14 +53,13 @@ class Checked:
     Values are compared, not type-checked, so numpy scalars pass."""
 
     def __post_init__(self):
-        # NaN fails every comparison; an int too large for a float is not finite
         for name, low, strict, enum in _rules(type(self)):
             value = getattr(self, name)
             if enum:
                 if value not in enum:
                     raise InvalidParameterError(
                         f"{type(self).__name__} {name} must be one of {list(enum)}, got {value!r}")
-            elif not (abs(value) <= _FLOAT_MAX and (value > low if strict else value >= low)):
+            elif not _in_range(value, low, strict):
                 raise InvalidParameterError(f"{type(self).__name__} {name} must be a finite number "
                                             f"{'>' if strict else '>='} {low}, got {value!r}")
 

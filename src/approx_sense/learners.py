@@ -26,9 +26,13 @@ Search screens candidates in blocks, then re-scores a few of them exactly:
   running screened minimum, and the first strict minimum is kept.  Every
   skipped candidate is strictly beaten by an earlier one, so the weights,
   the objective value and the trace equal those of the scalar loop over all
-  candidates, and ties still go to the lowest enumeration index.  Every
-  block's margin bounds its own rounding, so which block a candidate is
-  screened in changes only how many rows are re-scored, not the result.
+  candidates, and ties still go to the lowest enumeration index.
+  Coordinate descent keeps only the minimum of each restart's segment, so
+  it re-scores only the rows that can hold it: those whose screened value
+  lies within twice the margin of the segment's screened minimum and whose
+  lower bound undercuts the restart's running best.  Every block's margin
+  bounds its own rounding, so which block a candidate is screened in
+  changes only how many rows are re-scored, not the result.
 * **Discrete decisions are exact.**  A candidate whose screened sensitivity
   lies within the tolerance of a threshold (feasibility dhat < t, the SRM
   index d <= t_k + eps_u) takes the scalar check, so boundary hits, clamps
@@ -53,6 +57,7 @@ from .core import (
     LossSpec,
     UnlabelledSample,
     _distinct_rows,
+    _in_range,
     apply_operator,
     loss_values,
     param,
@@ -151,7 +156,9 @@ def _improvements(objective, C, values, margin, best) -> list[tuple[int, float]]
 
     A row is re-scored only when its screened lower bound undercuts every
     screened upper bound before it (and ``best``); any other row is strictly
-    beaten by an earlier one.
+    beaten by an earlier one.  Grid and random search keep every improvement
+    for the trace; coordinate descent keeps only the last, and re-scores
+    only the rows that can hold it (``_best_improvement``).
     """
     upper = np.minimum.accumulate(np.concatenate(([best], values[:-1] + margin)))
     found = []
@@ -160,6 +167,28 @@ def _improvements(objective, C, values, margin, best) -> list[tuple[int, float]]
         if val < best:
             best = val
             found.append((int(i), val))
+    return found
+
+
+def _best_improvement(objective, C, values, margin, best) -> tuple[int, float] | None:
+    """The last of ``_improvements(objective, C, values, margin, best)``, or
+    None where that is empty: the first exact minimum of the finite rows, if
+    it is below ``best``.
+
+    That row's screened lower bound is at most every row's screened upper
+    bound and below ``best``, so only the rows where both hold are re-scored;
+    any other row is strictly beaten by some row or fails to beat ``best``.
+    Infeasible (inf) rows fail the first test when some bound is finite and
+    the second otherwise, so they are never re-scored.
+    """
+    lower = values - margin
+    cap = np.min(values + margin, initial=best)
+    found = None
+    for i in np.flatnonzero((lower <= cap) & (lower < best)):
+        val = objective.exact(C[i])
+        if val < best:
+            best = val
+            found = (int(i), val)
     return found
 
 
@@ -202,9 +231,9 @@ def _search_coordinate_descent(objective) -> SearchResult:
             lo, hi = hi, hi + count
             if not count:
                 continue
-            found = _improvements(objective, C[lo:hi], values[lo:hi], margin, vals[r])
+            found = _best_improvement(objective, C[lo:hi], values[lo:hi], margin, vals[r])
             if found:
-                i, vals[r] = found[-1]
+                i, vals[r] = found
                 W[r] = C[lo + i]
                 moved.add(r)
         return moved
@@ -241,6 +270,13 @@ def _search_coordinate_descent(objective) -> SearchResult:
 # ---------------------------------------------------------------------------
 
 
+def _check_prior(weights: list[float] | tuple[float, ...]) -> None:
+    if not all(_in_range(w, 0, strict=True) for w in weights) or sum(weights) > 1.0 + 1e-12:
+        raise InvalidParameterError(
+            f"weights must be finite numbers > 0 summing to at most 1, got {list(weights)}"
+        )
+
+
 @dataclass(frozen=True)
 class ThresholdSchedule:
     """Increasing sensitivity thresholds with prior weights summing to <= 1."""
@@ -252,8 +288,8 @@ class ThresholdSchedule:
         ts = tuple(float(t) for t in self.thresholds)
         if not ts:
             raise InvalidParameterError("schedule needs at least one threshold")
-        if any(t <= 0 for t in ts):
-            raise InvalidParameterError("thresholds must be positive")
+        if not all(_in_range(t, 0, strict=True) for t in ts):
+            raise InvalidParameterError(f"thresholds must be finite numbers > 0, got {list(ts)}")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise InvalidParameterError("thresholds must be strictly increasing")
         ws = tuple(float(w) for w in self.weights)
@@ -261,8 +297,7 @@ class ThresholdSchedule:
             ws = tuple(2.0 ** -(k + 1) for k in range(len(ts)))
         if len(ws) != len(ts):
             raise InvalidParameterError("weights must match thresholds in length")
-        if any(w <= 0 for w in ws) or sum(ws) > 1.0 + 1e-12:
-            raise InvalidParameterError("weights must be positive and sum to at most 1")
+        _check_prior(ws)
         object.__setattr__(self, "thresholds", ts)
         object.__setattr__(self, "weights", ws)
 
@@ -353,8 +388,8 @@ class _Workspace:
             )
         if not op.deterministic:
             raise InvalidParameterError("learners require a deterministic operator")
-        if p < 1:
-            raise InvalidParameterError("p must be >= 1")
+        if not _in_range(p, 1):
+            raise InvalidParameterError(f"p must be a finite number >= 1, got {p!r}")
         self.op = op
         self.loss = loss
         self.feature_map = feature_map
@@ -596,8 +631,8 @@ def constrained_erm(
     Raises InfeasibleThresholdError (carrying the smallest achievable
     sensitivity) when no candidate qualifies.
     """
-    if t <= 0:
-        raise InvalidParameterError("t must be positive")
+    if not t > 0:  # NaN fails; t = inf is the vacuous constraint
+        raise InvalidParameterError(f"t must be > 0, got {t!r}")
     ws = _Workspace(op, loss, feature_map, labelled, unlabelled, p, domain)
     return ws.output(_search(_Constrained(ws, t)), chosen_t=t)
 
@@ -625,8 +660,8 @@ def srm_learner(
     learner stays total; ``rad_estimator`` maps a threshold to a RadEstimate
     for the restricted class.
     """
-    if epsilon_u < 0:
-        raise InvalidParameterError("epsilon_u must be >= 0")
+    if not _in_range(epsilon_u, 0):
+        raise InvalidParameterError(f"epsilon_u must be a finite number >= 0, got {epsilon_u!r}")
     ws = _Workspace(op, loss, feature_map, labelled, unlabelled, p, domain)
     m = labelled.m
     rho = loss.lipschitz
@@ -665,8 +700,8 @@ def lambda_erm(
     ||w - Q(w)||_2 * input_norm_budget (AnalyticSensitivity), which needs no
     unlabelled data.  Sensitivity-regularised ERM is lambda = rho.
     """
-    if lam < 0:
-        raise InvalidParameterError("lambda must be >= 0")
+    if not _in_range(lam, 0):
+        raise InvalidParameterError(f"lambda must be a finite number >= 0, got {lam!r}")
     if isinstance(sensitivity, EmpiricalSensitivity):
         ws = _Workspace(op, loss, feature_map, labelled, sensitivity.sample, sensitivity.p, domain)
         objective = _Regularised(ws, lam)
@@ -704,10 +739,9 @@ def lambda_grid_srm(
         raise InvalidParameterError("need at least one lambda")
     if len(weights) != len(lambdas):
         raise InvalidParameterError("weights must match lambdas in length")
-    if any(w <= 0 for w in weights) or sum(weights) > 1.0 + 1e-12:
-        raise InvalidParameterError("weights must be positive and sum to at most 1")
-    if any(lam < 0 for lam in lambdas):
-        raise InvalidParameterError("lambda must be >= 0")
+    _check_prior(weights)
+    if not all(_in_range(lam, 0) for lam in lambdas):
+        raise InvalidParameterError(f"lambdas must be finite numbers >= 0, got {lambdas}")
     ws = _Workspace(op, loss, feature_map, labelled, unlabelled, p, domain)
     m = labelled.m
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from approx_sense import (
@@ -44,7 +44,7 @@ from approx_sense import (
     true_sensitivity_mc,
 )
 from approx_sense import learners
-from approx_sense.learners import _Workspace, _search
+from approx_sense.learners import _best_improvement, _improvements, _Workspace, _search
 from approx_sense.radgeom import mc_rademacher_rows
 
 OP = UniformQuantizer(step=0.5, clamp=1.0)
@@ -211,6 +211,43 @@ def test_threshold_schedule_validation():
         ThresholdSchedule(thresholds=(0.2, 0.1))
     with pytest.raises(InvalidParameterError):
         ThresholdSchedule(thresholds=(0.1, 0.2), weights=(0.9, 0.9))
+
+
+def _learner_with(name, value):
+    """A call that sets one learner parameter to ``value``, the rest valid."""
+    _, labelled, unlabelled = _make_data(seed=23)
+    domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=5)
+    dhat = EmpiricalSensitivity(unlabelled, 1.0)
+    return {
+        "ThresholdSchedule thresholds": lambda: ThresholdSchedule((0.1, value)),
+        "ThresholdSchedule weights": lambda: ThresholdSchedule((0.1, 0.2), (0.25, value)),
+        "constrained_erm t": lambda: constrained_erm(
+            labelled, unlabelled, OP, value, 1.0, LOSS, domain),
+        "lambda_erm lambda": lambda: lambda_erm(labelled, OP, value, dhat, LOSS, domain),
+        "EmpiricalSensitivity p": lambda: lambda_erm(
+            labelled, OP, 0.5, EmpiricalSensitivity(unlabelled, value), LOSS, domain),
+        "lambda_grid_srm lambdas": lambda: lambda_grid_srm(
+            labelled, unlabelled, OP, [0.1, value], [0.25, 0.25], 1.0, LOSS, domain),
+        "lambda_grid_srm weights": lambda: lambda_grid_srm(
+            labelled, unlabelled, OP, [0.1, 0.2], [0.25, value], 1.0, LOSS, domain),
+        "srm_learner epsilon_u": lambda: srm_learner(
+            labelled, unlabelled, OP, ThresholdSchedule((0.1,)), value, lambda t: 0.0, LOSS,
+            domain),
+    }[name]
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value)
+    for name in ("ThresholdSchedule thresholds", "ThresholdSchedule weights", "constrained_erm t",
+                 "lambda_erm lambda", "EmpiricalSensitivity p", "lambda_grid_srm lambdas",
+                 "lambda_grid_srm weights", "srm_learner epsilon_u")
+    for value in (math.nan, math.inf, -math.inf)
+    # t = inf is the vacuous constraint (test_constrained_erm_vacuous_constraint_is_plain_erm)
+    if (name, value) != ("constrained_erm t", math.inf)
+])
+def test_learner_parameter_rejects_nan_and_inf(name, value):
+    with pytest.raises(InvalidParameterError, match=f"^{name.split()[1]} must"):
+        _learner_with(name, value)()
 
 
 def test_srm_all_on_grid_class_reduces_to_plain_erm():
@@ -559,6 +596,75 @@ def test_coordinate_descent_screens_one_block_per_half_sweep(monkeypatch, restar
     lambda_erm(labelled, OP, 0.5, EmpiricalSensitivity(unlabelled, 1.0), LOSS, domain)
     assert blocks[0] == restarts
     assert len(blocks) <= 1 + 2 * domain.dim * domain.iterations
+
+
+class CountingObjective(PointObjective):
+    """A PointObjective whose screen claims a nonzero margin and that records,
+    per screened block, [rows screened, exact calls made after the screen]."""
+
+    def __init__(self, fn, domain, margin):
+        super().__init__(fn, domain)
+        self.margin = margin
+        self.blocks = []
+
+    def exact(self, w):
+        self.blocks[-1][1] += 1
+        return super().exact(w)
+
+    def screen(self, block):
+        self.blocks.append([len(block.C), 0])
+        return np.array([self.fn(w) for w in block.C], dtype=float), self.margin
+
+
+def test_coordinate_descent_rescores_a_falling_segment_once():
+    # -sum(w) falls along every axis: each half-sweep above the current value
+    # is a segment of falling values, and only its last row can hold its
+    # minimum; the half-sweeps below the current value hold no improvement
+    domain = SearchDomain(dim=2, halfwidth=1.0, mode="coordinate_descent", points_per_axis=9,
+                          restarts=1, seed=3)
+    objective = CountingObjective(lambda w: -float(np.sum(w)), domain, margin=1e-6)
+    result = _search(objective)
+    assert np.array_equal(result.weights, [1.0, 1.0]) and result.value == -2.0
+    # the start point, then (below, above) for coordinates 0 and 1, then a
+    # second iteration whose two below-sweeps find nothing (above is empty)
+    assert objective.blocks == [[1, 1], [3, 0], [5, 1], [2, 0], [6, 1], [8, 0], [8, 0]]
+
+
+@st.composite
+def segments(draw):
+    """(screened values, margin, exact values, best): each exact value within
+    the margin of its screened one, computed as the search computes the
+    bounds; an infeasible (inf) row's exact value is any finite number, since
+    an objective's exact does not check feasibility."""
+    values = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf]),
+                                    min_size=1, max_size=12)))
+    margin = draw(st.sampled_from([0.0, 1e-9, 0.1, 0.3]))  # 0.3: adjacent values tie within it
+    exact = []
+    for v in values:
+        if math.isinf(v):
+            exact.append(draw(st.floats(-1.0, 2.0)))
+        else:
+            lo, hi = v - margin, v + margin
+            exact.append(draw(st.one_of(st.sampled_from([lo, v, hi]), st.floats(lo, hi))))
+    best = draw(st.one_of(st.just(math.inf), st.sampled_from([0.0, 0.25, 0.6]),
+                          st.floats(-0.5, 1.5)))
+    return values, margin, exact, best
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments())
+@example((np.full(3, math.inf), 0.1, [0.0, -1.0, 0.5], math.inf))  # all infeasible
+@example((np.array([0.5, 0.25, 0.5]), 0.3, [0.2, 0.2, 0.2], math.inf))  # exact ties
+def test_best_improvement_is_the_last_improvement(case):
+    values, margin, exact, best = case
+
+    class Table:
+        def exact(self, w):
+            return exact[int(w[0])]
+
+    C = np.arange(len(values), dtype=float)[:, None]
+    found = _improvements(Table(), C, values, margin, best)
+    assert _best_improvement(Table(), C, values, margin, best) == (found[-1] if found else None)
 
 
 # ---------------------------------------------------------------------------
