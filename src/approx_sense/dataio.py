@@ -3,11 +3,20 @@
 Format: UTF-8, comma separated, header row, one column per feature, optional
 final column named ``target``.  Floats are written with 17 significant digits
 so values round-trip exactly.
+
+Reading parses every data row in one call of numpy's C text reader
+(``np.loadtxt``), which reads the cells it accepts to the same floats as
+``float()``.  Where that call fails, finds no rows or a width other than the
+header's, the table is read again by a per-row walk (``csv.reader``, then
+``float()`` on every cell), which names the first bad line.  The walk also
+reads the cells only ``float()`` accepts, such as ``1_0`` or non-ASCII digits,
+so both paths accept the same files and return the same arrays.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +36,24 @@ def _read_table(path: str | Path, what: str) -> tuple[list[str], np.ndarray]:
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"{what} file not found: {path}", path=str(path))
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh))
+            rest = fh.read()
+        # loadtxt warns on a file with no data rows, and strips the ASCII
+        # separators \x1c-\x1f around a number, which float() refuses
+        if rest.strip("\r\n") and not any(c in rest for c in "\x1c\x1d\x1e\x1f"):
+            data = np.loadtxt(io.StringIO(rest), delimiter=",", comments=None, quotechar='"',
+                              ndmin=2, dtype=float)
+            if data.shape[0] and data.shape[1] == len(header):
+                return header, data
+    except (StopIteration, ValueError):  # UnicodeDecodeError is a ValueError
+        pass
+    return _walk_table(path, what)
+
+
+def _walk_table(path: Path, what: str) -> tuple[list[str], np.ndarray]:
+    """``_read_table`` row by row, naming the first bad line."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

@@ -30,9 +30,12 @@ Search screens candidates in blocks, then re-scores a few of them exactly:
   Coordinate descent keeps only the minimum of each restart's segment, so
   it re-scores only the rows that can hold it: those whose screened value
   lies within twice the margin of the segment's screened minimum and whose
-  lower bound undercuts the restart's running best.  Every block's margin
-  bounds its own rounding, so which block a candidate is screened in
-  changes only how many rows are re-scored, not the result.
+  lower bound undercuts the restart's running best.  One vectorised pass
+  per half-sweep (``_best_improvements``) selects them for every segment
+  of the block at once, and only the selected rows run the scalar
+  objective, in row order.  Every block's margin bounds its own rounding,
+  so which block a candidate is screened in changes only how many rows are
+  re-scored, not the result.
 * **Discrete decisions are exact.**  A candidate whose screened sensitivity
   lies within the tolerance of a threshold (feasibility dhat < t, the SRM
   index d <= t_k + eps_u) takes the scalar check, so boundary hits, clamps
@@ -158,7 +161,7 @@ def _improvements(objective, C, values, margin, best) -> list[tuple[int, float]]
     screened upper bound before it (and ``best``); any other row is strictly
     beaten by an earlier one.  Grid and random search keep every improvement
     for the trace; coordinate descent keeps only the last, and re-scores
-    only the rows that can hold it (``_best_improvement``).
+    only the rows that can hold it (``_best_improvements``).
     """
     upper = np.minimum.accumulate(np.concatenate(([best], values[:-1] + margin)))
     found = []
@@ -170,25 +173,35 @@ def _improvements(objective, C, values, margin, best) -> list[tuple[int, float]]
     return found
 
 
-def _best_improvement(objective, C, values, margin, best) -> tuple[int, float] | None:
-    """The last of ``_improvements(objective, C, values, margin, best)``, or
-    None where that is empty: the first exact minimum of the finite rows, if
-    it is below ``best``.
+def _best_improvements(objective, C, values, margin, bests, counts) -> list:
+    """Per segment of C (``counts[k]`` rows each, in order), the last of
+    ``_improvements(objective, C_seg, values_seg, margin, bests[k])`` with its
+    row index in the segment, or None where that is empty: the first exact
+    minimum of the segment's finite rows, if it is below ``bests[k]``.
 
-    That row's screened lower bound is at most every row's screened upper
-    bound and below ``best``, so only the rows where both hold are re-scored;
-    any other row is strictly beaten by some row or fails to beat ``best``.
-    Infeasible (inf) rows fail the first test when some bound is finite and
-    the second otherwise, so they are never re-scored.
+    That row's screened lower bound is at most every screened upper bound in
+    its segment and below the segment's best, so only the rows where both
+    hold are re-scored, in row order; any other row is strictly beaten by
+    some row of its segment or fails to beat the best.  Infeasible (inf)
+    rows fail the first test when some bound is finite and the second
+    otherwise, so they are never re-scored.
     """
+    counts = np.asarray(counts, dtype=int)
+    starts = np.cumsum(counts) - counts
+    filled = counts > 0  # reduceat reads an empty segment as its next row
+    upper = np.full(len(counts), math.inf)  # least screened upper bound per segment
+    upper[filled] = np.minimum.reduceat(values + margin, starts[filled])
+    segment = np.repeat(np.arange(len(counts)), counts)
     lower = values - margin
-    cap = np.min(values + margin, initial=best)
-    found = None
-    for i in np.flatnonzero((lower <= cap) & (lower < best)):
+    selected = (lower <= upper[segment]) & (lower < np.asarray(bests, dtype=float)[segment])
+    best = list(bests)
+    found = [None] * len(counts)
+    for i in np.flatnonzero(selected):
+        k = segment[i]
         val = objective.exact(C[i])
-        if val < best:
-            best = val
-            found = (int(i), val)
+        if val < best[k]:
+            best[k] = val
+            found[k] = (int(i - starts[k]), val)
     return found
 
 
@@ -226,14 +239,10 @@ def _search_coordinate_descent(objective) -> SearchResult:
         C = np.repeat(W[active], counts, axis=0)
         C[:, j] = np.concatenate(segments)
         values, margin = objective.screen(_Block(objective.ws, C))
-        hi = 0
-        for r, count in zip(active, counts):
-            lo, hi = hi, hi + count
-            if not count:
-                continue
-            found = _best_improvement(objective, C[lo:hi], values[lo:hi], margin, vals[r])
-            if found:
-                i, vals[r] = found
+        found = _best_improvements(objective, C, values, margin, [vals[r] for r in active], counts)
+        for r, lo, hit in zip(active, np.cumsum(counts) - counts, found):
+            if hit:
+                i, vals[r] = hit
                 W[r] = C[lo + i]
                 moved.add(r)
         return moved
@@ -244,7 +253,7 @@ def _search_coordinate_descent(objective) -> SearchResult:
         improved: set[int] = set()
         for j in range(domain.dim):
             # the current value is skipped only until the coordinate first moves
-            here = [int(np.flatnonzero(axis == W[r, j])[0]) for r in active]
+            here = np.argmax(W[active, j][:, None] == axis, axis=1).tolist()
             moved = sweep(active, j, [axis[:h] for h in here])
             later = sweep(active, j, [axis[h:] if r in moved else axis[h + 1 :]
                                       for r, h in zip(active, here)])
@@ -270,11 +279,15 @@ def _search_coordinate_descent(objective) -> SearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_prior(weights: list[float] | tuple[float, ...]) -> None:
-    if not all(_in_range(w, 0, strict=True) for w in weights) or sum(weights) > 1.0 + 1e-12:
+def _check_prior(weights: list | tuple) -> list[float]:
+    """The prior weights as floats, checked before converting: an integer too
+    large for a float fails the range check, not float()."""
+    if (not all(_in_range(w, 0, strict=True) for w in weights)
+            or sum(map(float, weights)) > 1.0 + 1e-12):
         raise InvalidParameterError(
             f"weights must be finite numbers > 0 summing to at most 1, got {list(weights)}"
         )
+    return [float(w) for w in weights]
 
 
 @dataclass(frozen=True)
@@ -285,21 +298,19 @@ class ThresholdSchedule:
     weights: tuple[float, ...] = ()
 
     def __post_init__(self):
-        ts = tuple(float(t) for t in self.thresholds)
+        ts = tuple(self.thresholds)
         if not ts:
             raise InvalidParameterError("schedule needs at least one threshold")
         if not all(_in_range(t, 0, strict=True) for t in ts):
             raise InvalidParameterError(f"thresholds must be finite numbers > 0, got {list(ts)}")
+        ts = tuple(float(t) for t in ts)
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise InvalidParameterError("thresholds must be strictly increasing")
-        ws = tuple(float(w) for w in self.weights)
-        if not ws:
-            ws = tuple(2.0 ** -(k + 1) for k in range(len(ts)))
+        ws = tuple(self.weights) or tuple(2.0 ** -(k + 1) for k in range(len(ts)))
         if len(ws) != len(ts):
             raise InvalidParameterError("weights must match thresholds in length")
-        _check_prior(ws)
         object.__setattr__(self, "thresholds", ts)
-        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "weights", tuple(_check_prior(ws)))
 
     def __len__(self) -> int:
         return len(self.thresholds)
@@ -631,7 +642,7 @@ def constrained_erm(
     Raises InfeasibleThresholdError (carrying the smallest achievable
     sensitivity) when no candidate qualifies.
     """
-    if not t > 0:  # NaN fails; t = inf is the vacuous constraint
+    if not (t == math.inf or _in_range(t, 0, strict=True)):  # t = inf: the vacuous constraint
         raise InvalidParameterError(f"t must be > 0, got {t!r}")
     ws = _Workspace(op, loss, feature_map, labelled, unlabelled, p, domain)
     return ws.output(_search(_Constrained(ws, t)), chosen_t=t)
@@ -733,15 +744,15 @@ def lambda_grid_srm(
 
     The per-candidate table is attached to the returned output.
     """
-    lambdas = [float(v) for v in lambdas]
-    weights = [float(v) for v in weights]
+    lambdas, weights = list(lambdas), list(weights)
     if not lambdas:
         raise InvalidParameterError("need at least one lambda")
     if len(weights) != len(lambdas):
         raise InvalidParameterError("weights must match lambdas in length")
-    _check_prior(weights)
+    weights = _check_prior(weights)
     if not all(_in_range(lam, 0) for lam in lambdas):
         raise InvalidParameterError(f"lambdas must be finite numbers >= 0, got {lambdas}")
+    lambdas = [float(v) for v in lambdas]
     ws = _Workspace(op, loss, feature_map, labelled, unlabelled, p, domain)
     m = labelled.m
 

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .core import _in_range
 from .errors import EnumerationCapError, InvalidParameterError
 
 EXACT_ENUMERATION_CAP = 22
@@ -87,8 +88,8 @@ class SensitivityPointSet:
 
 def conjugate_exponent(p: float) -> float:
     """Hoelder conjugate; p = 1 maps to infinity (max norm)."""
-    if p < 1:
-        raise InvalidParameterError("p must be >= 1")
+    if not _in_range(p, 1):
+        raise InvalidParameterError(f"p must be a finite number >= 1, got {p!r}")
     if p == 1:
         return math.inf
     return p / (p - 1.0)
@@ -326,17 +327,17 @@ def cluster_bound(components, p: float, m: int) -> RadEstimate:
 
 def crude_bounds(R_p: float, p: float) -> tuple[float, float]:
     """Magnitude sandwich (R_p / (2 * 2^(1/p)), R_p) for near-filling sets."""
-    if R_p < 0:
-        raise InvalidParameterError("R_p must be >= 0")
-    conjugate_exponent(p)  # validates p >= 1
+    if not _in_range(R_p, 0):
+        raise InvalidParameterError(f"R_p must be a finite number >= 0, got {R_p!r}")
+    conjugate_exponent(p)  # validates p
     return (R_p / (2.0 * 2.0 ** (1.0 / p)), R_p)
 
 
 def positive_orthant_ball_sup(sigma, radius: float, p: float) -> float | np.ndarray:
     """Support value of the positive-orthant p-ball: radius times the dual
     norm of the positive part of sigma, over the last axis as in dual_norm."""
-    if radius < 0:
-        raise InvalidParameterError("radius must be >= 0")
+    if not _in_range(radius, 0):
+        raise InvalidParameterError(f"radius must be a finite number >= 0, got {radius!r}")
     return radius * dual_norm(np.maximum(np.asarray(sigma, dtype=float), 0.0), p)
 
 

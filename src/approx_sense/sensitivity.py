@@ -17,6 +17,7 @@ from .core import (
     Hypothesis,
     UnlabelledSample,
     _distinct_rows,
+    _in_range,
     apply_operator,
     predictions,
 )
@@ -50,8 +51,8 @@ class SensitivityEstimate:
 
 
 def _check_p(p: float) -> float:
-    if p < 1:
-        raise InvalidParameterError("p must be >= 1")
+    if not _in_range(p, 1):
+        raise InvalidParameterError(f"p must be a finite number >= 1, got {p!r}")
     return float(p)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -500,6 +501,14 @@ def test_unallocatable_search_structured_error(tmp_path, train_config, capsys, c
 BAD_CSV = {
     "non_numeric": ("x0,x1\n0.5,0.25\nabc,0.5\n", "non-numeric cell on line 3"),
     "ragged": ("x0,x1\n0.5,0.25\n0.5,0.25,0.75\n", "line 3 has 3 cells but the header has 2"),
+    "empty": ("", "empty CSV file"),
+    "header_only": ("x0,x1\n", "CSV file has a header but no data rows"),
+    "header_then_blank_lines": ("x0,x1\n\n\r\n", "CSV file has a header but no data rows"),
+    "trailing_comma": ("x0,x1\n0.5,0.25,\n", "line 2 has 3 cells but the header has 2"),
+    "narrow_first_row": ("x0,x1\n0.5\n0.5,0.25\n", "line 2 has 1 cells but the header has 2"),
+    "wider_than_one_column": ("x0\n0.5,0.25\n", "line 2 has 2 cells but the header has 1"),
+    "whitespace_line": ("x0,x1\n0.5,0.25\n   \n", "line 3 has 1 cells but the header has 2"),
+    "not_utf8": (b"x0,x1\n0.5,\xff\n", "file is not UTF-8 text"),
 }
 
 
@@ -524,9 +533,13 @@ def _read_as_sample(tmp_path, csv_path):
 def test_malformed_csv_structured_error(tmp_path, capsys, reader, fault):
     text, message = BAD_CSV[fault]
     csv_path = tmp_path / "bad.csv"
-    csv_path.write_text(text, encoding="utf-8")
-    code, _, err = run_cli(*reader(tmp_path, str(csv_path)), capsys=capsys)
+    csv_path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(*reader(tmp_path, str(csv_path)), capsys=capsys)
     assert code == 2
+    # the JSON error is all a caller reads: no warning prints ahead of it
+    assert not caught and len(err.splitlines()) == 1
     payload = json.loads(err)
     assert payload["code"] == "invalid_parameter"
     assert message in payload["message"]

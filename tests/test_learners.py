@@ -44,7 +44,7 @@ from approx_sense import (
     true_sensitivity_mc,
 )
 from approx_sense import learners
-from approx_sense.learners import _best_improvement, _improvements, _Workspace, _search
+from approx_sense.learners import _best_improvements, _improvements, _Workspace, _search
 from approx_sense.radgeom import mc_rademacher_rows
 
 OP = UniformQuantizer(step=0.5, clamp=1.0)
@@ -236,11 +236,15 @@ def _learner_with(name, value):
     }[name]
 
 
+LEARNER_PARAMETERS = ("ThresholdSchedule thresholds", "ThresholdSchedule weights",
+                      "constrained_erm t", "lambda_erm lambda", "EmpiricalSensitivity p",
+                      "lambda_grid_srm lambdas", "lambda_grid_srm weights",
+                      "srm_learner epsilon_u")
+
+
 @pytest.mark.parametrize("name, value", [
     (name, value)
-    for name in ("ThresholdSchedule thresholds", "ThresholdSchedule weights", "constrained_erm t",
-                 "lambda_erm lambda", "EmpiricalSensitivity p", "lambda_grid_srm lambdas",
-                 "lambda_grid_srm weights", "srm_learner epsilon_u")
+    for name in LEARNER_PARAMETERS
     for value in (math.nan, math.inf, -math.inf)
     # t = inf is the vacuous constraint (test_constrained_erm_vacuous_constraint_is_plain_erm)
     if (name, value) != ("constrained_erm t", math.inf)
@@ -248,6 +252,13 @@ def _learner_with(name, value):
 def test_learner_parameter_rejects_nan_and_inf(name, value):
     with pytest.raises(InvalidParameterError, match=f"^{name.split()[1]} must"):
         _learner_with(name, value)()
+
+
+@pytest.mark.parametrize("name", LEARNER_PARAMETERS)
+def test_learner_parameter_rejects_an_integer_too_large_for_a_float(name):
+    # checked before any float() conversion, which would raise OverflowError
+    with pytest.raises(InvalidParameterError, match=f"^{name.split()[1]} must"):
+        _learner_with(name, 10**400)()
 
 
 def test_srm_all_on_grid_class_reduces_to_plain_erm():
@@ -631,40 +642,49 @@ def test_coordinate_descent_rescores_a_falling_segment_once():
 
 
 @st.composite
-def segments(draw):
-    """(screened values, margin, exact values, best): each exact value within
-    the margin of its screened one, computed as the search computes the
-    bounds; an infeasible (inf) row's exact value is any finite number, since
-    an objective's exact does not check feasibility."""
-    values = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf]),
-                                    min_size=1, max_size=12)))
+def segment_blocks(draw):
+    """(screened values, margin, exact values, bests, counts): a block of up to
+    four segments, some of them empty, one running best each.  Each exact
+    value lies within the margin of its screened one, computed as the search
+    computes the bounds; an infeasible (inf) row's exact value is any finite
+    number, since an objective's exact does not check feasibility."""
     margin = draw(st.sampled_from([0.0, 1e-9, 0.1, 0.3]))  # 0.3: adjacent values tie within it
-    exact = []
-    for v in values:
-        if math.isinf(v):
-            exact.append(draw(st.floats(-1.0, 2.0)))
-        else:
-            lo, hi = v - margin, v + margin
-            exact.append(draw(st.one_of(st.sampled_from([lo, v, hi]), st.floats(lo, hi))))
-    best = draw(st.one_of(st.just(math.inf), st.sampled_from([0.0, 0.25, 0.6]),
-                          st.floats(-0.5, 1.5)))
-    return values, margin, exact, best
+    values, exact, bests, counts = [], [], [], []
+    for _ in range(draw(st.integers(0, 4))):
+        segment = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf]), max_size=8))
+        for v in segment:
+            if math.isinf(v):
+                exact.append(draw(st.floats(-1.0, 2.0)))
+            else:
+                lo, hi = v - margin, v + margin
+                exact.append(draw(st.one_of(st.sampled_from([lo, v, hi]), st.floats(lo, hi))))
+        values += segment
+        counts.append(len(segment))
+        bests.append(draw(st.one_of(st.just(math.inf), st.sampled_from([0.0, 0.25, 0.6]),
+                                    st.floats(-0.5, 1.5))))
+    return np.array(values, dtype=float), margin, exact, bests, counts
 
 
 @settings(max_examples=300, deadline=None)
-@given(segments())
-@example((np.full(3, math.inf), 0.1, [0.0, -1.0, 0.5], math.inf))  # all infeasible
-@example((np.array([0.5, 0.25, 0.5]), 0.3, [0.2, 0.2, 0.2], math.inf))  # exact ties
-def test_best_improvement_is_the_last_improvement(case):
-    values, margin, exact, best = case
+@given(segment_blocks())
+@example((np.full(3, math.inf), 0.1, [0.0, -1.0, 0.5], [math.inf], [3]))  # all infeasible
+@example((np.array([0.5, 0.25, 0.5]), 0.3, [0.2, 0.2, 0.2], [math.inf], [3]))  # exact ties
+@example((np.array([0.5, 0.25, math.inf, math.inf]), 0.1, [0.5, 0.3, 0.0, 0.0],
+          [0.3, math.inf, math.inf, 1.0], [2, 0, 2, 0]))  # empty and all-inf segments
+def test_best_improvements_is_each_segments_last_improvement(case):
+    values, margin, exact, bests, counts = case
 
     class Table:
         def exact(self, w):
             return exact[int(w[0])]
 
     C = np.arange(len(values), dtype=float)[:, None]
-    found = _improvements(Table(), C, values, margin, best)
-    assert _best_improvement(Table(), C, values, margin, best) == (found[-1] if found else None)
+    expected, lo = [], 0
+    for best, n in zip(bests, counts):
+        found = _improvements(Table(), C[lo : lo + n], values[lo : lo + n], margin, best)
+        expected.append(found[-1] if found else None)
+        lo += n
+    assert _best_improvements(Table(), C, values, margin, bests, counts) == expected
 
 
 # ---------------------------------------------------------------------------

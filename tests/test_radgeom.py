@@ -20,12 +20,15 @@ from approx_sense import (
     RadEstimate,
     SensitivityPointSet,
     UniformQuantizer,
+    UnlabelledSample,
     cluster_bound,
     crude_bounds,
+    empirical_sensitivity,
     exact_rademacher_pointset,
     exact_rademacher_rows,
     exact_rademacher_support,
     kernel_sensitivity_class_bound,
+    linear_hypothesis,
     mc_rademacher_pointset,
     mc_rademacher_rows,
     operator_norm_lower_estimate,
@@ -33,7 +36,12 @@ from approx_sense import (
     rotated_union_bound,
 )
 from approx_sense.dataio import read_matrix_csv
-from approx_sense.radgeom import _mc_signs, _rotated_component_norm, dual_norm
+from approx_sense.radgeom import (
+    _mc_signs,
+    _rotated_component_norm,
+    conjugate_exponent,
+    dual_norm,
+)
 
 
 def brute_force_rademacher(rows: np.ndarray) -> float:
@@ -357,6 +365,29 @@ def test_dual_norm_reduces_over_last_axis(p):
 def test_dual_norm_values():
     assert dual_norm([3.0, -4.0], 1.0) == 4.0
     assert dual_norm([3.0, -4.0], 2.0) == 5.0
+
+
+# each call with one parameter set to ``value``, the rest valid
+NON_FINITE_PARAMETER = {
+    "conjugate_exponent p": lambda v: conjugate_exponent(v),
+    "dual_norm p": lambda v: dual_norm([3.0, -4.0], v),
+    "crude_bounds p": lambda v: crude_bounds(1.0, v),
+    "crude_bounds R_p": lambda v: crude_bounds(v, 2.0),
+    "positive_orthant_ball_sup radius": lambda v: positive_orthant_ball_sup([1.0, -1.0], v, 2.0),
+    "positive_orthant_ball_sup p": lambda v: positive_orthant_ball_sup([1.0, -1.0], 1.0, v),
+    "empirical_sensitivity p": lambda v: empirical_sensitivity(
+        linear_hypothesis([0.3]), UniformQuantizer(step=0.5, clamp=1.0),
+        UnlabelledSample(inputs=[[1.0]]), v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "10**400"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_PARAMETER))
+def test_non_finite_parameter_fails_up_front(name, value):
+    # NaN fails every comparison, so a `p < 1` check let it through to a nan
+    # result; the check names the parameter before anything is computed
+    with pytest.raises(InvalidParameterError, match=f"^{name.split()[1]} must be a finite number"):
+        NON_FINITE_PARAMETER[name](value)
 
 
 def test_ellipse_rejects_nonpositive_mu():
