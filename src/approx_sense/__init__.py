@@ -7,7 +7,8 @@ that tie the two together.
 
 ``import approx_sense`` imports no submodule.  Each exported name imports
 its module on first access (PEP 562), so ``from approx_sense import
-lambda_erm`` loads ``learners`` and what it imports, and nothing else.
+lambda_erm`` loads ``learners`` and what it imports, and nothing else.  The
+CLI binds its names from the same table (``_bind``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ _EXPORTS = {
         "UniformQuantizer",
         "UnlabelledSample",
         "apply_operator",
+        "derived_rng",
         "empirical_error",
         "linear_hypothesis",
         "loss_values",
@@ -44,7 +46,6 @@ _EXPORTS = {
         "MCEstimate",
         "SyntheticTask",
         "UniformBox",
-        "derived_rng",
         "generate",
         "true_error_mc",
     ),
@@ -87,6 +88,7 @@ _EXPORTS = {
     ),
     "bounds": (
         "BoundReport",
+        "Constituent",
         "fast_rate_deviation_bound",
         "hoeffding_term",
         "joint_bounds",
@@ -99,6 +101,13 @@ _EXPORTS = {
         "uniform_restricted_bound",
     ),
     "validation": ("CoverageReport", "SUITES", "run_suite"),
+    "dataio": (
+        "append_csv_row",
+        "format_float",
+        "read_matrix_csv",
+        "read_sample_csv",
+        "write_sample_csv",
+    ),
     "errors": (
         "ApproxSenseError",
         "ConfigError",
@@ -116,15 +125,32 @@ _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_OWNER)
 
 
-def __getattr__(name: str):
-    # any other name raises AttributeError, so that ``from approx_sense import
-    # learners`` falls back to importing the submodule
-    module = _OWNER.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value  # later lookups do not come here
-    return value
+def _bind(namespace: dict, *modules: str) -> None:
+    """Import each module and bind the names the package exports from it in
+    ``namespace``, keeping a name already bound there."""
+    for module in modules:
+        loaded = importlib.import_module(f".{module}", __name__)
+        for name in _EXPORTS[module]:
+            namespace.setdefault(name, getattr(loaded, name))
+
+
+def _lazy_getattr(namespace: dict, owner: str):
+    """A module ``__getattr__`` (PEP 562) that binds an exported name, and
+    the other exports of its module, in ``namespace`` on first access.  Any
+    other name raises AttributeError, so that ``from approx_sense import
+    learners`` falls back to importing the submodule."""
+
+    def __getattr__(name: str):
+        module = _OWNER.get(name)
+        if module is None:
+            raise AttributeError(f"module {owner!r} has no attribute {name!r}")
+        _bind(namespace, module)  # later lookups do not come here
+        return namespace[name]
+
+    return __getattr__
+
+
+__getattr__ = _lazy_getattr(globals(), __name__)
 
 
 def __dir__() -> list[str]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import importlib
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -23,53 +22,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _bind, _lazy_getattr
 from .errors import ApproxSenseError, ConfigError, InvalidParameterError, MissingInputError
 
-# module -> the names of it that the subcommands call, directly or (a kind's
-# class) through _build.  Each is a global of this module, bound on first
-# use: by __getattr__ for an access from outside, or by main, which loads the
-# modules its subcommand runs (_COMMANDS).  So a subcommand imports only what
-# it runs, and a name replaced from outside (setattr) is the one that the
-# subcommands call.
-_LAZY = {
-    "bounds": ("Constituent", "joint_bounds", "lambda_equivalence_bound", "regularized_bound",
-               "srm_selection_bound", "srm_uniform_bound", "stochastic_bound",
-               "uniform_restricted_bound"),
-    "core": ("Hypothesis", "IdentityMap", "LabelledSample", "LossSpec", "MagnitudePruner",
-             "PolynomialMap", "RbfMap", "StochasticRounder", "UniformQuantizer",
-             "UnlabelledSample"),
-    "dataio": ("append_csv_row", "format_float", "read_matrix_csv", "read_sample_csv",
-               "write_sample_csv"),
-    "learners": ("AnalyticSensitivity", "EmpiricalSensitivity", "SearchDomain",
-                 "ThresholdSchedule", "constrained_erm", "lambda_erm", "lambda_grid_srm",
-                 "make_restricted_rad_estimator", "srm_learner"),
-    "radgeom": ("EXACT_ENUMERATION_CAP", "GeometryModel", "SensitivityPointSet",
-                "exact_rademacher_pointset", "mc_rademacher_pointset"),
-    "sensitivity": ("analytic_sensitivity_upper", "empirical_sensitivity",
-                    "expected_sensitivity"),
-    "synthetic": ("GaussianMixture", "IsotropicGaussian", "SyntheticTask", "UniformBox",
-                  "generate"),
-    "validation": ("run_suite",),
-}
-_OWNER = {name: module for module, names in _LAZY.items() for name in names}
-
-
-def _load(*modules: str) -> None:
-    """Import each module and bind its names here, keeping a name already bound."""
-    for module in modules:
-        loaded = importlib.import_module(f".{module}", __package__)
-        for name in _LAZY[module]:
-            globals().setdefault(name, getattr(loaded, name))
-
-
-def __getattr__(name: str):
-    module = _OWNER.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(module)
-    return globals()[name]
-
+# The names that the subcommands call, directly or (a kind's class) through
+# _build, are the package's exports (approx_sense._EXPORTS), bound as globals
+# of this module a module at a time: by __getattr__ for an access from
+# outside, or by main, which binds the exports of the modules its subcommand
+# runs (_COMMANDS).  So a subcommand imports only what it runs, and a name
+# replaced from outside (setattr) is the one that the subcommands call.
+__getattr__ = _lazy_getattr(globals(), __name__)
 
 SCHEMA_VERSION = 1
 
@@ -699,7 +661,7 @@ def main(argv=None) -> int:
             seed = getattr(args, "seed", None)  # bound has no --seed
             if seed is not None and seed < 0:
                 raise InvalidParameterError(f"--seed must be >= 0, got {seed}")
-            _load(*modules)  # before _check, which reads the classes' fields
+            _bind(globals(), *modules)  # before _check, which reads the classes' fields
             config = None
             if table is not None:
                 config = _load_json(args.config)
@@ -707,9 +669,13 @@ def main(argv=None) -> int:
             if seed is None:  # --seed, else the config's seed, else 0
                 seed = (config or {}).get("seed", 0)
             return command(args, config, seed)
+    except OSError as exc:  # a path that names a directory, an --out that is a file
+        error = InvalidParameterError(f"cannot use path {exc.filename}: {exc.strerror}",
+                                      path=exc.filename)
     except ApproxSenseError as exc:
-        sys.stderr.write(json.dumps(exc.to_dict(), sort_keys=True) + "\n")
-        return 2
+        error = exc
+    sys.stderr.write(json.dumps(error.to_dict(), sort_keys=True) + "\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -3,6 +3,10 @@
 Hypotheses are generalised-linear predictors x -> <w, phi(x)> over an explicit
 finite-dimensional feature map.  Approximation operators act on the weight
 vector only, so the approximate predictor is x -> <Q(w), phi(x)>.
+
+It also holds the rules the other modules share: parameter checks, seeded
+streams, Monte Carlo means with their standard errors, the p-mean, and the
+error a failed allocation becomes.
 """
 
 from __future__ import annotations
@@ -40,6 +44,15 @@ def _in_range(value, low, strict=False) -> bool:
     return abs(value) <= _FLOAT_MAX and (value > low if strict else value >= low)
 
 
+def _check_number(name: str, value, low, strict=False) -> float:
+    """``value`` as a float, or InvalidParameterError when it is not a
+    finite number > ``low`` (``strict``) or >= ``low``."""
+    if not _in_range(value, low, strict):
+        raise InvalidParameterError(
+            f"{name} must be a finite number {'>' if strict else '>='} {low}, got {value!r}")
+    return float(value)
+
+
 @functools.cache
 def _rules(cls) -> tuple:
     return tuple((f.name, f.metadata["low"], f.metadata["strict"], f.metadata["enum"])
@@ -59,9 +72,8 @@ class Checked:
                 if value not in enum:
                     raise InvalidParameterError(
                         f"{type(self).__name__} {name} must be one of {list(enum)}, got {value!r}")
-            elif not _in_range(value, low, strict):
-                raise InvalidParameterError(f"{type(self).__name__} {name} must be a finite number "
-                                            f"{'>' if strict else '>='} {low}, got {value!r}")
+            elif not _in_range(value, low, strict):  # name the field only on failure
+                _check_number(f"{type(self).__name__} {name}", value, low, strict)
 
 
 def _as_matrix(values, name: str) -> np.ndarray:
@@ -74,6 +86,46 @@ def _as_matrix(values, name: str) -> np.ndarray:
         raise InvalidParameterError(f"{name} contains non-finite entries")
     arr.flags.writeable = False
     return arr
+
+
+def _without_none(record) -> dict:
+    """A dataclass instance's fields, without those that are None (not
+    copied, as dataclasses.asdict would, at several times the cost)."""
+    return {f.name: v for f in fields(record) if (v := getattr(record, f.name)) is not None}
+
+
+def derived_rng(seed: int, *key: int) -> np.random.Generator:
+    """Counter-based seed split: child streams are indexed by ``key`` integers."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+
+
+def _mc_mean_se(draws: np.ndarray) -> tuple[float, float]:
+    """(mean, standard error) of Monte Carlo draws; one draw has error 0."""
+    n = len(draws)
+    se = float(draws.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(draws.mean()), se
+
+
+def _p_mean(vals: np.ndarray, p: float) -> float:
+    """((1/m) sum |v|^p)^(1/p) over the m values."""
+    return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
+
+
+class _allocating:
+    """Context manager that turns a failed allocation in its block into
+    InvalidParameterError "cannot allocate {what}".  A class, not
+    contextlib.contextmanager, which costs about three times as much per use."""
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        # ValueError: more than numpy can index
+        if kind is not None and issubclass(kind, (MemoryError, ValueError)):
+            raise InvalidParameterError(f"cannot allocate {self.what}") from exc
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,6 +204,16 @@ class UnlabelledSample:
 # ---------------------------------------------------------------------------
 
 
+def _feature_inputs(fmap, inputs) -> np.ndarray:
+    """``inputs`` as floats, whose last axis must be the map's input_dim."""
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.shape[-1] != fmap.input_dim:
+        raise DimensionMismatchError(
+            f"expected input dimension {fmap.input_dim}, got {inputs.shape[-1]}"
+        )
+    return inputs
+
+
 @dataclass(frozen=True)
 class IdentityMap(Checked):
     """phi(x) = x."""
@@ -163,12 +225,7 @@ class IdentityMap(Checked):
         return self.input_dim
 
     def transform(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=float)
-        if inputs.shape[-1] != self.input_dim:
-            raise DimensionMismatchError(
-                f"expected input dimension {self.input_dim}, got {inputs.shape[-1]}"
-            )
-        return inputs
+        return _feature_inputs(self, inputs)
 
 
 @dataclass(frozen=True)
@@ -193,11 +250,7 @@ class PolynomialMap(Checked):
         return len(self._monomials())
 
     def transform(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=float)
-        if inputs.shape[-1] != self.input_dim:
-            raise DimensionMismatchError(
-                f"expected input dimension {self.input_dim}, got {inputs.shape[-1]}"
-            )
+        inputs = _feature_inputs(self, inputs)
         single = inputs.ndim == 1
         x = np.atleast_2d(inputs)
         cols = []
@@ -242,11 +295,7 @@ class RbfMap(Checked):
         return self.centers.shape[0]
 
     def transform(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=float)
-        if inputs.shape[-1] != self.input_dim:
-            raise DimensionMismatchError(
-                f"expected input dimension {self.input_dim}, got {inputs.shape[-1]}"
-            )
+        inputs = _feature_inputs(self, inputs)
         single = inputs.ndim == 1
         x = np.atleast_2d(inputs)
         sq = ((x[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
@@ -384,11 +433,7 @@ def apply_operator(
             raise StochasticOperatorError(
                 "stochastic operator needs a noise_seed to resolve its randomness"
             )
-        rng = (
-            noise_seed
-            if isinstance(noise_seed, np.random.Generator)
-            else np.random.default_rng(np.random.SeedSequence(noise_seed))
-        )
+        rng = noise_seed if isinstance(noise_seed, np.random.Generator) else derived_rng(noise_seed)
         new_w = op.transform_weights(np.asarray(h.weights, dtype=float), rng)
     return Hypothesis(weights=new_w, feature_map=h.feature_map)
 

@@ -59,14 +59,19 @@ from .core import (
     LabelledSample,
     LossSpec,
     UnlabelledSample,
+    _allocating,
+    _check_number,
     _distinct_rows,
     _in_range,
+    _mc_mean_se,
+    _p_mean,
     apply_operator,
+    derived_rng,
     loss_values,
     param,
 )
 from .errors import DimensionMismatchError, InfeasibleThresholdError, InvalidParameterError
-from .radgeom import RadEstimate, _mc_mean_se, _mc_signs
+from .radgeom import RadEstimate, _mc_signs
 
 GRID_POINT_CAP = 1_000_000
 #: Screening margin relative to the magnitudes a screened value is summed from.
@@ -101,13 +106,9 @@ class SearchDomain(Checked):
     def _draw(self, stream: int, count: int, name: str) -> np.ndarray:
         """``count`` seeded uniform points of the box, from generator stream
         ``stream``; ``name`` is the parameter that sets ``count``."""
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(stream,)))
-        try:
+        rng = derived_rng(self.seed, stream)
+        with _allocating(f"search points for {name}={count}, dim={self.dim}"):
             return rng.uniform(-self.halfwidth, self.halfwidth, size=(count, self.dim))
-        except (MemoryError, ValueError) as exc:  # ValueError: more than numpy can index
-            raise InvalidParameterError(
-                f"cannot allocate search points for {name}={count}, dim={self.dim}"
-            ) from exc
 
     def axis_values(self) -> np.ndarray:
         return np.linspace(-self.halfwidth, self.halfwidth, self.points_per_axis)
@@ -399,13 +400,11 @@ class _Workspace:
             )
         if not op.deterministic:
             raise InvalidParameterError("learners require a deterministic operator")
-        if not _in_range(p, 1):
-            raise InvalidParameterError(f"p must be a finite number >= 1, got {p!r}")
+        self.p = _check_number("p", p, 1)
         self.op = op
         self.loss = loss
         self.feature_map = feature_map
         self.domain = domain
-        self.p = float(p)
         self.lab_feats = feature_map.transform(labelled.inputs)
         self.targets = labelled.targets
         self.unlab_feats = None if unlabelled is None else feature_map.transform(unlabelled.inputs)
@@ -446,8 +445,7 @@ class _Workspace:
         cached = self._dhat_cache.get(key)
         if cached is None:
             qw = self.op.transform_weights(w)
-            gaps = np.abs(self.unlab_feats @ w - self.unlab_feats @ qw)
-            cached = float(np.mean(gaps**self.p) ** (1.0 / self.p))
+            cached = _p_mean(self.unlab_feats @ w - self.unlab_feats @ qw, self.p)
             self._dhat_cache[key] = cached
         return cached
 
@@ -671,8 +669,7 @@ def srm_learner(
     learner stays total; ``rad_estimator`` maps a threshold to a RadEstimate
     for the restricted class.
     """
-    if not _in_range(epsilon_u, 0):
-        raise InvalidParameterError(f"epsilon_u must be a finite number >= 0, got {epsilon_u!r}")
+    _check_number("epsilon_u", epsilon_u, 0)
     ws = _Workspace(op, loss, feature_map, labelled, unlabelled, p, domain)
     m = labelled.m
     rho = loss.lipschitz
@@ -711,8 +708,7 @@ def lambda_erm(
     ||w - Q(w)||_2 * input_norm_budget (AnalyticSensitivity), which needs no
     unlabelled data.  Sensitivity-regularised ERM is lambda = rho.
     """
-    if not _in_range(lam, 0):
-        raise InvalidParameterError(f"lambda must be a finite number >= 0, got {lam!r}")
+    _check_number("lambda", lam, 0)
     if isinstance(sensitivity, EmpiricalSensitivity):
         ws = _Workspace(op, loss, feature_map, labelled, sensitivity.sample, sensitivity.p, domain)
         objective = _Regularised(ws, lam)
@@ -803,7 +799,7 @@ def make_restricted_rad_estimator(
 
     def estimator(threshold: float) -> RadEstimate:
         k = int(np.searchsorted(sorted_dhats, threshold, side="right"))
-        value, se = _mc_mean_se(sums[:, :k].max(axis=1), m) if k else (0.0, 0.0)
+        value, se = _mc_mean_se(sums[:, :k].max(axis=1) / m) if k else (0.0, 0.0)
         return RadEstimate(
             value=value,
             method="monte_carlo",

@@ -14,11 +14,11 @@ classes.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _in_range
+from .core import _allocating, _check_number, _mc_mean_se, _without_none, derived_rng
 from .errors import EnumerationCapError, InvalidParameterError
 
 EXACT_ENUMERATION_CAP = 22
@@ -57,8 +57,7 @@ class RadEstimate:
     def certified(self) -> bool:
         return self.method != "monte_carlo"
 
-    def to_dict(self) -> dict:
-        return {key: value for key, value in asdict(self).items() if value is not None}
+    to_dict = _without_none
 
 
 @dataclass(frozen=True)
@@ -88,8 +87,7 @@ class SensitivityPointSet:
 
 def conjugate_exponent(p: float) -> float:
     """Hoelder conjugate; p = 1 maps to infinity (max norm)."""
-    if not _in_range(p, 1):
-        raise InvalidParameterError(f"p must be a finite number >= 1, got {p!r}")
+    _check_number("p", p, 1)
     if p == 1:
         return math.inf
     return p / (p - 1.0)
@@ -199,8 +197,8 @@ def _mc_signs(n_sigma: int, m: int, seed: int) -> np.ndarray:
     if n_sigma < 1:
         raise InvalidParameterError("n_sigma must be >= 1")
     n = n_sigma * m
-    bitgen = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(6,)))
-    try:
+    bitgen = derived_rng(seed, 6).bit_generator
+    with _allocating(f"Monte Carlo signs for n_sigma={n_sigma}, m={m}"):
         # sign j of draw i is the top bit of 32-bit half i*m + j of the raw
         # 64-bit words, low half first (the words are read little-endian on
         # any host): +1 for 1, -1 for 0.  That is the bit integers(0, 2)
@@ -212,18 +210,6 @@ def _mc_signs(n_sigma: int, m: int, seed: int) -> np.ndarray:
         halves >>= 31
         halves |= 1
         return halves[:n].reshape(n_sigma, m).astype(float)
-    except (MemoryError, ValueError) as exc:  # ValueError: more than numpy can index
-        raise InvalidParameterError(
-            f"cannot allocate Monte Carlo signs for n_sigma={n_sigma}, m={m}"
-        ) from exc
-
-
-def _mc_mean_se(sups: np.ndarray, m: int) -> tuple[float, float]:
-    """(value, standard error) from each sign draw's supremum of <sigma, row>."""
-    draws = sups / m
-    n_sigma = len(draws)
-    se = float(draws.std(ddof=1) / np.sqrt(n_sigma)) if n_sigma > 1 else 0.0
-    return float(draws.mean()), se
 
 
 def mc_rademacher_rows(rows: np.ndarray, n_sigma: int, seed: int) -> tuple[float, float]:
@@ -231,7 +217,7 @@ def mc_rademacher_rows(rows: np.ndarray, n_sigma: int, seed: int) -> tuple[float
     # multiply a C-contiguous copy, as exact_rademacher_rows does
     rows = np.ascontiguousarray(_check_rows(rows))
     m = rows.shape[1]
-    return _mc_mean_se((_mc_signs(n_sigma, m, seed) @ rows.T).max(axis=1), m)
+    return _mc_mean_se((_mc_signs(n_sigma, m, seed) @ rows.T).max(axis=1) / m)
 
 
 def mc_rademacher_pointset(ps: SensitivityPointSet, n_sigma: int, seed: int) -> RadEstimate:
@@ -327,8 +313,7 @@ def cluster_bound(components, p: float, m: int) -> RadEstimate:
 
 def crude_bounds(R_p: float, p: float) -> tuple[float, float]:
     """Magnitude sandwich (R_p / (2 * 2^(1/p)), R_p) for near-filling sets."""
-    if not _in_range(R_p, 0):
-        raise InvalidParameterError(f"R_p must be a finite number >= 0, got {R_p!r}")
+    _check_number("R_p", R_p, 0)
     conjugate_exponent(p)  # validates p
     return (R_p / (2.0 * 2.0 ** (1.0 / p)), R_p)
 
@@ -336,8 +321,7 @@ def crude_bounds(R_p: float, p: float) -> tuple[float, float]:
 def positive_orthant_ball_sup(sigma, radius: float, p: float) -> float | np.ndarray:
     """Support value of the positive-orthant p-ball: radius times the dual
     norm of the positive part of sigma, over the last axis as in dual_norm."""
-    if not _in_range(radius, 0):
-        raise InvalidParameterError(f"radius must be a finite number >= 0, got {radius!r}")
+    _check_number("radius", radius, 0)
     return radius * dual_norm(np.maximum(np.asarray(sigma, dtype=float), 0.0), p)
 
 
@@ -399,7 +383,7 @@ def operator_norm_lower_estimate(V, mu, p: float, seed: int = 0) -> float:
             best = max(best, float(block_best))
         return best
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
+    rng = derived_rng(seed, 7)
     best = 0.0
     for _ in range(_GREEDY_STARTS):
         signs = rng.integers(0, 2, size=m).astype(float) * 2.0 - 1.0

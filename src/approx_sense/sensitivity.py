@@ -16,13 +16,18 @@ from .core import (
     ApproxOperator,
     Hypothesis,
     UnlabelledSample,
+    _allocating,
+    _check_number,
     _distinct_rows,
-    _in_range,
+    _mc_mean_se,
+    _p_mean,
+    _without_none,
     apply_operator,
+    derived_rng,
     predictions,
 )
 from .errors import DeterministicOperatorError, InvalidParameterError, StochasticOperatorError
-from .synthetic import SyntheticTask, derived_rng
+from .synthetic import SyntheticTask
 
 SENSITIVITY_KINDS = ("empirical", "monte_carlo_true", "analytic_upper", "expected_stochastic")
 
@@ -43,21 +48,7 @@ class SensitivityEstimate:
         if self.value < 0:
             raise InvalidParameterError("sensitivity value must be >= 0")
 
-    def to_dict(self) -> dict:
-        d = {"p": self.p, "value": self.value, "kind": self.kind, "provenance": self.provenance}
-        if self.standard_error is not None:
-            d["standard_error"] = self.standard_error
-        return d
-
-
-def _check_p(p: float) -> float:
-    if not _in_range(p, 1):
-        raise InvalidParameterError(f"p must be a finite number >= 1, got {p!r}")
-    return float(p)
-
-
-def _p_mean(vals: np.ndarray, p: float) -> float:
-    return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
+    to_dict = _without_none
 
 
 def pointwise_gaps(h: Hypothesis, op: ApproxOperator, inputs: np.ndarray) -> np.ndarray:
@@ -78,7 +69,7 @@ def empirical_sensitivity(
     p: float = 1.0,
 ) -> SensitivityEstimate:
     """((1/m) sum |f(x) - Af(x)|^p)^(1/p) over the sample."""
-    p = _check_p(p)
+    p = _check_number("p", p, 1)
     gaps = pointwise_gaps(h, op, sample.inputs)
     return SensitivityEstimate(
         p=p, value=_p_mean(gaps, p), kind="empirical", provenance=sample.source_id
@@ -98,15 +89,13 @@ def true_sensitivity_mc(
     The standard error of the p-th power mean is propagated through the
     1/p root by the delta method.
     """
-    p = _check_p(p)
+    p = _check_number("p", p, 1)
     if n_mc < 1:
         raise InvalidParameterError("n_mc must be >= 1")
     rng = derived_rng(seed, 3)
     inputs = task.draw_inputs(rng, n_mc)
-    gaps = pointwise_gaps(h, op, inputs) ** p
-    mean_p = float(gaps.mean())
+    mean_p, se_mean = _mc_mean_se(pointwise_gaps(h, op, inputs) ** p)
     value = mean_p ** (1.0 / p)
-    se_mean = float(gaps.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     se = se_mean / (p * mean_p ** (1.0 - 1.0 / p)) if mean_p > 0 else 0.0
     return SensitivityEstimate(
         p=p,
@@ -154,12 +143,9 @@ def _per_draw(
     """
     feats = h.feature_map.transform(np.asarray(inputs, dtype=float))
     base = feats @ h.weights
-    try:  # the whole table, before any draw: a count too large fails here
+    # the whole table, before any draw: a count too large fails here
+    with _allocating(f"operator draws for n_omega={n_omega}, d={len(h.weights)}"):
         uniforms = np.empty((n_omega, len(h.weights)))
-    except (MemoryError, ValueError) as exc:  # ValueError: more than numpy can index
-        raise InvalidParameterError(
-            f"cannot allocate operator draws for n_omega={n_omega}, d={len(h.weights)}"
-        ) from exc
     for i, row in enumerate(uniforms):
         stream(i).random(out=row)
     distinct, inverse = _distinct_rows(op.round_with(h.weights, uniforms))
@@ -175,7 +161,7 @@ def expected_sensitivity(
     seed: int = 0,
 ) -> SensitivityEstimate:
     """Mean empirical p-sensitivity over n_omega independent operator draws."""
-    p = _check_p(p)
+    p = _check_number("p", p, 1)
     if op.deterministic:
         raise DeterministicOperatorError(
             "operator is deterministic; use empirical_sensitivity instead"
@@ -184,10 +170,10 @@ def expected_sensitivity(
         raise InvalidParameterError("n_omega must be >= 1")
     vals = _per_draw(op, h, sample.inputs, n_omega, lambda i: derived_rng(seed, 4, i),
                      lambda base, drawn: _p_mean(base - drawn, p))
-    se = float(vals.std(ddof=1) / np.sqrt(n_omega)) if n_omega > 1 else 0.0
+    value, se = _mc_mean_se(vals)
     return SensitivityEstimate(
         p=p,
-        value=float(vals.mean()),
+        value=value,
         kind="expected_stochastic",
         provenance=f"omega:{seed}:{n_omega}",
         standard_error=se,
@@ -235,8 +221,7 @@ def variance_condition_check(
     for j, h in enumerate(hypotheses):
         sq = _per_draw(op, h, sample.inputs, n_omega, lambda i: derived_rng(seed, 5, j, i),
                        lambda base, drawn: float(np.mean((drawn - base) ** 2)))
-        lhs = float(sq.mean())
-        se = float(sq.std(ddof=1) / np.sqrt(n_omega)) if n_omega > 1 else 0.0
+        lhs, se = _mc_mean_se(sq)
         cap = 1.0 if capacity_fn == "constant_one" else float(np.linalg.norm(h.weights))
         threshold = (alpha * cap) ** 2
         reports.append(

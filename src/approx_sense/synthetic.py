@@ -1,7 +1,7 @@
 """Synthetic tasks: seeded input laws, teacher-labelled data, Monte Carlo error.
 
 Every random draw is derived from an explicit 64-bit seed through
-``numpy.random.SeedSequence`` with an integer spawn key, so results are
+``core.derived_rng`` with an integer spawn key, so results are
 bit-reproducible and independent of call scheduling.
 """
 
@@ -11,14 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Checked, Hypothesis, LabelledSample, LossSpec, UnlabelledSample, loss_values,
-                   param, predictions)
+from .core import (Checked, Hypothesis, LabelledSample, LossSpec, UnlabelledSample, _allocating,
+                   _mc_mean_se, derived_rng, loss_values, param, predictions)
 from .errors import InvalidParameterError
-
-
-def derived_rng(seed: int, *key: int) -> np.random.Generator:
-    """Counter-based seed split: child streams are indexed by ``key`` integers."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
 @dataclass(frozen=True)
@@ -120,13 +115,9 @@ def generate(
         raise InvalidParameterError("m must be >= 1")
     stream = 0 if labelled else 1
     rng = derived_rng(task.seed, stream)
-    try:
+    with _allocating(f"a sample of m={m} points of dimension {task.input_dim}"):
         inputs = task.draw_inputs(rng, m)
         targets = task.label(rng, inputs) if labelled else None
-    except (MemoryError, ValueError) as exc:  # ValueError: more than numpy can index
-        raise InvalidParameterError(
-            f"cannot allocate a sample of m={m} points of dimension {task.input_dim}"
-        ) from exc
     source = f"synthetic:{task.seed}:{stream}"
     if not labelled:
         return UnlabelledSample(inputs=inputs, source_id=source)
@@ -146,6 +137,5 @@ def true_error_mc(
     rng = derived_rng(seed, 2)
     inputs = task.draw_inputs(rng, n_mc)
     targets = task.label(rng, inputs)
-    losses = loss_values(spec, predictions(h, inputs), targets)
-    se = float(losses.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
-    return MCEstimate(value=float(losses.mean()), standard_error=se, n=n_mc)
+    value, se = _mc_mean_se(loss_values(spec, predictions(h, inputs), targets))
+    return MCEstimate(value=value, standard_error=se, n=n_mc)

@@ -21,6 +21,7 @@ from .core import (
     UnlabelledSample,
     _distinct_rows,
     apply_operator,
+    derived_rng,
     empirical_error,
     linear_hypothesis,
     loss_values,
@@ -53,7 +54,6 @@ from .bounds import (
     stochastic_bound,
 )
 from .sensitivity import empirical_sensitivity
-from .synthetic import derived_rng
 
 
 @dataclass(frozen=True)
@@ -526,9 +526,14 @@ def suite_prop10(trials: int = 300, seed: int = 0, threads: int = 1) -> Coverage
     return _report("prop10", results, target=1.0 - delta, floor=0.9, seed=seed)
 
 
-def suite_stochastic_unbiased(trials: int = 1, seed: int = 0, threads: int = 1) -> CoverageReport:
+def suite_stochastic_unbiased(trials: int | None = None, seed: int = 0,
+                              threads: int = 1) -> CoverageReport:
     """Unbiasedness of the stochastic rounder plus the singleton-family
-    reduction identity of the expected-operator bound."""
+    reduction identity of the expected-operator bound: two fixed checks,
+    so a trial count is refused."""
+    if trials is not None:
+        raise InvalidParameterError(
+            f"stochastic_unbiased runs 2 fixed checks and takes no trials, got {trials}")
     n = 100_000
     rounder = StochasticRounder(step=1.0, clamp=1.0)
     rng = derived_rng(seed, 70)

@@ -30,8 +30,8 @@ from approx_sense import (
     make_restricted_rad_estimator,
     srm_learner,
 )
-from approx_sense.core import Hypothesis, IdentityMap
-from approx_sense.synthetic import IsotropicGaussian, SyntheticTask, derived_rng
+from approx_sense.core import Hypothesis, IdentityMap, derived_rng
+from approx_sense.synthetic import IsotropicGaussian, SyntheticTask
 from approx_sense.validation import (
     suite_cluster_dominance,
     suite_crude_sandwich,

@@ -76,3 +76,38 @@ def test_every_export_is_its_defining_modules_attribute():
     assert set(approx_sense.__all__) <= set(dir(approx_sense))
     with pytest.raises(AttributeError):
         approx_sense.not_an_export  # noqa: B018
+
+
+def _code(path: Path) -> str:
+    """The module's code tokens joined without spaces: no comments, no strings."""
+    skip = (tokenize.COMMENT, tokenize.STRING, tokenize.NL, tokenize.NEWLINE,
+            tokenize.INDENT, tokenize.DEDENT)
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    return "".join(tok.string for tok in tokens if tok.type not in skip)
+
+
+def test_each_shared_rule_has_one_home():
+    """Seeded streams (core.derived_rng), Monte Carlo standard errors
+    (core._mc_mean_se) and failed allocations (core._allocating) are stated
+    in core only, so a change to one of them is made in one place."""
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "core.py":
+            code = _code(path)
+            for rule in ("SeedSequence", "std(ddof=1)", "MemoryError"):
+                assert rule not in code, f"{path.name} states {rule}"
+
+
+def test_the_cli_binds_the_package_export_table():
+    """The CLI keeps no module -> names table of its own: a dict from module
+    names to tuples of names would repeat the package's _EXPORTS."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+
+    def names(node) -> bool:
+        return isinstance(node, (ast.Tuple, ast.List)) and all(
+            isinstance(item, ast.Constant) and isinstance(item.value, str) for item in node.elts)
+
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.Dict) and node.keys:
+            keys = {getattr(key, "value", None) for key in node.keys}
+            table = keys <= modules and all(map(names, node.values))
+            assert not table, f"cli.py line {node.lineno} maps modules to names"

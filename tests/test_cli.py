@@ -874,6 +874,8 @@ MALFORMED = {
     "pointset_overflows_exact": ("pointset", ("--method", "exact"), "invalid_parameter", None),
     "pointset_overflows_mc": ("pointset", ("--method", "mc"), "invalid_parameter", None),
     "zero_trials": ("validate", ("--trials", "0"), "invalid_parameter", None),
+    # stochastic_unbiased runs two fixed checks: a trial count is refused
+    "trials_of_a_fixed_suite": ("validate", ("--trials", "7"), "invalid_parameter", None),
     "negative_seed_flag": ("validate", ("--seed", "-1"), "invalid_parameter", None),
     # one case per rule the config tables enforce
     "unknown_nested_key": ("train", {"learner/domain/spacing": 0.1}, "config_invalid",
@@ -1058,6 +1060,36 @@ def test_malformed_input_structured_error(tmp_path, train_config, capsys, case):
     assert payload["code"] == code
     if field is not None:
         assert payload["field"] == field
+
+
+@pytest.mark.parametrize("case", ["pointset_dir", "geometry_dir", "bound_config_dir",
+                                  "constituent_dir", "validate_out_file"])
+def test_an_unusable_path_is_one_structured_error(tmp_path, capsys, case):
+    # a directory where a command reads a file, or an existing file where it
+    # makes its --out directory
+    path = tmp_path / "given"
+    if case == "validate_out_file":
+        path.write_text("not a directory\n", encoding="utf-8")
+    else:
+        path.mkdir()
+    out = str(tmp_path / "out")
+    params = {k: v for k, v in BOUND_CONFIG["params"].items() if k != "rad_Ht"}
+    constituent = write_json(tmp_path / "bound.json", dict(
+        BOUND_CONFIG, params=params, constituents={"rad_Ht": str(path)}))
+    argv = {
+        "pointset_dir": ["rademacher", "--pointset", str(path), "--out", out],
+        "geometry_dir": ["rademacher", "--geometry", str(path), "--out", out],
+        "bound_config_dir": ["bound", "--config", str(path), "--out", out],
+        "constituent_dir": ["bound", "--config", constituent, "--out", out],
+        "validate_out_file": ["validate", "--suite", "crude_sandwich", "--trials", "2",
+                              "--out", str(path)],
+    }[case]
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    (line,) = err.splitlines()
+    payload = json.loads(line)
+    assert payload["code"] == "invalid_parameter"
+    assert payload["path"] == str(path) and str(path) in payload["message"]
 
 
 _CENTERS = [[0.0, 0.0], [1.0, 1.0]]

@@ -27,8 +27,8 @@ from approx_sense import (
     true_sensitivity_mc,
     variance_condition_check,
 )
-from approx_sense.sensitivity import SensitivityEstimate, _p_mean
-from approx_sense.synthetic import derived_rng
+from approx_sense.core import _p_mean, derived_rng
+from approx_sense.sensitivity import SensitivityEstimate
 from approx_sense.validation import suite_lemma1
 
 QUANT = UniformQuantizer(step=0.5, clamp=1.0)

@@ -1,13 +1,13 @@
 """Check that two checkouts write byte-identical outputs for the benchmark's ops.
 
-    python tools/compare_outputs.py run CHECKOUT OUT [--workloads a,b] [--seeds 1,2]
+    python tools/compare_outputs.py run CHECKOUT OUT [--workloads a,b] [--seeds 0,1,2026]
     python tools/compare_outputs.py diff OUT_A OUT_B   # OUT_A, OUT_B: one parent
 
-``run`` builds each workload's inputs from its seed with CHECKOUT's
-``perfbench/workloads.py`` under OUT/../cmp_inputs.  Give both runs OUT
-directories with the same parent, so that they read the same input paths:
-outputs that record one, such as the provenance of sensitivity_empirical,
-differ otherwise.  The pseudo-workload ``suites`` is not a benchmark
+``run`` builds each workload's inputs from each seed (by default 0, 1 and
+2026) with CHECKOUT's ``perfbench/workloads.py`` under OUT/../cmp_inputs.
+Give both runs OUT directories with the same parent, so that they read the
+same input paths: outputs that record one, such as the provenance of
+sensitivity_empirical, differ otherwise.  The pseudo-workload ``suites`` is not a benchmark
 workload: for each seed it runs ``validate --suite NAME --seed SEED`` for
 every suite in CHECKOUT's ``SUITES``, each at its default trial count.  It
 calls CHECKOUT's ``approx_sense.cli.main`` once per op with a fresh
@@ -22,8 +22,8 @@ thread count either, so compare at one and at two threads:
 
     for t in 1 2; do
         export OPENBLAS_NUM_THREADS=$t
-        python tools/compare_outputs.py run PARENT cmp$t/a --seeds 0,1,2026
-        python tools/compare_outputs.py run CHANGE cmp$t/b --seeds 0,1,2026
+        python tools/compare_outputs.py run PARENT cmp$t/a
+        python tools/compare_outputs.py run CHANGE cmp$t/b
         python tools/compare_outputs.py diff cmp$t/a cmp$t/b
     done
 """
@@ -134,7 +134,7 @@ if __name__ == "__main__":
     command, *args = sys.argv[1:]
     if command == "run":
         workloads = _option(args, "--workloads", ",".join(DEFAULT_WORKLOADS))
-        seeds = [int(s) for s in _option(args, "--seeds", "1,2")]
+        seeds = [int(s) for s in _option(args, "--seeds", "0,1,2026")]
         run(Path(args[0]).resolve(), Path(args[1]).resolve(), workloads, seeds)
     else:
         sys.exit(diff(Path(args[0]), Path(args[1])))
