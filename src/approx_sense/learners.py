@@ -21,25 +21,33 @@ Search screens candidates in blocks, then re-scores a few of them exactly:
   differ from a per-candidate evaluation by rounding only (about 1e-13
   here).  Each screen carries a margin, SCREEN_MARGIN times the magnitudes
   its values are summed from, that bounds this with a wide safety factor.
-* **Re-score.**  In enumeration order, the scalar objective is run only on
-  candidates whose screened value lies within twice the margin of the
-  running screened minimum, and the first strict minimum is kept.  Every
-  skipped candidate is strictly beaten by an earlier one, so the weights,
-  the objective value and the trace equal those of the scalar loop over all
+* **Re-score.**  Only candidates whose screened value lies within twice
+  the margin of the running screened minimum are re-scored exactly, and in
+  enumeration order the first strict minimum is kept.  Every skipped
+  candidate is strictly beaten by an earlier one, so the weights, the
+  objective value and the trace equal those of a scalar loop over all
   candidates, and ties still go to the lowest enumeration index.
   Coordinate descent keeps only the minimum of each restart's segment, so
   it re-scores only the rows that can hold it: those whose screened value
   lies within twice the margin of the segment's screened minimum and whose
   lower bound undercuts the restart's running best.  One vectorised pass
   per half-sweep (``_best_improvements``) selects them for every segment
-  of the block at once, and only the selected rows run the scalar
-  objective, in row order.  Every block's margin bounds its own rounding,
-  so which block a candidate is screened in changes only how many rows are
+  of the block at once.  Every block's margin bounds its own rounding, so
+  which block a candidate is screened in changes only how many rows are
   re-scored, not the result.
+* **One exact evaluation per block.**  A block's selected rows are
+  re-scored in one call, ``exact_rows``, and then scanned in row order.
+  Each value equals the public functions' per-candidate value bit for bit
+  (``empirical_error`` on ``apply_operator``, ``empirical_sensitivity``,
+  ``analytic_sensitivity_upper``): every product is a stacked
+  matrix-vector product, np.matmul(F, W[:, :, None]), which runs the same
+  per-row kernel as F @ w, where a GEMM over the rows would sum in another
+  order; row means reduce each row as a 1-d mean does; and p-th roots are
+  taken per scalar.
 * **Discrete decisions are exact.**  A candidate whose screened sensitivity
   lies within the tolerance of a threshold (feasibility dhat < t, the SRM
-  index d <= t_k + eps_u) takes the scalar check, so boundary hits, clamps
-  and the infeasibility payload match the scalar loop too.
+  index d <= t_k + eps_u) takes the exact row form, so boundary hits,
+  clamps and the infeasibility payload match a scalar loop too.
 """
 
 from __future__ import annotations
@@ -64,7 +72,6 @@ from .core import (
     _distinct_rows,
     _in_range,
     _mc_mean_se,
-    _p_mean,
     apply_operator,
     derived_rng,
     loss_values,
@@ -140,9 +147,10 @@ class SearchResult:
 #   ws: the _Workspace, which holds the search domain and its blocks;
 #   screen(block) -> (values, margin): every row of the _Block evaluated from
 #       its lambda- and t-free columns, inf where infeasible, each value within
-#       ``margin`` of exact(row); screening counts as evaluating the rows
+#       ``margin`` of its exact value; screening counts as evaluating the rows
 #       (diagnostics and counters update here);
-#   exact(w) -> float: the scalar objective, free of side effects;
+#   exact_rows(W) -> ndarray: the exact objective of every row of W, each
+#       equal to a per-candidate evaluation bit for bit, free of side effects;
 #   min_diag: smallest sensitivity seen, for the infeasibility error (inf
 #       when the objective has no constraint).
 
@@ -152,6 +160,11 @@ def _raise_infeasible(min_diag: float) -> None:
         "no feasible point in the search domain",
         min_sensitivity=None if math.isinf(min_diag) else min_diag,
     )
+
+
+def _exact_values(objective, C, rows) -> list[float]:
+    """The exact objective of C's selected ``rows``, in one batched call."""
+    return objective.exact_rows(C[rows]).tolist() if len(rows) else []
 
 
 def _improvements(objective, C, values, margin, best) -> list[tuple[int, float]]:
@@ -165,12 +178,12 @@ def _improvements(objective, C, values, margin, best) -> list[tuple[int, float]]
     only the rows that can hold it (``_best_improvements``).
     """
     upper = np.minimum.accumulate(np.concatenate(([best], values[:-1] + margin)))
+    rows = np.flatnonzero(values - margin < upper)
     found = []
-    for i in np.flatnonzero(values - margin < upper):
-        val = objective.exact(C[i])
+    for i, val in zip(rows.tolist(), _exact_values(objective, C, rows)):
         if val < best:
             best = val
-            found.append((int(i), val))
+            found.append((i, val))
     return found
 
 
@@ -197,12 +210,11 @@ def _best_improvements(objective, C, values, margin, bests, counts) -> list:
     selected = (lower <= upper[segment]) & (lower < np.asarray(bests, dtype=float)[segment])
     best = list(bests)
     found = [None] * len(counts)
-    for i in np.flatnonzero(selected):
-        k = segment[i]
-        val = objective.exact(C[i])
+    rows = np.flatnonzero(selected)
+    for i, k, val in zip(rows.tolist(), segment[rows].tolist(), _exact_values(objective, C, rows)):
         if val < best[k]:
             best[k] = val
-            found[k] = (int(i - starts[k]), val)
+            found[k] = (i - int(starts[k]), val)
     return found
 
 
@@ -375,10 +387,22 @@ def _abs_max(values: np.ndarray) -> float:
     return float(np.max(np.abs(values), initial=0.0))
 
 
+def _stacked(F: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """F @ w for every row w of W, as one stacked matrix-vector product whose
+    rows equal the products F @ w bit for bit.  A GEMM (F @ W.T) sums in
+    another order and can differ in the last bit."""
+    return np.matmul(F, W[:, :, None])[:, :, 0]
+
+
+def _row_means(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=1) by mean's own sum and division, without its overhead."""
+    return np.add.reduce(x, axis=1) / x.shape[1]
+
+
 class _Workspace:
-    """Precomputed feature matrices, memoised per-weight statistics, their
-    block forms with the margins that bound block-versus-scalar rounding,
-    and the search domain's blocks.  Every learner builds one, so its checks
+    """Precomputed feature matrices, the exact row forms (empirical errors
+    memoised per Q(w)), their block forms with the margins that bound
+    block-versus-exact rounding, and the search domain's blocks.  Every learner builds one, so its checks
     are the learners' shared input checks."""
 
     def __init__(
@@ -408,7 +432,6 @@ class _Workspace:
         self.lab_feats = feature_map.transform(labelled.inputs)
         self.targets = labelled.targets
         self.unlab_feats = None if unlabelled is None else feature_map.transform(unlabelled.inputs)
-        self._dhat_cache: dict[bytes, float] = {}
         self._emp_cache: dict[bytes, float] = {}
         rows = max(f.shape[0] for f in (self.lab_feats, self.unlab_feats) if f is not None)
         self.block_size = max(1, BLOCK_ELEMENTS // rows)
@@ -426,28 +449,33 @@ class _Workspace:
         step = self.block_size
         return [_Block(self, C[lo : lo + step]) for lo in range(0, len(C), step)]
 
-    def emp_error(self, w: np.ndarray) -> float:
-        return float(loss_values(self.loss, self.lab_feats @ w, self.targets).mean())
+    # -- exact row forms: per-candidate values, bit for bit (module docstring)
 
-    def approx_emp_error(self, w: np.ndarray) -> float:
-        # memoised per Q(w): tied candidates of a piecewise-constant
-        # objective share one evaluation (-0.0 and 0.0 are one key)
-        qw = self.op.transform_weights(w)
-        key = (qw + 0.0).tobytes()
-        cached = self._emp_cache.get(key)
-        if cached is None:
-            cached = self._emp_cache[key] = self.emp_error(qw)
-        return cached
+    def exact_emp_errors(self, W: np.ndarray) -> np.ndarray:
+        """empirical_error of every row of W."""
+        return _row_means(loss_values(self.loss, _stacked(self.lab_feats, W), self.targets))
 
-    def dhat(self, w: np.ndarray) -> float:
-        # matches empirical_sensitivity bit for bit (same matmul shapes)
-        key = w.tobytes()
-        cached = self._dhat_cache.get(key)
-        if cached is None:
-            qw = self.op.transform_weights(w)
-            cached = _p_mean(self.unlab_feats @ w - self.unlab_feats @ qw, self.p)
-            self._dhat_cache[key] = cached
-        return cached
+    def exact_approx_emp_errors(self, Q: np.ndarray) -> np.ndarray:
+        """exact_emp_errors of every row of Q, memoised per row: tied candidates
+        of a piecewise-constant objective share one evaluation (-0.0 and 0.0
+        are one key)."""
+        cache = self._emp_cache
+        keys = [row.tobytes() for row in Q + 0.0]
+        missing = {key: i for i, key in enumerate(keys) if key not in cache}
+        if missing:
+            rows = Q if len(missing) == len(Q) else Q[list(missing.values())]
+            cache.update(zip(missing, self.exact_emp_errors(rows).tolist()))
+        return np.array([cache[key] for key in keys])
+
+    def exact_dhats(self, W: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """empirical_sensitivity of every row of W, given its rows Q(W)."""
+        products = _stacked(self.unlab_feats, np.concatenate((W, Q)))
+        gaps = np.subtract(products[: len(W)], products[len(W) :], out=products[: len(W)])
+        np.abs(gaps, out=gaps)
+        if self.p == 1.0:  # x ** 1.0 == x: skipping both passes changes no bit
+            return _row_means(gaps)
+        gaps **= self.p
+        return np.array([mean ** (1.0 / self.p) for mean in _row_means(gaps)])
 
     # -- block forms --------------------------------------------------------
 
@@ -521,7 +549,7 @@ class _Block:
 
     @_lazy
     def residual_norms(self) -> np.ndarray:
-        """||C - Q|| per row; off from the scalar norm by a relative few eps."""
+        """||C - Q|| per row; off from the exact norm by a relative few eps."""
         return np.linalg.norm(self.C - self.Q, axis=1)
 
 
@@ -537,12 +565,14 @@ class _Regularised:
         self.coef = coef
         self.budget = budget
 
-    def exact(self, w: np.ndarray) -> float:
+    def exact_rows(self, W: np.ndarray) -> np.ndarray:
+        Q = self.ws.op.transform_weights(W)
         if self.budget is None:
-            sens = self.ws.dhat(w)
-        else:  # analytic_sensitivity_upper's arithmetic, bit for bit
-            sens = float(np.linalg.norm(w - self.ws.op.transform_weights(w))) * self.budget
-        return self.ws.approx_emp_error(w) + self.coef * sens
+            sens = self.ws.exact_dhats(W, Q)
+        else:  # analytic_sensitivity_upper's norm: sqrt of each row's dot product
+            R = W - Q
+            sens = np.sqrt(np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]) * self.budget
+        return self.ws.exact_approx_emp_errors(Q) + self.coef * sens
 
     def screen(self, block: _Block):
         scale = self.ws.emp_scale(block.Q)
@@ -563,18 +593,20 @@ class _Constrained:
         self.t = t
         self.min_diag = math.inf
 
-    def exact(self, w: np.ndarray) -> float:
-        return self.ws.approx_emp_error(w)
+    def exact_rows(self, W: np.ndarray) -> np.ndarray:
+        return self.ws.exact_approx_emp_errors(self.ws.op.transform_weights(W))
 
     def screen(self, block: _Block):
         ws, d, tol = self.ws, block.dhats, block.dhat_tol
         feasible = d < self.t
-        for i in np.flatnonzero(np.abs(d - self.t) <= tol):
-            feasible[i] = ws.dhat(block.C[i]) < self.t
+        near = np.flatnonzero(np.abs(d - self.t) <= tol)
+        if len(near):
+            feasible[near] = ws.exact_dhats(block.C[near], block.Q[near]) < self.t
         lowest = float(d.min())
         if lowest - tol < self.min_diag:
             near = np.flatnonzero(d <= lowest + 2.0 * tol)
-            self.min_diag = min(self.min_diag, *(ws.dhat(block.C[i]) for i in near))
+            exact = ws.exact_dhats(block.C[near], block.Q[near])
+            self.min_diag = min(self.min_diag, float(exact.min()))
         values = np.full(len(d), math.inf)
         if feasible.any():  # only the feasible rows' Q(w) are evaluated
             values[feasible] = ws.approx_emp_errors(block.Q[feasible])
@@ -589,33 +621,35 @@ class _Structural:
 
     def __init__(self, ws: _Workspace, limits: list[float], penalties: list[float]):
         self.ws = ws
-        self.limits = limits
-        self.penalties = penalties
+        self.limits = np.array(limits)
+        # indexed by the unclamped level k (len(limits) above every limit): the
+        # penalty charged, the last one above every limit, and the limit a
+        # boundary hit equals, none above every limit
+        self.penalties = np.array(penalties + penalties[-1:])
+        self.hit_limits = np.append(self.limits, math.nan)
         self.boundary_hits = 0
         self.clamps = 0
 
-    def level(self, w: np.ndarray) -> tuple[int, bool]:
-        """Unclamped index of w (len(limits) above them all), and whether its
-        dhat equals that limit."""
-        d = self.ws.dhat(w)
-        for k, limit in enumerate(self.limits):
-            if d <= limit:
-                return k, d == limit
-        return len(self.limits), False
+    def levels(self, W: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unclamped index of every row of W (len(limits) above them all),
+        given its rows Q(W), and whether its exact dhat equals that limit."""
+        d = self.ws.exact_dhats(W, Q)
+        k = np.searchsorted(self.limits, d, side="left")  # the first limit >= d
+        return k, d == self.hit_limits[k]
 
-    def exact(self, w: np.ndarray) -> float:
-        k, _ = self.level(w)
-        return self.ws.emp_error(w) + self.penalties[min(k, len(self.limits) - 1)]
+    def exact_rows(self, W: np.ndarray) -> np.ndarray:
+        k, _ = self.levels(W, self.ws.op.transform_weights(W))
+        return self.ws.exact_emp_errors(W) + self.penalties[k]
 
     def screen(self, block: _Block):
         d, tol = block.dhats, block.dhat_tol
-        limits = np.asarray(self.limits)
-        k = np.searchsorted(limits, d, side="left")
-        for i in np.flatnonzero(np.any(np.abs(d[:, None] - limits) <= tol, axis=1)):
-            k[i], hit = self.level(block.C[i])
-            self.boundary_hits += hit
-        self.clamps += int(np.count_nonzero(k == len(limits)))
-        values = block.emp_errors + np.asarray(self.penalties)[np.minimum(k, len(limits) - 1)]
+        k = np.searchsorted(self.limits, d, side="left")
+        near = np.flatnonzero(np.any(np.abs(d[:, None] - self.limits) <= tol, axis=1))
+        if len(near):
+            k[near], hits = self.levels(block.C[near], block.Q[near])
+            self.boundary_hits += int(np.count_nonzero(hits))
+        self.clamps += int(np.count_nonzero(k == len(self.limits)))
+        values = block.emp_errors + self.penalties[k]
         return values, self.ws.margin(values, self.ws.emp_scale(block.C))
 
 
@@ -681,7 +715,9 @@ def srm_learner(
 
     objective = _Structural(ws, [t_k + epsilon_u for t_k in schedule.thresholds], penalties)
     result = _search(objective)
-    level, hit = objective.level(result.weights)
+    W = result.weights[None]
+    levels, hits = objective.levels(W, op.transform_weights(W))
+    level, hit = int(levels[0]), bool(hits[0])
     chosen = min(level, len(schedule) - 1)
     return ws.output(
         result,
@@ -756,7 +792,7 @@ def lambda_grid_srm(
     results = []
     for lam, w_k in zip(lambdas, weights):
         result = _search(_Regularised(ws, lam))
-        emp = ws.approx_emp_error(result.weights)
+        emp = float(ws.exact_approx_emp_errors(op.transform_weights(result.weights[None]))[0])
         penalty = hoeffding_term(3.0, 1.0 / w_k, m)
         table.append({"lambda": lam, "empirical_error": emp, "penalty": penalty,
                       "score": emp + penalty})

@@ -104,15 +104,18 @@ def dual_norm(v: np.ndarray, p: float) -> float | np.ndarray:
 
 def _sign_chunks(m: int, half: bool = False):
     """Sign patterns k < 2^m (sigma_j = +1 iff bit j of k is set), or with ``half``
-    k < 2^(m-1), in 2^14-row chunks.  The low-bit block is built once and each
-    chunk rewrites only its constant high columns of the same read-only buffer."""
+    k < 2^(m-1), in 2^14-row chunks.  The low-bit block is built once, with
+    every high column -1 as chunk 0 has them, and yielded as one read-only
+    buffer.  Chunk c differs from chunk c - 1 only in the high columns of the
+    bits that c ^ (c - 1) sets, so only those are rewritten."""
     n_patterns = 1 << (m - 1 if half else m)
     low = np.arange(min(n_patterns, 1 << _CHUNK_BITS))[:, None]
     block = ((low >> np.arange(m)) & 1) * 2.0 - 1.0
     view = block.view()
     view.flags.writeable = False
     for c in range(n_patterns // len(block)):
-        block[:, _CHUNK_BITS:] = ((c >> np.arange(m - _CHUNK_BITS)) & 1) * 2.0 - 1.0
+        for j in range((c ^ (c - 1)).bit_length() if c else 0):
+            block[:, _CHUNK_BITS + j] = 1.0 if (c >> j) & 1 else -1.0
         yield view
 
 

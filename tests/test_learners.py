@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from approx_sense import (
     AnalyticSensitivity,
     EmpiricalSensitivity,
+    Hypothesis,
     IdentityMap,
     InfeasibleThresholdError,
     InvalidParameterError,
@@ -24,6 +25,8 @@ from approx_sense import (
     LabelledSample,
     LossSpec,
     MagnitudePruner,
+    PolynomialMap,
+    RbfMap,
     SearchDomain,
     SyntheticTask,
     ThresholdSchedule,
@@ -90,9 +93,9 @@ class PointWorkspace(_Workspace):
 
 
 class PointObjective:
-    """A per-candidate objective in the screen/exact protocol of the learners'
-    search: screened values are exact (margin 0), inf where ``feasibility``
-    fails."""
+    """A per-candidate objective in the screen/exact_rows protocol of the
+    learners' search: screened values are exact (margin 0), inf where
+    ``feasibility`` fails."""
 
     min_diag = math.inf
 
@@ -101,12 +104,12 @@ class PointObjective:
         self.fn = fn
         self.feasibility = feasibility
 
-    def exact(self, w):
-        return float(self.fn(w))
+    def exact_rows(self, W):
+        return np.array([float(self.fn(w)) for w in W], dtype=float)
 
     def screen(self, block):
         ok = [self.feasibility is None or self.feasibility(w) for w in block.C]
-        return np.array([self.exact(w) if f else math.inf for w, f in zip(block.C, ok)]), 0.0
+        return np.array([float(self.fn(w)) if f else math.inf for w, f in zip(block.C, ok)]), 0.0
 
 
 def optimize(fn, domain, feasibility=None):
@@ -397,17 +400,20 @@ def test_restricted_rad_estimator_is_thread_independent():
 
 
 def test_emp_cache_keys_signed_zeros_as_one():
-    # Q(-0.1) is -0.0 and Q(0.1) is 0.0: one Q(w), so one cached loss evaluation
+    # Q(-0.1) is -0.0 and Q(0.1) is 0.0: one Q(w), so one cached loss
+    # evaluation, whether the two rows come in one batch or in two
     rng = np.random.default_rng(4)
     x = rng.uniform(-1.0, 1.0, size=(20, 2))
     labelled = LabelledSample(inputs=x, targets=x @ np.array([0.4, -0.3]))
     op = UniformQuantizer(step=0.5, clamp=1.0)
-    ws = _Workspace(op, LossSpec(kind="clipped_absolute", lipschitz=1.0), IdentityMap(2),
-                    labelled, None, 1.0, SearchDomain(dim=2, halfwidth=1.0))
-    assert np.signbit(op.transform_weights(np.array([-0.1, 0.5]))[0])
-    first = ws.approx_emp_error(np.array([-0.1, 0.5]))
-    assert ws.approx_emp_error(np.array([0.1, 0.5])) == first
-    assert len(ws._emp_cache) == 1
+    Q = op.transform_weights(np.array([[-0.1, 0.5], [0.1, 0.5]]))
+    assert np.signbit(Q[0, 0]) and not np.signbit(Q[1, 0])
+    for batches in ([Q[:1], Q[1:]], [Q]):
+        ws = _Workspace(op, LossSpec(kind="clipped_absolute", lipschitz=1.0), IdentityMap(2),
+                        labelled, None, 1.0, SearchDomain(dim=2, halfwidth=1.0))
+        values = np.concatenate([ws.exact_approx_emp_errors(rows) for rows in batches])
+        assert values[0] == values[1]
+        assert len(ws._emp_cache) == 1
 
 
 def test_sensitivity_regularized_rho_zero_is_plain_approx_erm():
@@ -571,18 +577,20 @@ def test_lambda_grid_empty_rejected():
 
 def test_lambda_grid_transforms_each_block_once(monkeypatch):
     # 2,000 unlabelled rows make blocks of 65 candidates: 7 on the 21 x 21 grid,
-    # screened once for all three lambdas
+    # screened once for all three lambdas (re-scoring transforms only its own
+    # selected rows, not counted here)
     _, labelled, unlabelled = _make_data(seed=20, m_u=2000)
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=21)
     blocks = []
-    transform = UniformQuantizer.transform_weights
+    block_q = learners._Block.__dict__["Q"].compute
 
-    def counted(self, w, rng=None):
-        if np.ndim(w) == 2:
-            blocks.append(len(w))
-        return transform(self, w, rng)
+    class CountedBlock(learners._Block):
+        @learners._lazy
+        def Q(self):
+            blocks.append(len(self.C))
+            return block_q(self)
 
-    monkeypatch.setattr(UniformQuantizer, "transform_weights", counted)
+    monkeypatch.setattr(learners, "_Block", CountedBlock)
     out = lambda_grid_srm(labelled, unlabelled, OP, [0.1, 0.5, 2.0], [0.25] * 3, 1.0, LOSS, domain)
     assert blocks == [65] * 6 + [51]
     direct = lambda_erm(labelled, OP, out.lam, EmpiricalSensitivity(unlabelled, 1.0), LOSS, domain)
@@ -611,16 +619,16 @@ def test_coordinate_descent_screens_one_block_per_half_sweep(monkeypatch, restar
 
 class CountingObjective(PointObjective):
     """A PointObjective whose screen claims a nonzero margin and that records,
-    per screened block, [rows screened, exact calls made after the screen]."""
+    per screened block, [rows screened, rows re-scored after the screen]."""
 
     def __init__(self, fn, domain, margin):
         super().__init__(fn, domain)
         self.margin = margin
         self.blocks = []
 
-    def exact(self, w):
-        self.blocks[-1][1] += 1
-        return super().exact(w)
+    def exact_rows(self, W):
+        self.blocks[-1][1] += len(W)
+        return super().exact_rows(W)
 
     def screen(self, block):
         self.blocks.append([len(block.C), 0])
@@ -675,8 +683,8 @@ def test_best_improvements_is_each_segments_last_improvement(case):
     values, margin, exact, bests, counts = case
 
     class Table:
-        def exact(self, w):
-            return exact[int(w[0])]
+        def exact_rows(self, W):
+            return np.array([exact[int(w[0])] for w in W], dtype=float)
 
     C = np.arange(len(values), dtype=float)[:, None]
     expected, lo = [], 0
@@ -1020,3 +1028,89 @@ def test_constrained_erm_borderline_feasibility_is_scalar():
     out = constrained_erm(labelled, unlabelled, OP, t, 1.0, LOSS, domain)
     assert not np.array_equal(out.hypothesis.weights, best)
     assert_same_search(out, *scalar_search(domain, approx, lambda w: dhat(w) < t, dhat))
+
+
+# ---------------------------------------------------------------------------
+# batched re-scoring equals the public functions bit for bit
+# ---------------------------------------------------------------------------
+
+
+def public_rows(W, fmap, op, labelled, unlabelled, loss, p, budget):
+    """Per candidate, through the public functions: (emp_err(A f), emp_err(f),
+    empirical p-sensitivity, analytic upper bound)."""
+    hs = [Hypothesis(weights=w, feature_map=fmap) for w in W]
+    return (
+        [empirical_error(apply_operator(op, h), labelled, loss) for h in hs],
+        [empirical_error(h, labelled, loss) for h in hs],
+        [empirical_sensitivity(h, op, unlabelled, p).value for h in hs],
+        [analytic_sensitivity_upper(h, op, budget).value for h in hs],
+    )
+
+
+def assert_rows_equal_public(W, fmap, op, labelled, unlabelled, loss, p, domain):
+    """Every exact row form of a workspace, on the batch W, is == to the
+    per-candidate value that the public functions compute."""
+    budget, lam = 1.3, 0.7
+    ws = _Workspace(op, loss, fmap, labelled, unlabelled, p, domain)
+    approx, emp, dhat, upper = public_rows(W, fmap, op, labelled, unlabelled, loss, p, budget)
+    Q = op.transform_weights(W)
+    assert ws.exact_emp_errors(W).tolist() == emp
+    assert ws.exact_approx_emp_errors(Q).tolist() == approx
+    assert ws.exact_dhats(W, Q).tolist() == dhat
+    assert learners._Constrained(ws, 0.1).exact_rows(W).tolist() == approx
+    assert learners._Regularised(ws, lam).exact_rows(W).tolist() == [
+        a + lam * d for a, d in zip(approx, dhat)
+    ]
+    assert learners._Regularised(ws, lam, budget).exact_rows(W).tolist() == [
+        a + lam * u for a, u in zip(approx, upper)
+    ]
+    # limits on candidates' own dhats, so that some rows hit one exactly
+    limits = sorted(set(dhat))[:2]
+    penalties = [0.25, 0.5][: len(limits)]
+    structural = learners._Structural(ws, limits, penalties)
+    levels = [next((k for k, t in enumerate(limits) if d <= t), len(limits)) for d in dhat]
+    k, hits = structural.levels(W, Q)
+    assert k.tolist() == levels
+    assert hits.tolist() == [k < len(limits) and d == limits[k] for d, k in zip(dhat, levels)]
+    assert structural.exact_rows(W).tolist() == [
+        e + penalties[min(k, len(limits) - 1)] for e, k in zip(emp, levels)
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(), st.sampled_from(["identity", "rbf", "polynomial"]), st.integers(1, 60),
+       st.sampled_from([1, 2, 3, None]))
+def test_exact_rows_equal_the_public_functions_bit_for_bit(problem, kind, n, batch):
+    # batches of one row up to a whole block (None): n random candidates of
+    # the feature space are one block, since blocks hold thousands of rows
+    labelled, unlabelled, op, loss, p, domain = problem
+    d = labelled.dim
+    rng = np.random.default_rng(domain.seed)
+    fmap = {
+        "identity": IdentityMap(input_dim=d),
+        "rbf": RbfMap(centers=rng.normal(0.0, 0.6, size=(5, d)), width=0.8),
+        "polynomial": PolynomialMap(input_dim=d, degree=2),
+    }[kind]
+    domain = SearchDomain(dim=fmap.feature_dim, halfwidth=domain.halfwidth, mode="random",
+                          n_samples=n, seed=domain.seed)
+    (block,) = _Workspace(op, loss, fmap, labelled, unlabelled, p, domain).blocks
+    step = batch or len(block.C)
+    for lo in range(0, len(block.C), step):
+        assert_rows_equal_public(block.C[lo : lo + step], fmap, op, labelled, unlabelled,
+                                 loss, p, domain)
+
+
+def test_exact_rows_are_not_a_gemm():
+    # a fixed batch whose GEMM F @ W.T differs from the products F @ w in the
+    # last bit: a re-scoring that multiplied the batch as one matrix fails here
+    rng = np.random.default_rng(11)
+    x = rng.normal(0.0, 0.6, size=(30, 3))
+    labelled = LabelledSample(inputs=x, targets=x @ np.array([0.5, -0.4, 0.3]))
+    unlabelled = UnlabelledSample(inputs=rng.normal(0.0, 0.6, size=(40, 3)))
+    W = rng.uniform(-1.0, 1.0, size=(6, 3))
+    for F in (labelled.inputs, unlabelled.inputs):
+        assert not np.array_equal(F @ W.T, np.array([F @ w for w in W]).T)
+    domain = SearchDomain(dim=3, halfwidth=1.0)
+    for p in (1.0, 2.0):
+        assert_rows_equal_public(W, IdentityMap(input_dim=3), OP, labelled, unlabelled,
+                                 LossSpec(kind="clipped_squared"), p, domain)

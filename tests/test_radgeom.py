@@ -39,6 +39,7 @@ from approx_sense.dataio import read_matrix_csv
 from approx_sense.radgeom import (
     _mc_signs,
     _rotated_component_norm,
+    _sign_chunks,
     conjugate_exponent,
     dual_norm,
 )
@@ -227,6 +228,21 @@ def test_exact_enumeration_matches_reference_hex():
         assert {name: new for name, (new, _) in pairs.items()} == {
             name: ref for name, (_, ref) in pairs.items()
         }, f"OPENBLAS_NUM_THREADS={threads}"
+
+
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("m", [15, 16, 17])
+def test_sign_chunks_are_the_bits_of_their_pattern_indices(m, half):
+    # each chunk rewrites only the high columns whose bit changed since the
+    # previous chunk, so check every chunk as it is yielded, in one buffer
+    n_patterns = 1 << (m - 1 if half else m)
+    start = 0
+    for chunk in _sign_chunks(m, half=half):
+        k = np.arange(start, start + len(chunk))[:, None]
+        assert np.array_equal(chunk, ((k >> np.arange(m)) & 1) * 2.0 - 1.0)
+        assert not chunk.flags.writeable
+        start += len(chunk)
+    assert start == n_patterns
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
-spec = importlib.util.spec_from_file_location(
-    "compare_outputs", Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
-)
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("compare_outputs", ROOT / "tools" / "compare_outputs.py")
 compare_outputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare_outputs)
 
@@ -44,3 +45,19 @@ def test_diff_names_the_first_differing_value_in_float_hex(tmp_path, capsys):
         "same  w/1/op/u.csv",
     ]
     assert compare_outputs.diff(a, a) == 0
+
+
+def test_run_twice_on_one_checkout_gives_no_differences(tmp_path, capsys):
+    # two runs in their own interpreters, one after the other: they share the
+    # inputs under tmp_path/cmp_inputs, which each run writes before reading
+    for name in ("a", "b"):
+        subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "compare_outputs.py"), "run", str(ROOT),
+             str(tmp_path / name), "--workloads", "train_grid", "--seeds", "0"],
+            check=True, capture_output=True, timeout=600,
+        )
+    assert compare_outputs.diff(tmp_path / "a", tmp_path / "b") == 0
+    n = len(compare_outputs._digests(tmp_path / "a" / "outputs"))
+    assert n > 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary == f"{n} files vs {n} files, 0 differences, exit codes [0] vs [0]"
