@@ -106,9 +106,25 @@ def _mc_mean_se(draws: np.ndarray) -> tuple[float, float]:
     return float(draws.mean()), se
 
 
+def _row_means(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=1) by mean's own sum and division, without its overhead."""
+    return np.add.reduce(x, axis=1) / x.shape[1]
+
+
+def _p_means(G: np.ndarray, p: float) -> np.ndarray:
+    """((1/m) sum_j |G_ij|^p)^(1/p) for each row i of a 2-d array with m
+    columns.  Each root is taken per scalar: an array ** (1/p) can differ from
+    it in the last bit."""
+    powers = np.abs(G)
+    if p == 1.0:  # x ** 1.0 == x: skipping the powers and roots changes no bit
+        return _row_means(powers)
+    powers **= p
+    return np.array([mean ** (1.0 / p) for mean in _row_means(powers)])
+
+
 def _p_mean(vals: np.ndarray, p: float) -> float:
-    """((1/m) sum |v|^p)^(1/p) over the m values."""
-    return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
+    """((1/m) sum |v|^p)^(1/p) over the m values: _p_means of one row."""
+    return float(_p_means(vals[None], p)[0])
 
 
 class _allocating:
@@ -128,18 +144,23 @@ class _allocating:
             raise InvalidParameterError(f"cannot allocate {self.what}") from exc
 
 
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """One np.void item per row of a 2-d array with at least one column: the
+    bytes of the row of ``a + 0.0``, so rows with equal values have equal keys,
+    -0.0 and 0.0 alike.  ``.tolist()`` gives them as bytes."""
+    b = np.ascontiguousarray(a + 0.0)
+    return b.view(np.dtype((np.void, b.itemsize * b.shape[1]))).reshape(-1)
+
+
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, inverse): the distinct rows of a 2-d array with at least one
     column, in order of first occurrence, and for each row of ``a`` the index
     of its distinct row, so ``rows[inverse]`` equals ``a`` up to signs of zeros.
 
-    Rows compare by the bytes of ``a + 0.0``, so -0.0 and 0.0 are one value:
-    each row is viewed as one np.void item and sorted by a 1-d np.unique,
-    which on small blocks is several times faster than np.unique(axis=0).
+    Rows compare by their ``_row_keys``, sorted by a 1-d np.unique, which on
+    small blocks is several times faster than np.unique(axis=0).
     """
-    b = np.ascontiguousarray(a + 0.0)
-    keys = b.view(np.dtype((np.void, b.itemsize * b.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(_row_keys(a), return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))

@@ -42,8 +42,9 @@ Search screens candidates in blocks, then re-scores a few of them exactly:
   ``analytic_sensitivity_upper``): every product is a stacked
   matrix-vector product, np.matmul(F, W[:, :, None]), which runs the same
   per-row kernel as F @ w, where a GEMM over the rows would sum in another
-  order; row means reduce each row as a 1-d mean does; and p-th roots are
-  taken per scalar.
+  order; row means reduce each row as a 1-d mean does; and each row's
+  p-mean is core._p_means, whose one-row case the empirical sensitivity
+  takes.
 * **Discrete decisions are exact.**  A candidate whose screened sensitivity
   lies within the tolerance of a threshold (feasibility dhat < t, the SRM
   index d <= t_k + eps_u) takes the exact row form, so boundary hits,
@@ -72,6 +73,9 @@ from .core import (
     _distinct_rows,
     _in_range,
     _mc_mean_se,
+    _p_means,
+    _row_keys,
+    _row_means,
     apply_operator,
     derived_rng,
     loss_values,
@@ -394,11 +398,6 @@ def _stacked(F: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.matmul(F, W[:, :, None])[:, :, 0]
 
 
-def _row_means(x: np.ndarray) -> np.ndarray:
-    """x.mean(axis=1) by mean's own sum and division, without its overhead."""
-    return np.add.reduce(x, axis=1) / x.shape[1]
-
-
 class _Workspace:
     """Precomputed feature matrices, the exact row forms (empirical errors
     memoised per Q(w)), their block forms with the margins that bound
@@ -460,7 +459,7 @@ class _Workspace:
         of a piecewise-constant objective share one evaluation (-0.0 and 0.0
         are one key)."""
         cache = self._emp_cache
-        keys = [row.tobytes() for row in Q + 0.0]
+        keys = _row_keys(Q).tolist()
         missing = {key: i for i, key in enumerate(keys) if key not in cache}
         if missing:
             rows = Q if len(missing) == len(Q) else Q[list(missing.values())]
@@ -470,12 +469,7 @@ class _Workspace:
     def exact_dhats(self, W: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """empirical_sensitivity of every row of W, given its rows Q(W)."""
         products = _stacked(self.unlab_feats, np.concatenate((W, Q)))
-        gaps = np.subtract(products[: len(W)], products[len(W) :], out=products[: len(W)])
-        np.abs(gaps, out=gaps)
-        if self.p == 1.0:  # x ** 1.0 == x: skipping both passes changes no bit
-            return _row_means(gaps)
-        gaps **= self.p
-        return np.array([mean ** (1.0 / self.p) for mean in _row_means(gaps)])
+        return _p_means(products[: len(W)] - products[len(W) :], self.p)
 
     # -- block forms --------------------------------------------------------
 

@@ -36,7 +36,7 @@ from approx_sense import (
     predictions,
     true_error_mc,
 )
-from approx_sense.core import _distinct_rows
+from approx_sense.core import _distinct_rows, _p_mean, _p_means
 from approx_sense.dataio import read_sample_csv, write_sample_csv
 
 
@@ -239,6 +239,20 @@ def test_distinct_rows_merges_signed_zeros():
     q = UniformQuantizer(step=0.5, clamp=1.0).transform_weights(grid)
     assert np.signbit(q[q == 0.0]).any()
     assert len(_distinct_rows(q)[0]) == 25
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    G=hnp.arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 300)),
+                 elements=st.floats(-1e3, 1e3)),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+)
+def test_p_means_rows_equal_the_one_row_mean_bit_for_bit(G, p):
+    # the empirical sensitivity and the learners' exact row form share this
+    # rule: each row as np.mean and one scalar root compute it
+    expected = [float(np.mean(np.abs(g) ** p) ** (1.0 / p)) for g in G]
+    assert _p_means(G, p).tolist() == expected
+    assert [_p_mean(g, p) for g in G] == expected
 
 
 # ---------------------------------------------------------------------------
