@@ -597,10 +597,19 @@ def cmd_validate(args, config: dict | None, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors (a missing or unknown option, a value of
+    the wrong type or out of its choices) are invalid_parameter errors, so
+    that main prints them as one JSON line; its subparsers share the class."""
+
+    def error(self, message):
+        raise InvalidParameterError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser unchanged
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="approx-sense",
         description="Sensitivity-aware learning experiments",
     )
@@ -650,9 +659,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    command, modules, table = _COMMANDS[args.command]
     try:
+        args = _build_parser().parse_args(argv)  # -h and --version still exit 0
+        command, modules, table = _COMMANDS[args.command]
         # a numpy warning would print ahead of the JSON error; a result that
         # an overflow makes non-finite is rejected by the object holding it.
         # validate's pool threads do not inherit this state (numpy keeps it

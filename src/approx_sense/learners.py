@@ -6,49 +6,47 @@ oracle mode used by the tests) and seeded random sampling or coordinate
 descent in higher dimension.  Ties always resolve to the lowest enumeration
 index, which keeps every learner deterministic.
 
-Search screens candidates in blocks, then re-scores a few of them exactly:
+Grid and random search screen candidates in blocks, then re-score a few of
+them exactly:
 
 * **Screen.**  ``_Workspace.blocks`` is the one place that cuts a grid or
-  random domain's candidates into blocks.  Coordinate descent runs its
-  restarts in lockstep: each half-sweep of a coordinate (the axis values
-  below the current one, then the rest) is one block holding every active
-  restart's rows, and each restart's segment is re-scored against that
-  restart's own running best.  A ``_Block`` computes its lambda- and
-  t-free values when first read: Q(C), emp_err(Q(C)) once per
-  distinct Q(w) (core._distinct_rows finds them), emp_err(C), ||C - Q(C)||
-  and the empirical sensitivities as one product U @ (C - Q(C)).T.  An
-  objective combines them with lambda, t or the penalties.  These values
-  differ from a per-candidate evaluation by rounding only (about 1e-13
-  here).  Each screen carries a margin, SCREEN_MARGIN times the magnitudes
-  its values are summed from, that bounds this with a wide safety factor.
+  random domain's candidates into blocks.  A ``_Block`` computes its lambda-
+  and t-free values when first read: Q(C), emp_err(Q(C)) once per distinct
+  Q(w) (core._distinct_rows finds them), emp_err(C), ||C - Q(C)|| and the
+  empirical sensitivities as one product U @ (C - Q(C)).T.  An objective
+  combines them with lambda, t or the penalties.  These values differ from a
+  per-candidate evaluation by rounding only (about 1e-13 here).  Each screen
+  carries a margin, SCREEN_MARGIN times the magnitudes its values are summed
+  from, that bounds this with a wide safety factor.
 * **Re-score.**  Only candidates whose screened value lies within twice
   the margin of the running screened minimum are re-scored exactly, and in
   enumeration order the first strict minimum is kept.  Every skipped
   candidate is strictly beaten by an earlier one, so the weights, the
   objective value and the trace equal those of a scalar loop over all
-  candidates, and ties still go to the lowest enumeration index.
-  Coordinate descent keeps only the minimum of each restart's segment, so
-  it re-scores only the rows that can hold it: those whose screened value
-  lies within twice the margin of the segment's screened minimum and whose
-  lower bound undercuts the restart's running best.  One vectorised pass
-  per half-sweep (``_best_improvements``) selects them for every segment
-  of the block at once.  Every block's margin bounds its own rounding, so
-  which block a candidate is screened in changes only how many rows are
-  re-scored, not the result.
-* **One exact evaluation per block.**  A block's selected rows are
-  re-scored in one call, ``exact_rows``, and then scanned in row order.
-  Each value equals the public functions' per-candidate value bit for bit
-  (``empirical_error`` on ``apply_operator``, ``empirical_sensitivity``,
-  ``analytic_sensitivity_upper``): every product is a stacked
-  matrix-vector product, np.matmul(F, W[:, :, None]), which runs the same
-  per-row kernel as F @ w, where a GEMM over the rows would sum in another
-  order; row means reduce each row as a 1-d mean does; and each row's
-  p-mean is core._p_means, whose one-row case the empirical sensitivity
-  takes.
+  candidates, and ties still go to the lowest enumeration index.  Every
+  block's margin bounds its own rounding, so where the blocks are cut
+  changes only how many rows are re-scored, not the result.
 * **Discrete decisions are exact.**  A candidate whose screened sensitivity
   lies within the tolerance of a threshold (feasibility dhat < t, the SRM
   index d <= t_k + eps_u) takes the exact row form, so boundary hits,
   clamps and the infeasibility payload match a scalar loop too.
+
+Coordinate descent evaluates every row of a half-sweep exactly.  Its
+restarts run in lockstep: each half-sweep of a coordinate (the axis values
+below the current one, then the rest) is one batch holding every active
+restart's rows, and each restart keeps its segment's first minimum when that
+is strictly below its own running best.  A batch holds at most restarts x
+points_per_axis rows, too few for a screen to save anything.
+
+Exact values come in batches, ``exact_rows`` and ``evaluate``, one call per
+block's re-scored rows or per half-sweep.  Each value equals the public
+functions' per-candidate value bit for bit (``empirical_error`` on
+``apply_operator``, ``empirical_sensitivity``,
+``analytic_sensitivity_upper``): every product is a stacked matrix-vector
+product, np.matmul(F, W[:, :, None]), which runs the same per-row kernel as
+F @ w, where a GEMM over the rows would sum in another order; row means
+reduce each row as a 1-d mean does; and each row's p-mean is core._p_means,
+whose one-row case the empirical sensitivity takes.
 """
 
 from __future__ import annotations
@@ -152,9 +150,11 @@ class SearchResult:
 #   screen(block) -> (values, margin): every row of the _Block evaluated from
 #       its lambda- and t-free columns, inf where infeasible, each value within
 #       ``margin`` of its exact value; screening counts as evaluating the rows
-#       (diagnostics and counters update here);
+#       (diagnostics and counters update here); grid and random search;
 #   exact_rows(W) -> ndarray: the exact objective of every row of W, each
 #       equal to a per-candidate evaluation bit for bit, free of side effects;
+#   evaluate(W) -> ndarray: exact_rows(W), inf where a row is infeasible; like
+#       screen, it counts as evaluating the rows; coordinate descent;
 #   min_diag: smallest sensitivity seen, for the infeasibility error (inf
 #       when the objective has no constraint).
 
@@ -166,59 +166,22 @@ def _raise_infeasible(min_diag: float) -> None:
     )
 
 
-def _exact_values(objective, C, rows) -> list[float]:
-    """The exact objective of C's selected ``rows``, in one batched call."""
-    return objective.exact_rows(C[rows]).tolist() if len(rows) else []
-
-
 def _improvements(objective, C, values, margin, best) -> list[tuple[int, float]]:
     """Strict improvements on ``best`` over the rows of C, in row order, given
     their screened ``values`` and the screen's ``margin``.
 
     A row is re-scored only when its screened lower bound undercuts every
     screened upper bound before it (and ``best``); any other row is strictly
-    beaten by an earlier one.  Grid and random search keep every improvement
-    for the trace; coordinate descent keeps only the last, and re-scores
-    only the rows that can hold it (``_best_improvements``).
+    beaten by an earlier one.
     """
     upper = np.minimum.accumulate(np.concatenate(([best], values[:-1] + margin)))
     rows = np.flatnonzero(values - margin < upper)
     found = []
-    for i, val in zip(rows.tolist(), _exact_values(objective, C, rows)):
+    exact = objective.exact_rows(C[rows]).tolist() if len(rows) else []
+    for i, val in zip(rows.tolist(), exact):
         if val < best:
             best = val
             found.append((i, val))
-    return found
-
-
-def _best_improvements(objective, C, values, margin, bests, counts) -> list:
-    """Per segment of C (``counts[k]`` rows each, in order), the last of
-    ``_improvements(objective, C_seg, values_seg, margin, bests[k])`` with its
-    row index in the segment, or None where that is empty: the first exact
-    minimum of the segment's finite rows, if it is below ``bests[k]``.
-
-    That row's screened lower bound is at most every screened upper bound in
-    its segment and below the segment's best, so only the rows where both
-    hold are re-scored, in row order; any other row is strictly beaten by
-    some row of its segment or fails to beat the best.  Infeasible (inf)
-    rows fail the first test when some bound is finite and the second
-    otherwise, so they are never re-scored.
-    """
-    counts = np.asarray(counts, dtype=int)
-    starts = np.cumsum(counts) - counts
-    filled = counts > 0  # reduceat reads an empty segment as its next row
-    upper = np.full(len(counts), math.inf)  # least screened upper bound per segment
-    upper[filled] = np.minimum.reduceat(values + margin, starts[filled])
-    segment = np.repeat(np.arange(len(counts)), counts)
-    lower = values - margin
-    selected = (lower <= upper[segment]) & (lower < np.asarray(bests, dtype=float)[segment])
-    best = list(bests)
-    found = [None] * len(counts)
-    rows = np.flatnonzero(selected)
-    for i, k, val in zip(rows.tolist(), segment[rows].tolist(), _exact_values(objective, C, rows)):
-        if val < best[k]:
-            best[k] = val
-            found[k] = (i - int(starts[k]), val)
     return found
 
 
@@ -255,12 +218,14 @@ def _search_coordinate_descent(objective) -> SearchResult:
             return moved
         C = np.repeat(W[active], counts, axis=0)
         C[:, j] = np.concatenate(segments)
-        values, margin = objective.screen(_Block(objective.ws, C))
-        found = _best_improvements(objective, C, values, margin, [vals[r] for r in active], counts)
-        for r, lo, hit in zip(active, np.cumsum(counts) - counts, found):
-            if hit:
-                i, vals[r] = hit
-                W[r] = C[lo + i]
+        values = objective.evaluate(C)
+        for r, lo, n in zip(active, np.cumsum(counts) - counts, counts):
+            if not n:
+                continue
+            i = lo + int(np.argmin(values[lo : lo + n]))  # the segment's first minimum
+            if values[i] < vals[r]:
+                vals[r] = float(values[i])
+                W[r] = C[i]
                 moved.add(r)
         return moved
 
@@ -568,6 +533,8 @@ class _Regularised:
             sens = np.sqrt(np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]) * self.budget
         return self.ws.exact_approx_emp_errors(Q) + self.coef * sens
 
+    evaluate = exact_rows  # every row is feasible and nothing is counted
+
     def screen(self, block: _Block):
         scale = self.ws.emp_scale(block.Q)
         if self.budget is None:
@@ -589,6 +556,16 @@ class _Constrained:
 
     def exact_rows(self, W: np.ndarray) -> np.ndarray:
         return self.ws.exact_approx_emp_errors(self.ws.op.transform_weights(W))
+
+    def evaluate(self, W: np.ndarray) -> np.ndarray:
+        ws, Q = self.ws, self.ws.op.transform_weights(W)
+        d = ws.exact_dhats(W, Q)
+        self.min_diag = min(self.min_diag, float(d.min()))
+        feasible = d < self.t
+        values = np.full(len(W), math.inf)
+        if feasible.any():  # only the feasible rows' Q(w) are evaluated
+            values[feasible] = ws.exact_approx_emp_errors(Q[feasible])
+        return values
 
     def screen(self, block: _Block):
         ws, d, tol = self.ws, block.dhats, block.dhat_tol
@@ -631,9 +608,19 @@ class _Structural:
         k = np.searchsorted(self.limits, d, side="left")  # the first limit >= d
         return k, d == self.hit_limits[k]
 
+    def _exact(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """levels(W) and the exact objective of every row of W."""
+        k, hits = self.levels(W, self.ws.op.transform_weights(W))
+        return k, hits, self.ws.exact_emp_errors(W) + self.penalties[k]
+
     def exact_rows(self, W: np.ndarray) -> np.ndarray:
-        k, _ = self.levels(W, self.ws.op.transform_weights(W))
-        return self.ws.exact_emp_errors(W) + self.penalties[k]
+        return self._exact(W)[2]
+
+    def evaluate(self, W: np.ndarray) -> np.ndarray:
+        k, hits, values = self._exact(W)
+        self.boundary_hits += int(np.count_nonzero(hits))
+        self.clamps += int(np.count_nonzero(k == len(self.limits)))
+        return values
 
     def screen(self, block: _Block):
         d, tol = block.dhats, block.dhat_tol

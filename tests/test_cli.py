@@ -792,15 +792,40 @@ def test_main_calls_in_a_row_share_one_parser(tmp_path, capsys):
     )
     assert run_cli("rademacher", "--geometry", geom, "--out", str(tmp_path / "r1"))[0] == 0
     assert run_cli("bound", "--config", bound, "--out", str(tmp_path / "b1"))[0] == 0
-    with pytest.raises(SystemExit) as bad:
-        main(["rademacher", "--geometry", geom, "--method", "bogus"])
-    assert bad.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    code, _, err = run_cli("rademacher", "--geometry", geom, "--method", "bogus", capsys=capsys)
+    assert code == 2
+    assert json.loads(err)["code"] == "invalid_parameter" and "invalid choice" in err
     assert run_cli("rademacher", "--geometry", geom, "--out", str(tmp_path / "r2"))[0] == 0
     first = (tmp_path / "r1" / "rademacher.json").read_bytes()
     assert (tmp_path / "r2" / "rademacher.json").read_bytes() == first
     assert json.loads(first)["value"] == 2.5
     assert (tmp_path / "b1" / "bound_uniform_restricted.json").is_file()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train"], "approx-sense train: the following arguments are required: --config"),
+    (["train", "--config", "c.json", "--bogus"], "approx-sense: unrecognized arguments: --bogus"),
+    (["validate", "--suite", "prop2", "--trials", "x"],
+     "approx-sense validate: argument --trials: invalid int value: 'x'"),
+    (["rademacher", "--geometry", "g.json", "--method", "bogus"],
+     "approx-sense rademacher: argument --method: invalid choice: 'bogus'"),
+])
+def test_malformed_command_line_is_one_structured_error(capsys, argv, message):
+    # one JSON line on stderr and exit 2, not argparse's usage text; the
+    # message is argparse's, whose wording after this prefix varies by version
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["code"] == "invalid_parameter" and error["message"].startswith(message)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--version"])
+def test_help_and_version_still_exit_zero(capsys, flag):
+    with pytest.raises(SystemExit) as done:
+        main([flag])
+    assert done.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_validate_unknown_suite(tmp_path, capsys):

@@ -47,7 +47,7 @@ from approx_sense import (
     true_sensitivity_mc,
 )
 from approx_sense import learners
-from approx_sense.learners import _best_improvements, _improvements, _Workspace, _search
+from approx_sense.learners import _search, _search_coordinate_descent, _Workspace
 from approx_sense.radgeom import mc_rademacher_rows
 
 OP = UniformQuantizer(step=0.5, clamp=1.0)
@@ -93,8 +93,8 @@ class PointWorkspace(_Workspace):
 
 
 class PointObjective:
-    """A per-candidate objective in the screen/exact_rows protocol of the
-    learners' search: screened values are exact (margin 0), inf where
+    """A per-candidate objective in the screen/exact_rows/evaluate protocol of
+    the learners' search: screened values are exact (margin 0), inf where
     ``feasibility`` fails."""
 
     min_diag = math.inf
@@ -107,9 +107,12 @@ class PointObjective:
     def exact_rows(self, W):
         return np.array([float(self.fn(w)) for w in W], dtype=float)
 
+    def evaluate(self, W):
+        ok = [self.feasibility is None or self.feasibility(w) for w in W]
+        return np.array([float(self.fn(w)) if f else math.inf for w, f in zip(W, ok)])
+
     def screen(self, block):
-        ok = [self.feasibility is None or self.feasibility(w) for w in block.C]
-        return np.array([float(self.fn(w)) if f else math.inf for w, f in zip(block.C, ok)]), 0.0
+        return self.evaluate(block.C), 0.0
 
 
 def optimize(fn, domain, feasibility=None):
@@ -599,100 +602,115 @@ def test_lambda_grid_transforms_each_block_once(monkeypatch):
 
 
 @pytest.mark.parametrize("restarts", [1, 4])
-def test_coordinate_descent_screens_one_block_per_half_sweep(monkeypatch, restarts):
-    # all restarts share the start block and each half-sweep's block
+def test_coordinate_descent_evaluates_one_batch_per_half_sweep(monkeypatch, restarts):
+    # all restarts share the start batch and each half-sweep's batch, every
+    # candidate the scalar loop tries is evaluated once, and no block is built
     _, labelled, unlabelled = _make_data(seed=22, d=3, teacher=[0.5, -0.5, 0.25])
     domain = SearchDomain(dim=3, halfwidth=1.0, mode="coordinate_descent", points_per_axis=9,
                           restarts=restarts, iterations=3, seed=4)
-    blocks = []
+    batches = []
+    evaluate = learners._Regularised.evaluate
 
-    class CountedBlock(learners._Block):
-        def __init__(self, ws, C):
-            super().__init__(ws, C)
-            blocks.append(len(C))
+    def counted(self, W):
+        batches.append(len(W))
+        return evaluate(self, W)
 
-    monkeypatch.setattr(learners, "_Block", CountedBlock)
-    lambda_erm(labelled, OP, 0.5, EmpiricalSensitivity(unlabelled, 1.0), LOSS, domain)
-    assert blocks[0] == restarts
-    assert len(blocks) <= 1 + 2 * domain.dim * domain.iterations
+    def no_block(ws, C):
+        raise AssertionError("coordinate descent built a _Block")
+
+    monkeypatch.setattr(learners._Regularised, "evaluate", counted)
+    monkeypatch.setattr(learners, "_Block", no_block)
+    out = lambda_erm(labelled, OP, 0.5, EmpiricalSensitivity(unlabelled, 1.0), LOSS, domain)
+    assert batches[0] == restarts
+    assert len(batches) <= 1 + 2 * domain.dim * domain.iterations
+
+    def dhat(h):
+        return empirical_sensitivity(h, OP, unlabelled, 1.0).value
+
+    objective = _regularised(OP, labelled, LOSS, 0.5, dhat)
+    tried = []
+
+    def tried_objective(w):
+        tried.append(w)
+        return objective(w)
+
+    assert_same_search(out, *scalar_search(domain, tried_objective))
+    assert sum(batches) == len(tried)
 
 
 class CountingObjective(PointObjective):
-    """A PointObjective whose screen claims a nonzero margin and that records,
-    per screened block, [rows screened, rows re-scored after the screen]."""
+    """A PointObjective that records the size of each batch it evaluates and
+    refuses to screen or re-score."""
 
-    def __init__(self, fn, domain, margin):
+    def __init__(self, fn, domain):
         super().__init__(fn, domain)
-        self.margin = margin
-        self.blocks = []
+        self.batches = []
 
-    def exact_rows(self, W):
-        self.blocks[-1][1] += len(W)
-        return super().exact_rows(W)
+    def evaluate(self, W):
+        self.batches.append(len(W))
+        return super().evaluate(W)
 
     def screen(self, block):
-        self.blocks.append([len(block.C), 0])
-        return np.array([self.fn(w) for w in block.C], dtype=float), self.margin
+        raise AssertionError("coordinate descent screened a block")
+
+    def exact_rows(self, W):
+        raise AssertionError("coordinate descent re-scored rows")
 
 
-def test_coordinate_descent_rescores_a_falling_segment_once():
-    # -sum(w) falls along every axis: each half-sweep above the current value
-    # is a segment of falling values, and only its last row can hold its
-    # minimum; the half-sweeps below the current value hold no improvement
+def test_coordinate_descent_evaluates_each_row_once():
+    # -sum(w) falls along every axis, so each restart climbs to the corner
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="coordinate_descent", points_per_axis=9,
                           restarts=1, seed=3)
-    objective = CountingObjective(lambda w: -float(np.sum(w)), domain, margin=1e-6)
+    objective = CountingObjective(lambda w: -float(np.sum(w)), domain)
     result = _search(objective)
     assert np.array_equal(result.weights, [1.0, 1.0]) and result.value == -2.0
     # the start point, then (below, above) for coordinates 0 and 1, then a
     # second iteration whose two below-sweeps find nothing (above is empty)
-    assert objective.blocks == [[1, 1], [3, 0], [5, 1], [2, 0], [6, 1], [8, 0], [8, 0]]
+    assert objective.batches == [1, 3, 5, 2, 6, 8, 8]
+
+
+def _descent(dim, n, restarts, seed, iterations=3):
+    return SearchDomain(dim=dim, halfwidth=1.0, mode="coordinate_descent", points_per_axis=n,
+                        restarts=restarts, iterations=iterations, seed=seed)
 
 
 @st.composite
-def segment_blocks(draw):
-    """(screened values, margin, exact values, bests, counts): a block of up to
-    four segments, some of them empty, one running best each.  Each exact
-    value lies within the margin of its screened one, computed as the search
-    computes the bounds; an infeasible (inf) row's exact value is any finite
-    number, since an objective's exact does not check feasibility."""
-    margin = draw(st.sampled_from([0.0, 1e-9, 0.1, 0.3]))  # 0.3: adjacent values tie within it
-    values, exact, bests, counts = [], [], [], []
-    for _ in range(draw(st.integers(0, 4))):
-        segment = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf]), max_size=8))
-        for v in segment:
-            if math.isinf(v):
-                exact.append(draw(st.floats(-1.0, 2.0)))
-            else:
-                lo, hi = v - margin, v + margin
-                exact.append(draw(st.one_of(st.sampled_from([lo, v, hi]), st.floats(lo, hi))))
-        values += segment
-        counts.append(len(segment))
-        bests.append(draw(st.one_of(st.just(math.inf), st.sampled_from([0.0, 0.25, 0.6]),
-                                    st.floats(-0.5, 1.5))))
-    return np.array(values, dtype=float), margin, exact, bests, counts
+def descent_tables(draw):
+    """(domain, table): a coordinate-descent domain of one to three weights
+    and an objective value for each of its grid points, drawn from a few
+    levels so that segments tie, with inf for an infeasible point."""
+    n, dim = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    domain = _descent(dim, n, draw(st.integers(1, 4)), draw(st.integers(0, 2**16)),
+                      draw(st.integers(1, 3)))
+    levels = st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf])
+    return domain, draw(st.lists(levels, min_size=n**dim, max_size=n**dim))
 
 
-@settings(max_examples=300, deadline=None)
-@given(segment_blocks())
-@example((np.full(3, math.inf), 0.1, [0.0, -1.0, 0.5], [math.inf], [3]))  # all infeasible
-@example((np.array([0.5, 0.25, 0.5]), 0.3, [0.2, 0.2, 0.2], [math.inf], [3]))  # exact ties
-@example((np.array([0.5, 0.25, math.inf, math.inf]), 0.1, [0.5, 0.3, 0.0, 0.0],
-          [0.3, math.inf, math.inf, 1.0], [2, 0, 2, 0]))  # empty and all-inf segments
-def test_best_improvements_is_each_segments_last_improvement(case):
-    values, margin, exact, bests, counts = case
+@settings(max_examples=200, deadline=None)
+@given(descent_tables())
+@example((_descent(2, 3, 3, 0), [math.inf] * 8 + [0.5]))  # all-infeasible segments
+@example((_descent(2, 3, 3, 0), [math.inf] * 9))  # no feasible point at all
+@example((_descent(2, 4, 2, 1), [1.0, 0.25, 0.5, 0.25] * 4))  # exact ties within segments
+@example((_descent(2, 2, 4, 2), [1.0, 0.5, 0.5, 0.25]))  # empty segments
+def test_coordinate_descent_equals_the_scalar_loop_on_a_table(case):
+    # each restart keeps its segment's first minimum when that beats its best
+    domain, table = case
+    axis = domain.axis_values()
 
-    class Table:
-        def exact_rows(self, W):
-            return np.array([exact[int(w[0])] for w in W], dtype=float)
+    def fn(w):
+        index = [int(np.flatnonzero(axis == x)[0]) for x in w]
+        return table[int(np.ravel_multi_index(index, (len(axis),) * len(w)))]
 
-    C = np.arange(len(values), dtype=float)[:, None]
-    expected, lo = [], 0
-    for best, n in zip(bests, counts):
-        found = _improvements(Table(), C[lo : lo + n], values[lo : lo + n], margin, best)
-        expected.append(found[-1] if found else None)
-        lo += n
-    assert _best_improvements(Table(), C, values, margin, bests, counts) == expected
+    try:
+        weights, value, trace = scalar_search(domain, fn)
+    except InfeasibleThresholdError as err:
+        with pytest.raises(InfeasibleThresholdError) as got:
+            _search_coordinate_descent(PointObjective(fn, domain))
+        assert got.value.to_dict() == err.to_dict()
+        return
+    result = _search_coordinate_descent(PointObjective(fn, domain))
+    assert np.array_equal(result.weights, weights)
+    assert (result.value, result.trace) == (value, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,29 @@
 """Check that two checkouts write byte-identical outputs for the benchmark's ops.
 
     python tools/compare_outputs.py run CHECKOUT OUT [--workloads a,b] [--seeds 0,1,2026]
-    python tools/compare_outputs.py diff OUT_A OUT_B   # OUT_A, OUT_B: one parent
+    python tools/compare_outputs.py diff OUT_A OUT_B
 
 ``run`` builds each workload's inputs from each seed (by default 0, 1 and
-2026) with CHECKOUT's ``perfbench/workloads.py`` under OUT/../cmp_inputs.
-Give both runs OUT directories with the same parent, so that they read the
-same input paths: outputs that record one, such as the provenance of
-sensitivity_empirical, differ otherwise.  The pseudo-workload ``suites`` is not a benchmark
-workload: for each seed it runs ``validate --suite NAME --seed SEED`` for
-every suite in CHECKOUT's ``SUITES``, each at its default trial count.  It
-calls CHECKOUT's ``approx_sense.cli.main`` once per op with a fresh
-``--out`` directory, and records the exit codes.  ``diff`` compares
+2026) with CHECKOUT's ``perfbench/workloads.py`` as
+OUT/../cmp_inputs/WORKLOAD_SEED, and runs the ops from OUT/../cmp_inputs,
+which their input paths are relative to; outputs that record an input path,
+such as the provenance of sensitivity_empirical, do not depend on where OUT
+is.  Each inputs directory is written in a private temporary directory
+beside it and renamed into place, so runs at once never read a half-written
+file: a run that finds the directory in place, or loses the rename, deletes
+its own copy and reads the one in place.  Runs whose OUT directories share
+a parent thus read the same input files.  The pseudo-workload ``suites`` is
+not a benchmark workload: for each seed it runs ``validate --suite NAME
+--seed SEED`` for every suite in CHECKOUT's ``SUITES``, each at its default
+trial count.  It calls CHECKOUT's ``approx_sense.cli.main`` once per op with
+a fresh ``--out`` directory, and records the exit codes.  ``diff`` compares
 every output file byte for byte and exits 1 on any difference; for a JSON
 file that differs it prints the first differing key path and both values,
-floats in hex, so a change in the last bit shows as one.  Run ``run``
-once per checkout, each in its own interpreter; it keeps an
-OPENBLAS_NUM_THREADS set in the environment and sets it to 1, as the
-benchmark does, only when unset.  Outputs must not depend on the BLAS
-thread count either, so compare at one and at two threads:
+floats in hex, so a change in the last bit shows as one.  Run ``run`` once
+per checkout, each in its own interpreter; it keeps an OPENBLAS_NUM_THREADS
+set in the environment and sets it to 1, as the benchmark does, only when
+unset.  Outputs must not depend on the BLAS thread count either, so compare
+at one and at two threads:
 
     for t in 1 2; do
         export OPENBLAS_NUM_THREADS=$t
@@ -30,14 +35,38 @@ thread count either, so compare at one and at two threads:
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 DEFAULT_WORKLOADS = ("train_grid", "train_descent", "validate_coverage", "oracles", "suites")
 MISSING = object()  # a key that one of two JSON objects lacks
+
+
+def inputs(build, workload: str, seed: int, root: Path) -> list:
+    """The ops of ``build(workload, seed, inputs)`` for the inputs directory
+    ROOT/WORKLOAD_SEED.  They are built in a private temporary directory and
+    renamed into place; where a directory is in place already, this copy is
+    deleted and that one is read.  The ops' paths are relative to ROOT, which
+    this leaves as the working directory."""
+    name = f"{workload}_{seed}"
+    root.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{name}-", dir=root) as tmp:
+        os.chdir(tmp)
+        try:
+            ops = build(workload, seed, Path(name))
+        finally:
+            os.chdir(root)
+        try:
+            os.rename(Path(tmp) / name, name)
+        except OSError:  # another run's copy is in place: ours goes with tmp
+            if not Path(name).is_dir():
+                raise
+    return ops
 
 
 def run(checkout: Path, out: Path, workloads, seeds) -> None:
@@ -54,8 +83,8 @@ def run(checkout: Path, out: Path, workloads, seeds) -> None:
                 ops = [(name, ["validate", "--suite", name, "--seed", str(seed)])
                        for name in SUITES]
             else:
-                inputs = out.parent / "cmp_inputs" / f"{workload}_{seed}"
-                ops = [(op.name, list(op.argv)) for op in wl.build(workload, seed, inputs)]
+                built = inputs(wl.build, workload, seed, out.parent / "cmp_inputs")
+                ops = [(op.name, list(op.argv)) for op in built]
             for name, argv in ops:
                 key = f"{workload}/{seed}/{name}"
                 codes[key] = main(argv + ["--out", str(out / "outputs" / key)])
@@ -126,15 +155,30 @@ def diff(a: Path, b: Path) -> int:
     return 1 if bad else 0
 
 
-def _option(args: list[str], name: str, default: str) -> list[str]:
-    return (args[args.index(name) + 1] if name in args else default).split(",")
+def int_list(value: str) -> list[int]:
+    return [int(v) for v in value.split(",")]
+
+
+def _main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    run_parser = sub.add_parser("run", help="run the ops of one checkout into OUT")
+    run_parser.add_argument("checkout", type=Path)
+    run_parser.add_argument("out", type=Path)
+    run_parser.add_argument("--workloads", type=lambda v: v.split(","),
+                            default=list(DEFAULT_WORKLOADS))
+    run_parser.add_argument("--seeds", type=int_list, default=[0, 1, 2026])
+    diff_parser = sub.add_parser("diff", help="compare two runs' outputs byte for byte")
+    diff_parser.add_argument("a", type=Path)
+    diff_parser.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "diff":
+        return diff(args.a, args.b)
+    run(args.checkout.resolve(), args.out.resolve(), args.workloads, args.seeds)
+    return 0
 
 
 if __name__ == "__main__":
-    command, *args = sys.argv[1:]
-    if command == "run":
-        workloads = _option(args, "--workloads", ",".join(DEFAULT_WORKLOADS))
-        seeds = [int(s) for s in _option(args, "--seeds", "0,1,2026")]
-        run(Path(args[0]).resolve(), Path(args[1]).resolve(), workloads, seeds)
-    else:
-        sys.exit(diff(Path(args[0]), Path(args[1])))
+    sys.exit(_main())
