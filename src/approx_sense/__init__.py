@@ -58,7 +58,9 @@ _EXPORTS = {
         "variance_condition_check",
     ),
     "radgeom": (
+        "Cluster",
         "EXACT_ENUMERATION_CAP",
+        "Ellipse",
         "GeometryModel",
         "RadEstimate",
         "SensitivityPointSet",

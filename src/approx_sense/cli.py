@@ -57,8 +57,9 @@ class Field:
 
 @dataclass(frozen=True)
 class Section:
-    """A JSON object: its fields (a Field or a nested Section each) and the
-    keys every config needs.  A section keyed by ``key`` maps each kind (an
+    """A JSON object: its fields (a Field, a nested Section, or the name of
+    the class whose field of that name carries its rule) and the keys every
+    config needs.  A section keyed by ``key`` maps each kind (an
     allowed value of ``key``) to (the keys it needs, the optional keys it
     reads), or to the name of the class _build makes of it (see _rules); any
     other key is rejected for that kind.  ``cls`` names a keyless section's
@@ -84,7 +85,7 @@ _INPUT_LAW = Section(_CENTERS, key="kind", kinds={
     "gaussian_mixture": "GaussianMixture"})
 _TASK = Section(
     {"teacher_weights": _LIST, "feature_map": _FEATURE_MAP,
-     "input_law": _INPUT_LAW, "label_noise_sd": _NONNEG, "m_labelled": _COUNT,
+     "input_law": _INPUT_LAW, "label_noise_sd": "SyntheticTask", "m_labelled": _COUNT,
      "m_unlabelled": _COUNT, "labelled_path": _STR, "unlabelled_path": _STR}, key="kind",
     kinds={"synthetic": (("teacher_weights",), ("feature_map", "input_law", "label_noise_sd",
                                                 "m_labelled", "m_unlabelled")),
@@ -100,7 +101,7 @@ _LEARNER = Section(
      "lambdas": Field("array", items=_NONNEG), "weights": Field("array", items=_POSITIVE),
      "thresholds": Field("array", items=_POSITIVE), "epsilon_u": _NONNEG,
      "sensitivity": Field("string", enum=("empirical", "analytic")),
-     "input_norm_budget": _NONNEG, "n_sigma": _COUNT, "domain": _DOMAIN},
+     "input_norm_budget": "AnalyticSensitivity", "n_sigma": _COUNT, "domain": _DOMAIN},
     required=("domain",), key="algorithm",
     kinds={"constrained_erm": (("t",), ("p",)),
            "srm": (("thresholds",), ("weights", "epsilon_u", "n_sigma", "p")),
@@ -184,7 +185,9 @@ def _rules(name: str) -> tuple[dict, tuple, tuple]:
 def _table(spec: Section) -> tuple[dict, tuple, dict]:
     """(fields, required keys, kind -> (needs, reads)) of a section, with
     each class it names read in by _rules."""
-    fields, required, kinds = spec.fields, spec.required, {}
+    fields = {key: _rules(rule)[0][key] if isinstance(rule, str) else rule
+              for key, rule in spec.fields.items()}
+    required, kinds = spec.required, {}
     for kind, rule in (spec.kinds or {}).items():
         if isinstance(rule, str):
             own, *rule = _rules(rule)
@@ -348,6 +351,9 @@ def cmd_generate(args, config: dict, seed: int) -> int:
 
 def cmd_train(args, config: dict, seed: int) -> int:
     lcfg = config["learner"]
+    if lcfg["algorithm"] == "srm" and lcfg["domain"].get("mode") == "coordinate_descent":
+        _fail(("learner", "domain", "mode"), "srm's penalty estimator enumerates the domain, "
+              "which coordinate_descent does not; use grid or random")
     if lcfg["algorithm"] == "sensitivity_regularized_erm":  # its keys depend on the sensitivity
         sens = lcfg.get("sensitivity", "empirical")
         unread = "input_norm_budget" if sens == "empirical" else "p"

@@ -9,16 +9,22 @@ in closed/certified form for structured geometries: p-norm ellipses, their
 axis-aligned or rotated unions, clustered unions, p-balls restricted to the
 positive orthant, and the weight-distortion bound for generalised-linear
 classes.
+
+A component of a union or of a clustered model is a value: an Ellipse (mu,
+and a rotation V or None for the identity) or a Cluster (a center and an
+Ellipse).  Each is checked once, when it is made, and keeps what every bound
+reads (m, V's column 1-norms, whether V is the identity); the closed forms
+take these values and check only that their lengths agree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _allocating, _check_number, _mc_mean_se, _without_none, derived_rng
+from .core import Checked, _allocating, _check_number, _mc_mean_se, _without_none, derived_rng
 from .errors import EnumerationCapError, InvalidParameterError
 
 EXACT_ENUMERATION_CAP = 22
@@ -240,76 +246,121 @@ def mc_rademacher_pointset(ps: SensitivityPointSet, n_sigma: int, seed: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _check_mu(mu: np.ndarray, m: int | None = None) -> np.ndarray:
-    mu = np.asarray(mu, dtype=float)
+def _check_mu(mu: np.ndarray) -> np.ndarray:
+    """``mu`` as a read-only float copy, if it is a non-empty vector of
+    positive finite semi-axes."""
+    mu = np.array(mu, dtype=float)
     if mu.ndim != 1 or mu.shape[0] < 1:
         raise InvalidParameterError("mu must be a non-empty vector")
-    if np.any(mu <= 0) or not np.all(np.isfinite(mu)):
+    if not (mu.min() > 0 and mu.max() < math.inf):  # NaN fails both
         raise InvalidParameterError("every semi-axis must be positive and finite")
-    if m is not None and mu.shape[0] != m:
-        raise InvalidParameterError(f"mu has length {mu.shape[0]}, expected {m}")
+    mu.flags.writeable = False
     return mu
 
 
 def _check_rotation(V: np.ndarray, m: int) -> np.ndarray:
-    V = np.asarray(V, dtype=float)
+    """``V`` as a read-only float copy with its memory layout, if it is an
+    orthogonal m x m matrix."""
+    V = np.array(V, dtype=float)
     if V.shape != (m, m):
         raise InvalidParameterError(f"rotation must be {m}x{m}, got {V.shape}")
-    if np.max(np.abs(V.T @ V - np.eye(m))) > ORTHOGONALITY_TOL:
+    if np.abs(V.T @ V - np.eye(m)).max() > ORTHOGONALITY_TOL:
         raise InvalidParameterError("rotation matrix is not orthogonal within tolerance")
+    V.flags.writeable = False
     return V
 
 
-def _rotated_component_norm(V, mu: np.ndarray, p: float, m: int) -> tuple[float, bool]:
-    """Return (operator-norm value, exact flag) for one rotated ellipse.
+# eq=False: the fields are arrays, so a value equals only itself
+@dataclass(frozen=True, eq=False)
+class Ellipse(Checked):
+    """The p-ellipse V diag(mu) B_p: semi-axes ``mu`` (positive, finite)
+    along the columns of the orthogonal ``V``; V = None is the identity,
+    never formed (O(m) where an m x m V costs O(m^3)).
 
-    The general-p value is the certified over-estimate
-    || (mu_k ||V_k||_1)_k || in the conjugate norm, which collapses to the
-    exact operator norm when V = I (column 1-norms are 1) and when p = 1
-    (conjugate max norm picks the best column).
+    Checked once, here; the bounds read ``m``, ``column_l1`` (V's column
+    1-norms, None for V = None) and ``identity`` (V is I within
+    ORTHOGONALITY_TOL) without checking again.
     """
-    if V is None:  # the identity, without forming it: O(m)
-        return dual_norm(mu, p), True
-    column_l1 = np.abs(V).sum(axis=0)
-    value = dual_norm(mu * column_l1, p)
-    exact = p == 1 or bool(np.max(np.abs(V - np.eye(m))) <= ORTHOGONALITY_TOL)
-    return value, exact
+
+    mu: np.ndarray
+    V: np.ndarray | None = None
+    m: int = field(init=False)
+    column_l1: np.ndarray | None = field(init=False)
+    identity: bool = field(init=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        mu = _check_mu(self.mu)
+        m = len(mu)
+        V = column_l1 = None
+        identity = True
+        if self.V is not None:
+            V = _check_rotation(self.V, m)
+            column_l1 = np.abs(V).sum(axis=0)
+            identity = bool(np.abs(V - np.eye(m)).max() <= ORTHOGONALITY_TOL)
+        for name, value in (("mu", mu), ("V", V), ("m", m), ("column_l1", column_l1),
+                            ("identity", identity)):
+            object.__setattr__(self, name, value)
+
+    def operator_norm(self, p: float) -> tuple[float, bool]:
+        """(value, exact flag): the certified over-estimate
+        || (mu_k ||V_k||_1)_k || in the conjugate norm of the p -> 1 operator
+        norm of V diag(mu), which is that norm exactly when V = I (column
+        1-norms are 1) and when p = 1 (the conjugate max norm picks the best
+        column)."""
+        if self.column_l1 is None:
+            return dual_norm(self.mu, p), True
+        return dual_norm(self.mu * self.column_l1, p), p == 1 or self.identity
 
 
-def rotated_union_bound(components, p: float, m: int) -> RadEstimate:
+@dataclass(frozen=True, eq=False)
+class Cluster(Checked):
+    """An ellipse translated to ``center``, a vector of the ellipse's length."""
+
+    center: np.ndarray
+    ellipse: Ellipse
+
+    def __post_init__(self):
+        super().__post_init__()
+        center = np.array(self.center, dtype=float)
+        if center.shape != (self.ellipse.m,):
+            raise InvalidParameterError(f"every center must have length {self.ellipse.m}")
+        center.flags.writeable = False
+        object.__setattr__(self, "center", center)
+
+
+def rotated_union_bound(ellipses, p: float) -> RadEstimate:
     """Upper bound (1/m) max_i N_i for a union of rotated p-ellipses.
 
-    N_i is the exact p->1 operator norm of V_i Lambda_i when available
-    (V_i = I or p = 1) and its certified over-estimate otherwise.  V_i = None
-    is the identity in O(m), where an m x m V_i costs O(m^3): with every
-    V_i = None an axis-aligned union or p-ellipse has its exact complexity.
+    N_i is the exact p->1 operator norm of V_i diag(mu_i) when available
+    (V_i = I or p = 1) and its certified over-estimate otherwise
+    (Ellipse.operator_norm): with every V_i = None an axis-aligned union or
+    p-ellipse has its exact complexity.
     """
-    if not len(components):
+    if not len(ellipses):
         raise InvalidParameterError("need at least one component")
+    m = ellipses[0].m
     vals = []
     all_exact = True
-    for V, mu in components:
-        mu = _check_mu(mu, m)
-        V = None if V is None else _check_rotation(V, m)
-        value, exact = _rotated_component_norm(V, mu, p, m)
+    for ellipse in ellipses:
+        if ellipse.m != m:
+            raise InvalidParameterError(f"mu has length {ellipse.m}, expected {m}")
+        value, exact = ellipse.operator_norm(p)
         vals.append(value)
         all_exact = all_exact and exact
     method = "closed_form" if all_exact else "certified_upper"
     return RadEstimate(value=max(vals) / m, method=method, m=m)
 
 
-def cluster_bound(components, p: float, m: int) -> RadEstimate:
+def cluster_bound(clusters, p: float) -> RadEstimate:
     """Rotated-union term plus the center displacement term.
 
     value = (1/m) max_i N_i + max_i ||c_i||_2 sqrt(2 ln l) / m, with l the
     number of clusters.  All centers at the origin recovers the union bound.
     """
-    union = rotated_union_bound([(V, mu) for _, V, mu in components], p, m)
-    centers = [np.asarray(c, dtype=float) for c, _, _ in components]
-    if any(c.shape != (m,) for c in centers):
-        raise InvalidParameterError(f"every center must have length {m}")
-    l = len(components)
-    norms = np.linalg.norm(np.stack(centers), axis=1)
+    union = rotated_union_bound([c.ellipse for c in clusters], p)
+    m, l = union.m, len(clusters)
+    norms = np.linalg.norm(np.stack([c.center for c in clusters]), axis=1)
     displacement = float(np.max(norms) * np.sqrt(2.0 * np.log(l)) / m)
     return RadEstimate(value=union.value + displacement, method="certified_upper", m=m)
 
@@ -368,10 +419,9 @@ def operator_norm_lower_estimate(V, mu, p: float, seed: int = 0) -> float:
     exact when exhaustive and otherwise a lower estimate up to rounding (the
     greedy scores round differently and can exceed the maximum by an ulp).
     """
-    mu = _check_mu(mu)
-    m = mu.shape[0]
-    V = _check_rotation(np.asarray(V, dtype=float), m)
-    M = V * mu[None, :]  # V @ diag(mu)
+    ellipse = Ellipse(mu, np.asarray(V, dtype=float))  # a V of None is rejected, not I
+    m = ellipse.m
+    M = ellipse.V * ellipse.mu[None, :]  # V @ diag(mu)
 
     def score(signs: np.ndarray) -> float:
         return dual_norm(M.T @ signs, p)
@@ -438,11 +488,10 @@ class GeometryModel:
             )
         if self.variant in ("ellipse", "axis_union"):
             mus = [self.mu] if self.variant == "ellipse" else self.mus
-            return rotated_union_bound([(None, mu) for mu in mus], p, len(mus[0]))
+            return rotated_union_bound([Ellipse(mu) for mu in mus], p)
         if self.variant == "rotated_union":
-            comps = [(c["V"], c["mu"]) for c in self.components]
-            return rotated_union_bound(comps, p, len(comps[0][1]))
+            return rotated_union_bound([Ellipse(c["mu"], c["V"]) for c in self.components], p)
         if self.variant == "clustered":
-            comps = [(c["center"], c["V"], c["mu"]) for c in self.components]
-            return cluster_bound(comps, p, len(comps[0][2]))
+            clusters = [Cluster(c["center"], Ellipse(c["mu"], c["V"])) for c in self.components]
+            return cluster_bound(clusters, p)
         raise InvalidParameterError(f"unknown geometry variant {self.variant!r}")

@@ -35,6 +35,8 @@ from .learners import (
     lambda_erm,
 )
 from .radgeom import (
+    Cluster,
+    Ellipse,
     cluster_bound,
     crude_bounds,
     dual_norm,
@@ -184,7 +186,7 @@ def _axis_union_trial(rng: np.random.Generator, union: bool):
         return np.max(np.stack([dual_norm(sig_block * mu, p) for mu in mus]), axis=0)
 
     enum = exact_rademacher_support(support, m)
-    closed = rotated_union_bound([(None, mu) for mu in mus], p, m).value
+    closed = rotated_union_bound([Ellipse(mu) for mu in mus], p).value
     gap = abs(enum - closed)
     return gap <= 1e-9, 1e-9 - gap
 
@@ -231,27 +233,28 @@ def suite_cluster_dominance(trials: int = 200, seed: int = 0, threads: int = 1) 
         m = int(rng.integers(3, 9))
         p = _EXPONENTS[rng.integers(len(_EXPONENTS))]
         n_clusters = int(rng.integers(1, 5))
-        comps = []
+        clusters = []
         for _ in range(n_clusters):
             mu = rng.uniform(0.2, 1.5, size=m)
             V = _random_orthogonal(rng, m)
             offset = float(np.sum(mu))
             c = rng.uniform(offset, offset + 1.0, size=m)
-            comps.append((c, V, mu))
+            clusters.append(Cluster(c, Ellipse(mu, V)))  # each component is checked here only
         rows = []
         for _ in range(5 * n_clusters):
-            c, V, mu = comps[rng.integers(n_clusters)]
+            cluster = clusters[rng.integers(n_clusters)]
+            ellipse = cluster.ellipse
             g = rng.normal(size=m)
             z = g / np.linalg.norm(g, ord=p) * rng.uniform(0.0, 1.0)
-            rows.append(c + V @ (mu * z))
+            rows.append(cluster.center + ellipse.V @ (ellipse.mu * z))
         rows = np.array(rows)
         enum = exact_rademacher_rows(rows)
-        bound = cluster_bound(comps, p, m).value
+        bound = cluster_bound(clusters, p).value
         ok = enum <= bound + 1e-12
         # zero-center reduction must be an identity
-        zero_comps = [(np.zeros(m), V, mu) for _, V, mu in comps]
-        reduced = cluster_bound(zero_comps, p, m).value
-        union = rotated_union_bound([(V, mu) for _, V, mu in comps], p, m).value
+        ellipses = [cluster.ellipse for cluster in clusters]
+        reduced = cluster_bound([Cluster(np.zeros(m), e) for e in ellipses], p).value
+        union = rotated_union_bound(ellipses, p).value
         ok = ok and reduced == union
         return ok, bound - enum
 

@@ -111,3 +111,25 @@ def test_the_cli_binds_the_package_export_table():
             keys = {getattr(key, "value", None) for key in node.keys}
             table = keys <= modules and all(map(names, node.values))
             assert not table, f"cli.py line {node.lineno} maps modules to names"
+
+
+def test_geometry_components_are_checked_in_one_place():
+    """A semi-axis vector and a rotation are checked where an Ellipse is
+    made, and nowhere else: the closed forms take checked values, so a bound
+    call never checks a component again."""
+    callers = {}
+
+    def visit(node, module: str, scope: tuple):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = (*scope, child.name)
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) in (
+                    "_check_mu", "_check_rotation"):
+                callers.setdefault(child.func.id, set()).add(f"{module}:{'.'.join(scope)}")
+            visit(child, module, inner)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    assert callers == dict.fromkeys(("_check_mu", "_check_rotation"),
+                                    {"radgeom:Ellipse.__post_init__"})

@@ -14,6 +14,8 @@ import pytest
 from approx_sense.cli import _build_parser, main
 from approx_sense.dataio import read_sample_csv
 from approx_sense.radgeom import (
+    Cluster,
+    Ellipse,
     RadEstimate,
     cluster_bound,
     crude_bounds,
@@ -351,14 +353,15 @@ def test_geometry_files_match_direct_closed_forms(tmp_path):
         "pball": ({"p": 2, "radius": 3}, RadEstimate(
             upper, "certified_upper", 0, note=f"crude sandwich lower bound {lower:.17g}")),
         "ellipse": ({"p": 1, "mu": [3, 4]},
-                    rotated_union_bound([(np.eye(2), [3.0, 4.0])], 1.0, 2)),
+                    rotated_union_bound([Ellipse([3.0, 4.0], np.eye(2))], 1.0)),
         "axis_union": ({"p": 1.5, "mus": [[1.0, 2.0], [2.0, 0.5]]},
-                       rotated_union_bound([(np.eye(2), [1.0, 2.0]), (np.eye(2), [2.0, 0.5])],
-                                           1.5, 2)),
+                       rotated_union_bound([Ellipse([1.0, 2.0], np.eye(2)),
+                                            Ellipse([2.0, 0.5], np.eye(2))], 1.5)),
         "rotated_union": ({"p": 3, "components": [{"V": V, "mu": [2.0, 1.0]}]},
-                          rotated_union_bound([(np.array(V), [2.0, 1.0])], 3.0, 2)),
+                          rotated_union_bound([Ellipse([2.0, 1.0], np.array(V))], 3.0)),
         "clustered": ({"p": 2, "components": clusters},
-                      cluster_bound([(c["center"], c["V"], c["mu"]) for c in clusters], 2.0, 2)),
+                      cluster_bound([Cluster(c["center"], Ellipse(c["mu"], c["V"]))
+                                     for c in clusters], 2.0)),
     }
     for variant, (fields, direct) in cases.items():
         geom = write_json(tmp_path / f"{variant}.json", {"variant": variant, **fields})
@@ -909,6 +912,17 @@ MALFORMED = {
     "bool_for_number": ("train", {"task/label_noise_sd": True}, "config_invalid",
                         "task/label_noise_sd"),
     "below_minimum": ("train", {"task/m_labelled": 0}, "config_invalid", "task/m_labelled"),
+    # rules the tables take from the classes' fields (core.param)
+    "negative_label_noise_sd": ("train", {"task/label_noise_sd": -0.1}, "config_invalid",
+                                "task/label_noise_sd"),
+    "negative_input_norm_budget": ("train", {"learner/algorithm": "analytic_lambda_erm",
+                                             "learner/input_norm_budget": -1.0},
+                                   "config_invalid", "learner/input_norm_budget"),
+    # srm's penalty estimator enumerates the learner's domain
+    "srm_under_coordinate_descent": ("train", {"learner/algorithm": "srm", "learner/lambda": DROP,
+                                               "learner/thresholds": [0.5],
+                                               "learner/domain/mode": "coordinate_descent"},
+                                     "config_invalid", "learner/domain/mode"),
     "not_finite": ("train", {"operator/step": float("nan")}, "config_invalid", "operator/step"),
     "bad_enum": ("train", {"learner/domain/mode": "spiral"}, "config_invalid",
                  "learner/domain/mode"),

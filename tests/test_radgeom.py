@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from approx_sense import (
+    Cluster,
+    Ellipse,
     EnumerationCapError,
     GeometryModel,
     InvalidParameterError,
@@ -38,7 +40,6 @@ from approx_sense import (
 from approx_sense.dataio import read_matrix_csv
 from approx_sense.radgeom import (
     _mc_signs,
-    _rotated_component_norm,
     _sign_chunks,
     conjugate_exponent,
     dual_norm,
@@ -55,11 +56,16 @@ def brute_force_rademacher(rows: np.ndarray) -> float:
     return total / 2**m / m
 
 
-def axis_union(mus, p: float, m: int) -> RadEstimate:
+def axis_union(mus, p: float) -> RadEstimate:
     """The closed form of an axis-aligned union of p-ellipses (one member: a
     single ellipse), as the package computes it: identity rotations, given
     as None."""
-    return rotated_union_bound([(None, mu) for mu in mus], p, m)
+    return rotated_union_bound([Ellipse(mu) for mu in mus], p)
+
+
+def clusters(*components) -> list:
+    """Cluster values of (center, V, mu) triples."""
+    return [Cluster(c, Ellipse(mu, V)) for c, V, mu in components]
 
 
 def reference_sign_block(start: int, stop: int, m: int) -> np.ndarray:
@@ -363,10 +369,10 @@ def test_mc_value_is_that_of_the_c_contiguous_copy():
 
 
 def test_ellipse_closed_form_examples():
-    assert axis_union([[3.0, 4.0]], 2, 2).value == pytest.approx(2.5, rel=1e-15)
-    assert axis_union([[1.0, 1.0, 1.0, 1.0]], 2, 4).value == pytest.approx(0.5, rel=1e-15)
-    assert axis_union([[3.0, 4.0]], 1, 2).value == pytest.approx(2.0, rel=1e-15)
-    assert axis_union([[3.0, 4.0]], 1, 2).method == "closed_form"
+    assert axis_union([[3.0, 4.0]], 2).value == pytest.approx(2.5, rel=1e-15)
+    assert axis_union([[1.0, 1.0, 1.0, 1.0]], 2).value == pytest.approx(0.5, rel=1e-15)
+    assert axis_union([[3.0, 4.0]], 1).value == pytest.approx(2.0, rel=1e-15)
+    assert axis_union([[3.0, 4.0]], 1).method == "closed_form"
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -407,28 +413,30 @@ def test_non_finite_parameter_fails_up_front(name, value):
 
 
 def test_ellipse_rejects_nonpositive_mu():
-    with pytest.raises(InvalidParameterError):
-        axis_union([[1.0, 0.0]], 2, 2)
+    with pytest.raises(InvalidParameterError, match="every semi-axis must be positive and finite"):
+        axis_union([[1.0, 0.0]], 2)
+    with pytest.raises(InvalidParameterError, match="mu must be a non-empty vector"):
+        Ellipse([])
 
 
 def test_union_reduces_to_single_ellipse():
     mu = np.array([0.7, 1.3, 2.1])
-    assert axis_union([mu], 1.5, 3).value == dual_norm(mu, 1.5) / 3
-    assert axis_union([mu, mu], 1.5, 3).value == axis_union([mu], 1.5, 3).value
+    assert axis_union([mu], 1.5).value == dual_norm(mu, 1.5) / 3
+    assert axis_union([mu, mu], 1.5).value == axis_union([mu], 1.5).value
 
 
 def test_union_arithmetic_and_dominated_member():
-    vals = axis_union([[3.0, 4.0], [5.0, 1.0]], 2, 2)
+    vals = axis_union([[3.0, 4.0], [5.0, 1.0]], 2)
     assert vals.value == pytest.approx(math.sqrt(26.0) / 2.0, rel=1e-15)
-    with_dominated = axis_union([[3.0, 4.0], [5.0, 1.0], [0.1, 0.1]], 2, 2)
+    with_dominated = axis_union([[3.0, 4.0], [5.0, 1.0], [0.1, 0.1]], 2)
     assert with_dominated.value == vals.value
 
 
 def test_union_empty_rejected():
     with pytest.raises(InvalidParameterError):
-        axis_union([], 2, 2)
+        axis_union([], 2)
     with pytest.raises(InvalidParameterError):  # members of different lengths
-        axis_union([[1.0, 2.0], [1.0, 2.0, 3.0]], 2, 2)
+        axis_union([[1.0, 2.0], [1.0, 2.0, 3.0]], 2)
 
 
 def test_monotone_in_semi_axes():
@@ -440,13 +448,13 @@ def test_monotone_in_semi_axes():
         bigger = mu.copy()
         k = rng.integers(m)
         bigger[k] += rng.uniform(0.1, 1.0)
-        assert axis_union([bigger], p, m).value >= axis_union([mu], p, m).value
-        assert axis_union([bigger, mu], p, m).value >= axis_union([mu, mu], p, m).value
+        assert axis_union([bigger], p).value >= axis_union([mu], p).value
+        assert axis_union([bigger, mu], p).value >= axis_union([mu, mu], p).value
         V = np.eye(m)
         c = rng.uniform(0, 1, size=m)
         assert (
-            cluster_bound([(c, V, bigger)], p, m).value
-            >= cluster_bound([(c, V, mu)], p, m).value
+            cluster_bound(clusters((c, V, bigger)), p).value
+            >= cluster_bound(clusters((c, V, mu)), p).value
         )
 
 
@@ -461,11 +469,11 @@ def test_rotated_identity_reduces_to_union():
         m = int(rng.integers(2, 6))
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         mus = [rng.uniform(0.2, 2.0, size=m) for _ in range(rng.integers(1, 4))]
-        rotated = rotated_union_bound([(np.eye(m), mu) for mu in mus], p, m)
+        rotated = rotated_union_bound([Ellipse(mu, np.eye(m)) for mu in mus], p)
         # column 1-norms of I are exactly 1, so the value is the max member dual norm
         assert rotated.value == max(dual_norm(mu, p) for mu in mus) / m
         assert rotated.method == "closed_form"
-        assert rotated == axis_union(mus, p, m)  # V = None is the same identity
+        assert rotated == axis_union(mus, p)  # V = None is the same identity
 
 
 def test_identity_members_cost_linear_in_m():
@@ -474,7 +482,7 @@ def test_identity_members_cost_linear_in_m():
     m = 1_000_000
     mu = np.linspace(0.5, 2.0, m)
     est = GeometryModel(variant="ellipse", p=2, mu=mu.tolist()).rademacher()
-    assert est == axis_union([mu], 2.0, m)
+    assert est == axis_union([mu], 2.0)
     assert est.value == dual_norm(mu, 2.0) / m and est.method == "closed_form"
     union = GeometryModel(variant="axis_union", p=1, mus=[mu.tolist(), (mu[::-1]).tolist()])
     assert union.rademacher().value == 2.0 / m
@@ -482,19 +490,44 @@ def test_identity_members_cost_linear_in_m():
 
 def test_rotated_p1_hand_case():
     # 45-degree rotation in the plane: both column 1-norms are sqrt(2)
-    est = rotated_union_bound([(rotation(math.pi / 4), np.array([2.0, 1.0]))], 1, 2)
+    est = rotated_union_bound([Ellipse([2.0, 1.0], rotation(math.pi / 4))], 1)
     assert est.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert est.method == "closed_form"
 
 
 def test_rotated_general_p_is_certified():
-    est = rotated_union_bound([(rotation(0.3), np.array([1.0, 2.0]))], 2, 2)
+    est = rotated_union_bound([Ellipse([1.0, 2.0], rotation(0.3))], 2)
     assert est.method == "certified_upper"
 
 
 def test_rotated_rejects_non_orthogonal():
-    with pytest.raises(InvalidParameterError):
-        rotated_union_bound([(np.array([[1.0, 0.2], [0.0, 1.0]]), np.array([1.0, 1.0]))], 2, 2)
+    with pytest.raises(InvalidParameterError, match="not orthogonal within tolerance"):
+        Ellipse([1.0, 1.0], np.array([[1.0, 0.2], [0.0, 1.0]]))
+    with pytest.raises(InvalidParameterError, match=r"rotation must be 2x2, got \(3, 3\)"):
+        Ellipse([1.0, 1.0], np.eye(3))
+
+
+def test_bounds_reject_values_of_different_m():
+    # each value is checked alone; a bound checks only that their m agree
+    with pytest.raises(InvalidParameterError, match="mu has length 3, expected 2"):
+        rotated_union_bound([Ellipse([1.0, 2.0]), Ellipse([1.0, 2.0, 3.0], np.eye(3))], 2)
+    with pytest.raises(InvalidParameterError, match="mu has length 3, expected 2"):
+        cluster_bound(clusters((np.zeros(2), None, [1.0, 2.0]),
+                               (np.zeros(3), None, [1.0, 2.0, 3.0])), 2)
+
+
+def test_values_are_read_only_copies():
+    mu, V, c = np.array([1.0, 2.0]), rotation(0.3), np.array([0.5, 0.5])
+    cluster = Cluster(c, Ellipse(mu, V))
+    mu[0] = V[0, 0] = c[0] = 9.0  # the caller's arrays stay its own
+    ellipse = cluster.ellipse
+    assert ellipse.mu[0] == 1.0 and ellipse.V[0, 0] == math.cos(0.3) and cluster.center[0] == 0.5
+    for a in (ellipse.mu, ellipse.V, cluster.center):
+        assert not a.flags.writeable
+    assert ellipse.m == 2 and not ellipse.identity
+    assert np.array_equal(ellipse.column_l1, np.abs(rotation(0.3)).sum(axis=0))
+    assert Ellipse(mu).column_l1 is None and Ellipse(mu).identity
+    assert Ellipse(mu, np.eye(2)).identity
 
 
 def test_certified_dominates_numeric_operator_norm():
@@ -508,7 +541,7 @@ def test_certified_dominates_numeric_operator_norm():
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         mu = rng.uniform(0.2, 2.0, size=m)
         V, _ = np.linalg.qr(rng.normal(size=(m, m)))
-        certified, exact_flag = _rotated_component_norm(V, mu, p, m)
+        certified, exact_flag = Ellipse(mu, V).operator_norm(p)
         numeric = operator_norm_lower_estimate(V, mu, p, seed=i)
         assert numeric <= certified + 1e-9
         if exact_flag:
@@ -536,7 +569,7 @@ def test_operator_norm_greedy_estimate_is_a_lower_bound(m, p):
     full = vals.max() if p == 1.0 else float(np.sqrt((vals**2).sum(axis=1).max()))
     estimate = operator_norm_lower_estimate(V, mu, p, seed=m)
     assert 0.0 < estimate <= full * (1 + 1e-12)
-    assert estimate <= _rotated_component_norm(V, mu, p, m)[0] + 1e-9
+    assert estimate <= Ellipse(mu, V).operator_norm(p)[0] + 1e-9
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -560,34 +593,33 @@ def test_operator_norm_half_enumeration_equals_full(p):
 
 def test_cluster_single_centered_reduces_to_ellipse():
     mu = np.array([0.9, 1.4])
-    est = cluster_bound([(np.zeros(2), np.eye(2), mu)], 2, 2)
-    assert est.value == axis_union([mu], 2, 2).value == dual_norm(mu, 2) / 2
+    est = cluster_bound(clusters((np.zeros(2), np.eye(2), mu)), 2)
+    assert est.value == axis_union([mu], 2).value == dual_norm(mu, 2) / 2
 
 
 def test_cluster_arithmetic_example():
-    comps = [
+    comps = clusters(
         (np.zeros(2), np.eye(2), np.array([1.0, 1.0])),
         (np.array([1.0, 1.0]), np.eye(2), np.array([1.0, 1.0])),
-    ]
+    )
     expected = math.sqrt(2.0) / 2.0 + math.sqrt(2.0) * math.sqrt(2.0 * math.log(2.0)) / 2.0
-    assert cluster_bound(comps, 2, 2).value == pytest.approx(expected, rel=1e-12)
+    assert cluster_bound(comps, 2).value == pytest.approx(expected, rel=1e-12)
 
 
 def test_cluster_rejects_ragged_centers():
-    comps = [(np.zeros(2), np.eye(2), np.ones(2)), (np.zeros(3), np.eye(2), np.ones(2))]
     with pytest.raises(InvalidParameterError, match="length 2"):
-        cluster_bound(comps, 2.0, 2)
+        clusters((np.zeros(2), np.eye(2), np.ones(2)), (np.zeros(3), np.eye(2), np.ones(2)))
 
 
 def test_cluster_translation_changes_only_displacement_term():
     rng = np.random.default_rng(9)
     mu1, mu2 = rng.uniform(0.5, 1.5, size=(2, 3))
-    base = [(np.zeros(3), np.eye(3), mu1), (np.ones(3), np.eye(3), mu2)]
+    base = clusters((np.zeros(3), np.eye(3), mu1), (np.ones(3), np.eye(3), mu2))
     shift = np.full(3, 2.0)
-    shifted = [(c + shift, V, mu) for c, V, mu in base]
-    union_term = rotated_union_bound([(V, mu) for _, V, mu in base], 2, 3).value
-    a = cluster_bound(base, 2, 3).value - union_term
-    b = cluster_bound(shifted, 2, 3).value - union_term
+    shifted = [Cluster(c.center + shift, c.ellipse) for c in base]
+    union_term = rotated_union_bound([c.ellipse for c in base], 2).value
+    a = cluster_bound(base, 2).value - union_term
+    b = cluster_bound(shifted, 2).value - union_term
     factor = math.sqrt(2.0 * math.log(2.0)) / 3.0
     assert a == pytest.approx(math.sqrt(3.0) * factor, rel=1e-12)
     assert b == pytest.approx(np.linalg.norm(np.ones(3) + shift) * factor, rel=1e-12)
@@ -721,3 +753,30 @@ def test_geometry_validation_errors():
             p=2.0,
             components=[{"V": [[1.0, 0.2], [0.0, 1.0]], "mu": [1.0, 1.0]}],
         ).rademacher()
+
+
+_ROTATION = [[0.6, -0.8], [0.8, 0.6]]
+_IDENTITY = [[1, 0], [0, 1]]
+# variant -> (fields, value in hex, method, m): values written by the
+# closed forms that checked each component on every call, so a change to
+# how components are held keeps every bit
+PINNED = {
+    "pball": ({"p": 2, "radius": 3}, "0x1.8000000000000p+1", "certified_upper", 0),
+    "ellipse": ({"p": 1.5, "mu": [3, 4, 0.25]}, "0x1.7fd8a756830bdp+0", "closed_form", 3),
+    "axis_union": ({"p": 3, "mus": [[1.0, 2.0], [2.0, 0.5]]}, "0x1.393fd7a61ce71p+0",
+                   "closed_form", 2),
+    "rotated_union": ({"p": 3, "components": [{"V": _ROTATION, "mu": [2.0, 1.0]},
+                                              {"V": _IDENTITY, "mu": [1.5, 0.5]}]},
+                      "0x1.b68c944ef5436p+0", "certified_upper", 2),
+    "clustered": ({"p": 2, "components": [{"center": [1, 1], "V": _IDENTITY, "mu": [1, 1]},
+                                          {"center": [0.0, 0.5], "V": _ROTATION,
+                                           "mu": [0.5, 2.0]}]},
+                  "0x1.2348392a0660ap+1", "certified_upper", 2),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED))
+def test_geometry_variant_values_are_pinned(variant):
+    fields, value, method, m = PINNED[variant]
+    est = GeometryModel(variant=variant, **fields).rademacher()
+    assert (est.value.hex(), est.method, est.m) == (value, method, m)

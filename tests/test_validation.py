@@ -133,3 +133,23 @@ def test_suite_fails_when_its_bound_is_too_small(monkeypatch, suite):
     result = (report,) * 3 if name == "joint_bounds" else report
     monkeypatch.setattr(validation, name, lambda *args, **kwargs: result)
     assert not run_suite(suite, trials=5, seed=0).passed
+
+
+def test_cluster_dominance_checks_each_component_once(monkeypatch):
+    # a trial draws one rotation per component and makes three bound calls
+    # with the components; each rotation's orthogonality is checked once
+    from approx_sense import radgeom
+
+    counts = {"components": 0, "checks": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(validation, "_random_orthogonal",
+                        counted(validation._random_orthogonal, "components"))
+    monkeypatch.setattr(radgeom, "_check_rotation", counted(radgeom._check_rotation, "checks"))
+    assert run_suite("cluster_dominance", trials=20, seed=3).passed
+    assert counts["checks"] == counts["components"] >= 20
