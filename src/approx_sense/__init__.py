@@ -61,7 +61,6 @@ _EXPORTS = {
         "Cluster",
         "EXACT_ENUMERATION_CAP",
         "Ellipse",
-        "GeometryModel",
         "RadEstimate",
         "SensitivityPointSet",
         "cluster_bound",

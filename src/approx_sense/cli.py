@@ -4,9 +4,10 @@ Subcommands: generate, train, sensitivity, rademacher, bound, validate.
 Configs are JSON with an explicit schema_version, checked against one table
 per config section, as are geometry files; unknown keys are rejected with
 their field path.  A section that _build makes an object of is described by
-that class's fields (core.param), which its constructor checks too.  One
-top-level seed fixes every output byte-for-byte; validate's --threads only
-changes the execution schedule.
+that class's fields (core.param), which its constructor checks too.  A
+geometry file's format lives here only (_geometry).  One top-level seed
+fixes every output byte-for-byte; validate's --threads only changes the
+execution schedule.
 """
 
 from __future__ import annotations
@@ -131,8 +132,8 @@ SENSITIVITY = Section(
            "expected_stochastic": _SAMPLED},
 )
 
-_COMPONENT = Section({"V": Field("array", items=_LIST, min_items=1), "mu": _LIST,
-                      "center": _LIST}, required=("V", "mu"))
+_COMPONENT = Section({"V": Field("array", items=_LIST, min_items=1), "mu": _LIST},
+                     required=("V", "mu"))
 # no schema_version: a geometry file describes a set, not a run
 GEOMETRY = Section(
     {"p": _EXPONENT, "radius": _NONNEG, "mu": _LIST,
@@ -142,6 +143,11 @@ GEOMETRY = Section(
     kinds={"pball": (("radius",), ()), "ellipse": (("mu",), ()), "axis_union": (("mus",), ()),
            "rotated_union": (("components",), ()), "clustered": (("components",), ())},
 )
+# a clustered file's components also need a center
+_CLUSTER = replace(_COMPONENT, fields=dict(_COMPONENT.fields, center=_LIST),
+                   required=("V", "mu", "center"))
+_CLUSTERED = replace(GEOMETRY, fields=dict(
+    GEOMETRY.fields, components=Field("array", items=_CLUSTER, min_items=1)))
 
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
                "array": list, "object": dict}
@@ -318,6 +324,26 @@ def _build_task(task_cfg: dict, seed: int) -> SyntheticTask:
     )
 
 
+def _geometry(g) -> RadEstimate:
+    """The closed form of the set that a geometry file describes, checked in
+    one pass against its variant's table: a p-ball's crude sandwich, or the
+    bound of its p-ellipses (V = None for ellipse and axis_union) or
+    clusters."""
+    _check(g, _CLUSTERED if isinstance(g, dict) and g.get("variant") == "clustered" else GEOMETRY)
+    variant, p = g["variant"], float(g["p"])  # an integer JSON value writes the same bytes
+    if variant == "pball":
+        lower, upper = crude_bounds(float(g["radius"]), p)
+        return RadEstimate(value=upper, method="certified_upper", m=0,
+                           note=f"crude sandwich lower bound {format(lower, '.17g')}")
+    if variant == "clustered":
+        return cluster_bound([Cluster(c["center"], Ellipse(c["mu"], c["V"]))
+                              for c in g["components"]], p)
+    if variant == "rotated_union":
+        return rotated_union_bound([Ellipse(c["mu"], c["V"]) for c in g["components"]], p)
+    mus = g["mus"] if variant == "axis_union" else [g["mu"]]
+    return rotated_union_bound([Ellipse(mu) for mu in mus], p)
+
+
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
@@ -476,18 +502,18 @@ def cmd_sensitivity(args, config: dict, seed: int) -> int:
 def cmd_rademacher(args, config: dict | None, seed: int) -> int:
     if (args.geometry is None) == (args.pointset is None):
         raise ConfigError("pass exactly one of --geometry or --pointset")
+    # a flag that the chosen path does not read is an error, not ignored
+    if args.geometry is not None and (args.method, args.n_sigma) != (None, None):
+        raise ConfigError("--geometry reads neither --method nor --n-sigma")
+    method = args.method or "exact"
+    if method == "exact" and args.n_sigma is not None:
+        raise ConfigError("--n-sigma is read only with --method mc")
     if args.geometry is not None:
-        geometry = _load_json(args.geometry, "geometry")
-        _check(geometry, GEOMETRY)
-        if geometry["variant"] == "clustered":  # the one kind whose components need a center
-            for i, component in enumerate(geometry["components"]):
-                if "center" not in component:
-                    _fail(("components", i, "center"), "required key is missing")
-        estimate = GeometryModel(**geometry).rademacher()
+        estimate = _geometry(_load_json(args.geometry, "geometry"))
     else:
         points = read_matrix_csv(args.pointset)
         ps = SensitivityPointSet(points=points)
-        if args.method == "exact":
+        if method == "exact":
             if ps.m > EXACT_ENUMERATION_CAP:
                 raise InvalidParameterError(
                     f"exact method capped at m = {EXACT_ENUMERATION_CAP}; "
@@ -495,7 +521,8 @@ def cmd_rademacher(args, config: dict | None, seed: int) -> int:
                 )
             estimate = exact_rademacher_pointset(ps)
         else:
-            estimate = mc_rademacher_pointset(ps, n_sigma=args.n_sigma, seed=seed)
+            n_sigma = 2000 if args.n_sigma is None else args.n_sigma
+            estimate = mc_rademacher_pointset(ps, n_sigma=n_sigma, seed=seed)
     path = _write_json(estimate.to_dict(), Path(args.out), "rademacher.json")
     print(f"wrote {path}")
     return 0
@@ -636,8 +663,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rad = sub.add_parser("rademacher", help="complexity of a geometry or point set")
     rad.add_argument("--geometry", default=None, help="geometry JSON path")
     rad.add_argument("--pointset", default=None, help="point-set CSV path")
-    rad.add_argument("--method", choices=["exact", "mc"], default="exact")
-    rad.add_argument("--n-sigma", type=int, default=2000)
+    # None: not given; --pointset reads them as exact and 2000 draws
+    rad.add_argument("--method", choices=["exact", "mc"], default=None)
+    rad.add_argument("--n-sigma", type=int, default=None)
     common(rad, config=False)
 
     common(sub.add_parser("bound", help="evaluate a bound from constituents"), seed=False)

@@ -268,7 +268,8 @@ class PolynomialMap(Checked):
 
     @property
     def feature_dim(self) -> int:
-        return len(self._monomials())
+        # the count of monomials, without listing them (about 110 B each)
+        return math.comb(self.input_dim + self.degree, self.degree)
 
     def transform(self, inputs: np.ndarray) -> np.ndarray:
         inputs = _feature_inputs(self, inputs)

@@ -133,3 +133,14 @@ def test_geometry_components_are_checked_in_one_place():
         visit(ast.parse(path.read_text()), path.stem, ())
     assert callers == dict.fromkeys(("_check_mu", "_check_rotation"),
                                     {"radgeom:Ellipse.__post_init__"})
+
+
+def test_a_geometry_file_has_one_home():
+    """The geometry variants are named in cli.py only, which checks a
+    geometry file and makes the radgeom values it describes: no other module
+    dispatches on a variant string."""
+    variants = {"pball", "axis_union", "rotated_union", "clustered"}
+    holders = {path.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Constant) and node.value in variants}
+    assert holders == {"cli.py"}

@@ -370,6 +370,89 @@ def test_geometry_files_match_direct_closed_forms(tmp_path):
         assert written == json.dumps(direct.to_dict(), sort_keys=True, indent=2) + "\n", variant
 
 
+def _geometry_run(tmp_path, capsys, geometry: dict) -> tuple[int, dict]:
+    """Exit code and rademacher.json (or the stderr error) of one geometry file."""
+    path = write_json(tmp_path / "geometry.json", geometry)
+    out = tmp_path / "out"
+    code, _, err = run_cli("rademacher", "--geometry", path, "--out", str(out), capsys=capsys)
+    return code, json.loads((out / "rademacher.json").read_text() if code == 0 else err)
+
+
+def test_geometry_rademacher_dispatch(tmp_path, capsys):
+    assert _geometry_run(tmp_path, capsys, {"variant": "ellipse", "p": 2.0, "mu": [3.0, 4.0]}) \
+        == (0, {"value": 2.5, "method": "closed_form", "m": 2})
+    code, ball = _geometry_run(tmp_path, capsys, {"variant": "pball", "p": 2.0, "radius": 1.0})
+    assert code == 0 and ball["value"] == 1.0 and "lower bound" in ball["note"]
+    code, error = _geometry_run(tmp_path, capsys, {"variant": "torus", "p": 2.0})
+    assert (code, error["code"], error["field"]) == (2, "config_invalid", "variant")
+    assert "torus" in error["message"]
+
+
+def test_geometry_validation_errors(tmp_path, capsys):
+    # the geometry table checks p >= 1; the values that the closed forms
+    # take check positive semi-axes and orthogonal rotations
+    cases = [({"variant": "ellipse", "p": 0.5, "mu": [1.0]}, "config_invalid", "must be >= 1"),
+             ({"variant": "ellipse", "p": 2.0, "mu": [1.0, -1.0]}, "invalid_parameter",
+              "every semi-axis must be positive"),
+             ({"variant": "rotated_union", "p": 2.0,
+               "components": [{"V": [[1.0, 0.2], [0.0, 1.0]], "mu": [1.0, 1.0]}]},
+              "invalid_parameter", "not orthogonal within tolerance")]
+    for geometry, error_code, message in cases:
+        code, error = _geometry_run(tmp_path, capsys, geometry)
+        assert (code, error["code"]) == (2, error_code) and message in error["message"]
+
+
+_ROTATION = [[0.6, -0.8], [0.8, 0.6]]
+# variant -> (fields, value in hex, method, m): values written by the
+# closed forms that checked each component on every call, so a change to
+# how components are held keeps every bit
+PINNED = {
+    "pball": ({"p": 2, "radius": 3}, "0x1.8000000000000p+1", "certified_upper", 0),
+    "ellipse": ({"p": 1.5, "mu": [3, 4, 0.25]}, "0x1.7fd8a756830bdp+0", "closed_form", 3),
+    "axis_union": ({"p": 3, "mus": [[1.0, 2.0], [2.0, 0.5]]}, "0x1.393fd7a61ce71p+0",
+                   "closed_form", 2),
+    "rotated_union": ({"p": 3, "components": [{"V": _ROTATION, "mu": [2.0, 1.0]},
+                                              {"V": [[1, 0], [0, 1]], "mu": [1.5, 0.5]}]},
+                      "0x1.b68c944ef5436p+0", "certified_upper", 2),
+    "clustered": ({"p": 2, "components": [{"center": [1, 1], "V": [[1, 0], [0, 1]],
+                                           "mu": [1, 1]},
+                                          {"center": [0.0, 0.5], "V": _ROTATION,
+                                           "mu": [0.5, 2.0]}]},
+                  "0x1.2348392a0660ap+1", "certified_upper", 2),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED))
+def test_geometry_variant_values_are_pinned(tmp_path, capsys, variant):
+    fields, value, method, m = PINNED[variant]
+    code, est = _geometry_run(tmp_path, capsys, {"variant": variant, **fields})
+    assert (code, est["value"].hex(), est["method"], est["m"]) == (0, value, method, m)
+
+
+# flags that the chosen path does not read
+UNREAD_FLAGS = {
+    "method_with_geometry": (("--geometry", "--method", "mc"), "--geometry reads neither"),
+    "n_sigma_with_geometry": (("--geometry", "--n-sigma", "50"), "--geometry reads neither"),
+    "n_sigma_with_method_exact": (("--pointset", "--method", "exact", "--n-sigma", "50"),
+                                  "--n-sigma is read only with --method mc"),
+    "n_sigma_with_default_method": (("--pointset", "--n-sigma", "50"),
+                                    "--n-sigma is read only with --method mc"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_FLAGS))
+def test_rademacher_rejects_a_flag_its_path_does_not_read(tmp_path, capsys, case):
+    (option, *flags), message = UNREAD_FLAGS[case]
+    path = (write_json(tmp_path / "g.json", GEOMETRY) if option == "--geometry"
+            else str(Path(__file__).parent / "fixtures" / "pointset.csv"))
+    out = tmp_path / "out"
+    code, printed, err = run_cli("rademacher", option, path, *flags, "--out", str(out),
+                                 capsys=capsys)
+    assert (code, printed, out.exists()) == (2, "", False)
+    error = json.loads(err)
+    assert error["code"] == "config_invalid" and error["message"].startswith(message)
+
+
 def test_rademacher_pointset_zero_and_mc_agreement(tmp_path):
     zeros = tmp_path / "z.csv"
     zeros.write_text("x0,x1,x2\n0,0,0\n0,0,0\n", encoding="utf-8")
@@ -1011,6 +1094,12 @@ MALFORMED = {
          "components": [{"center": [0.1, 0.2], "V": _V, "mu": [1.0, 2.0]},
                         {"V": _V, "mu": [1.0, 2.0]}]},
         "config_invalid", "components/1/center"),
+    # a rotated union's components read no center
+    "geometry_rotated_component_with_center": (
+        "rademacher",
+        {"variant": "rotated_union", "mu": DROP,
+         "components": [{"center": [0.5, 0.5], "V": _V, "mu": [1.0, 2.0]}]},
+        "config_invalid", "components/0/center"),
     "geometry_p_not_a_number": ("rademacher", {"p": "two"}, "config_invalid", "p"),
     "geometry_union_member_not_numeric": (
         "rademacher", {"variant": "axis_union", "mu": DROP, "mus": [[1.0, 2.0], ["a", 1.0]]},

@@ -69,6 +69,26 @@ def test_polynomial_map_features():
     np.testing.assert_array_equal(predictions(h, [[3.0], [-1.0]]), [10.0, 2.0])
 
 
+def test_polynomial_feature_dim_counts_the_monomials():
+    for n in range(1, 6):
+        for degree in range(1, 6):
+            fmap = PolynomialMap(input_dim=n, degree=degree)
+            assert fmap.feature_dim == len(fmap._monomials()) == len(set(fmap._monomials()))
+
+
+def test_polynomial_feature_dim_lists_no_monomial(monkeypatch):
+    # listing costs about 110 B a monomial: 3 GB for the 30,045,015 monomials
+    # of degree <= 10 in 20 inputs, all to reject a two-weight teacher
+    def listed(self):
+        raise AssertionError("feature_dim listed the monomials")
+
+    monkeypatch.setattr(PolynomialMap, "_monomials", listed)
+    assert PolynomialMap(input_dim=16, degree=8).feature_dim == 735_471
+    with pytest.raises(DimensionMismatchError, match="30045015"):
+        Hypothesis(weights=np.array([1.0, 0.5]),
+                   feature_map=PolynomialMap(input_dim=20, degree=10))
+
+
 def test_rbf_map_features():
     fmap = RbfMap(centers=np.array([[0.0], [1.0]]), width=1.0)
     feats = fmap.transform(np.array([0.0]))

@@ -17,7 +17,6 @@ from approx_sense import (
     Cluster,
     Ellipse,
     EnumerationCapError,
-    GeometryModel,
     InvalidParameterError,
     RadEstimate,
     SensitivityPointSet,
@@ -37,6 +36,7 @@ from approx_sense import (
     positive_orthant_ball_sup,
     rotated_union_bound,
 )
+from approx_sense import _bind, cli
 from approx_sense.dataio import read_matrix_csv
 from approx_sense.radgeom import (
     _mc_signs,
@@ -479,13 +479,15 @@ def test_rotated_identity_reduces_to_union():
 def test_identity_members_cost_linear_in_m():
     # V = None never forms the m x m identity: at m = 10^6 a matrix would
     # need 8 TB, and a geometry file puts no cap on the length of mu
+    _bind(vars(cli), "radgeom")  # as main does for rademacher
     m = 1_000_000
     mu = np.linspace(0.5, 2.0, m)
-    est = GeometryModel(variant="ellipse", p=2, mu=mu.tolist()).rademacher()
+    est = cli._geometry({"variant": "ellipse", "p": 2, "mu": mu.tolist()})
     assert est == axis_union([mu], 2.0)
     assert est.value == dual_norm(mu, 2.0) / m and est.method == "closed_form"
-    union = GeometryModel(variant="axis_union", p=1, mus=[mu.tolist(), (mu[::-1]).tolist()])
-    assert union.rademacher().value == 2.0 / m
+    union = cli._geometry({"variant": "axis_union", "p": 1,
+                           "mus": [mu.tolist(), (mu[::-1]).tolist()]})
+    assert union.value == 2.0 / m
 
 
 def test_rotated_p1_hand_case():
@@ -723,60 +725,3 @@ def test_crude_decomposition_dominates_matched_grids():
         pred_q = quantized @ inputs.T
         rad_sum = exact_rademacher_rows(pred) + exact_rademacher_rows(pred_q)
         assert exact_rademacher_rows(np.abs(pred - pred_q)) <= rad_sum + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# geometry models (the CLI tests read them from files)
-# ---------------------------------------------------------------------------
-
-
-def test_geometry_rademacher_dispatch():
-    ellipse = GeometryModel(variant="ellipse", p=2.0, mu=[3.0, 4.0])
-    assert ellipse.rademacher().value == 2.5
-    ball = GeometryModel(variant="pball", p=2.0, radius=1.0)
-    est = ball.rademacher()
-    assert est.value == 1.0 and "lower bound" in est.note
-    with pytest.raises(InvalidParameterError, match="torus"):  # not a TypeError
-        GeometryModel(variant="torus", p=2.0).rademacher()
-
-
-def test_geometry_validation_errors():
-    # the closed forms check what the CLI's geometry table cannot: p >= 1
-    # here, positive semi-axes and orthogonal rotations
-    with pytest.raises(InvalidParameterError):
-        GeometryModel(variant="ellipse", p=0.5, mu=[1.0]).rademacher()
-    with pytest.raises(InvalidParameterError):
-        GeometryModel(variant="ellipse", p=2.0, mu=[1.0, -1.0]).rademacher()
-    with pytest.raises(InvalidParameterError):
-        GeometryModel(
-            variant="rotated_union",
-            p=2.0,
-            components=[{"V": [[1.0, 0.2], [0.0, 1.0]], "mu": [1.0, 1.0]}],
-        ).rademacher()
-
-
-_ROTATION = [[0.6, -0.8], [0.8, 0.6]]
-_IDENTITY = [[1, 0], [0, 1]]
-# variant -> (fields, value in hex, method, m): values written by the
-# closed forms that checked each component on every call, so a change to
-# how components are held keeps every bit
-PINNED = {
-    "pball": ({"p": 2, "radius": 3}, "0x1.8000000000000p+1", "certified_upper", 0),
-    "ellipse": ({"p": 1.5, "mu": [3, 4, 0.25]}, "0x1.7fd8a756830bdp+0", "closed_form", 3),
-    "axis_union": ({"p": 3, "mus": [[1.0, 2.0], [2.0, 0.5]]}, "0x1.393fd7a61ce71p+0",
-                   "closed_form", 2),
-    "rotated_union": ({"p": 3, "components": [{"V": _ROTATION, "mu": [2.0, 1.0]},
-                                              {"V": _IDENTITY, "mu": [1.5, 0.5]}]},
-                      "0x1.b68c944ef5436p+0", "certified_upper", 2),
-    "clustered": ({"p": 2, "components": [{"center": [1, 1], "V": _IDENTITY, "mu": [1, 1]},
-                                          {"center": [0.0, 0.5], "V": _ROTATION,
-                                           "mu": [0.5, 2.0]}]},
-                  "0x1.2348392a0660ap+1", "certified_upper", 2),
-}
-
-
-@pytest.mark.parametrize("variant", sorted(PINNED))
-def test_geometry_variant_values_are_pinned(variant):
-    fields, value, method, m = PINNED[variant]
-    est = GeometryModel(variant=variant, **fields).rademacher()
-    assert (est.value.hex(), est.method, est.m) == (value, method, m)
