@@ -156,7 +156,7 @@ def srm_uniform_bound(
     _check_delta(delta)
     err, err_certified = _constituent(emp_err)
     rad, rad_certified = _constituent(rad_Ht_k)
-    _check_nonneg(emp_err=err, rad=rad, rho=rho)
+    _check_nonneg(emp_err=err, rad_Ht_k=rad, rho=rho)
     if not 0 < w_k <= 1:
         raise InvalidParameterError("w_k must lie in (0, 1]")
     terms = [
@@ -191,7 +191,7 @@ def joint_bounds(
     best, best_certified = _constituent(err_star)
     rad, rad_certified = _constituent(rad_HA)
     certified = best_approx_certified and best_certified and rad_certified
-    _check_nonneg(err_min_approx=best_approx, err_star=best, rad=rad, rho=rho, t=t)
+    _check_nonneg(err_min_approx=best_approx, err_star=best, rad_HA=rad, rho=rho, t=t)
     inputs = {
         "err_min_approx": err_min_approx,
         "err_star": err_star,
@@ -238,7 +238,7 @@ def regularized_bound(
         raise InvalidParameterError("err_star_t and t must be non-empty and equal length")
     rad, rad_certified = _constituent(rad_HA)
     certified = rad_certified and all(c for _, c in pairs)
-    _check_nonneg(rho=rho, rad=rad)
+    _check_nonneg(rho=rho, rad_HA=rad)
     _check_nonneg(**{f"err_star_t[{i}]": v for i, v in enumerate(errs)})
     _check_nonneg(**{f"t[{i}]": v for i, v in enumerate(ts)})
     tradeoffs = [e + 2.0 * (rho * v) for e, v in zip(errs, ts)]
@@ -282,7 +282,7 @@ def lambda_equivalence_bound(
     the empirical-sensitivity variant)."""
     _check_delta(delta)
     rad, certified = _constituent(rad_HA)
-    _check_nonneg(rho=rho, rad=rad, lam=lam)
+    _check_nonneg(rho=rho, rad_HA=rad, lam=lam)
     terms = [
         ("complexity", 4.0 * (rho * rad)),
         ("confidence", hoeffding_term(6.0, 8.0 / delta, m)),
@@ -387,7 +387,7 @@ def sensitivity_deviation_bound(
     sensitivity over the class (Lemma 1)."""
     _check_delta(delta)
     rad, certified = _constituent(rad_of_sensitivity_class)
-    _check_nonneg(rad=rad)
+    _check_nonneg(rad_of_sensitivity_class=rad)
     if C <= 0:
         raise InvalidParameterError("C must be positive")
     terms = [

@@ -6,8 +6,8 @@ per config section, as are geometry files; unknown keys are rejected with
 their field path.  A section that _build makes an object of is described by
 that class's fields (core.param), which its constructor checks too.  A
 geometry file's format lives here only (_geometry).  One top-level seed
-fixes every output byte-for-byte; validate's --threads only changes the
-execution schedule.
+fixes every output byte-for-byte.  validate runs its trials in order on one
+thread; its --threads is checked and changes nothing.
 """
 
 from __future__ import annotations
@@ -99,8 +99,9 @@ _LOSS = Section({}, cls="LossSpec")
 _DOMAIN = Section({}, cls="SearchDomain")
 _LEARNER = Section(
     {"t": _POSITIVE, "p": _EXPONENT, "lambda": _NONNEG,
-     "lambdas": Field("array", items=_NONNEG), "weights": Field("array", items=_POSITIVE),
-     "thresholds": Field("array", items=_POSITIVE), "epsilon_u": _NONNEG,
+     "lambdas": Field("array", items=_NONNEG, min_items=1),
+     "weights": Field("array", items=_POSITIVE, min_items=1),
+     "thresholds": Field("array", items=_POSITIVE, min_items=1), "epsilon_u": _NONNEG,
      "sensitivity": Field("string", enum=("empirical", "analytic")),
      "input_norm_budget": "AnalyticSensitivity", "n_sigma": _COUNT, "domain": _DOMAIN},
     required=("domain",), key="algorithm",
@@ -613,7 +614,9 @@ def cmd_bound(args, config: dict, seed: int) -> int:
 
 
 def cmd_validate(args, config: dict | None, seed: int) -> int:
-    report = run_suite(args.suite, trials=args.trials, seed=seed, threads=args.threads)
+    if args.threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {args.threads}")
+    report = run_suite(args.suite, trials=args.trials, seed=seed)
     path = _write_json(report.to_dict(), Path(args.out), f"validate_{args.suite}.json")
     status = "PASS" if report.passed else "FAIL"
     print(
@@ -674,7 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
     val.add_argument("--suite", required=True)
     val.add_argument("--trials", type=int, default=None)
     val.add_argument("--threads", type=int, default=1,
-                     help="worker threads for trials; never changes a result")
+                     help="checked and unused: trials always run in order on one thread")
     common(val, config=False)
 
     return parser
@@ -698,8 +701,6 @@ def main(argv=None) -> int:
         command, modules, table = _COMMANDS[args.command]
         # a numpy warning would print ahead of the JSON error; a result that
         # an overflow makes non-finite is rejected by the object holding it.
-        # validate's pool threads do not inherit this state (numpy keeps it
-        # per context), which is harmless: the suites read no user numbers.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             seed = getattr(args, "seed", None)  # bound has no --seed
             if seed is not None and seed < 0:

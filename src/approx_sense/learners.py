@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -334,19 +335,6 @@ class LearnerOutput:
     per_lambda: list[dict] | None = None
 
 
-class _lazy:
-    """functools.cached_property without the lock that Python < 3.12 shares
-    across instances, on which parallel validation trials' blocks would wait.
-    Not a data descriptor: once stored, the instance's value is read."""
-
-    def __init__(self, compute):
-        self.compute = compute
-
-    def __get__(self, obj, owner=None):
-        value = obj.__dict__[self.compute.__name__] = self.compute(obj)
-        return value
-
-
 def _reach(feats: np.ndarray | None) -> float:
     """Largest absolute row sum: bounds |<row, w>| per unit of max |w_j|."""
     return 0.0 if feats is None else float(np.abs(feats).sum(axis=1).max())
@@ -406,7 +394,7 @@ class _Workspace:
         self.lab_reach = _reach(self.lab_feats)
         self.unlab_reach = _reach(self.unlab_feats)
 
-    @_lazy
+    @cached_property
     def blocks(self) -> list[_Block]:
         """The grid or random domain's candidates in blocks of block_size rows."""
         C = self.domain.candidate_matrix()
@@ -475,11 +463,11 @@ class _Block:
         self.ws = ws
         self.C = C
 
-    @_lazy
+    @cached_property
     def Q(self) -> np.ndarray:
         return self.ws.op.transform_weights(self.C)
 
-    @_lazy
+    @cached_property
     def dhats(self) -> np.ndarray:
         """dhat of every row, as one product U @ (C - Q).T."""
         gaps = self.ws.unlab_feats @ (self.C - self.Q).T
@@ -488,25 +476,25 @@ class _Block:
             gaps **= self.ws.p
         return np.mean(gaps, axis=0) ** (1.0 / self.ws.p)
 
-    @_lazy
+    @cached_property
     def dhat_scale(self) -> float:
         """Bounds every gap the dhats are summed from (p-means are 1-Lipschitz)."""
         return self.ws.unlab_reach * (_abs_max(self.C) + _abs_max(self.Q))
 
-    @_lazy
+    @cached_property
     def dhat_tol(self) -> float:
         """Bound on |screened - exact| for the dhats."""
         return self.ws.rel_margin * self.dhat_scale
 
-    @_lazy
+    @cached_property
     def approx_emp_errors(self) -> np.ndarray:
         return self.ws.approx_emp_errors(self.Q)
 
-    @_lazy
+    @cached_property
     def emp_errors(self) -> np.ndarray:
         return self.ws.emp_errors(self.C)
 
-    @_lazy
+    @cached_property
     def residual_norms(self) -> np.ndarray:
         """||C - Q|| per row; off from the exact norm by a relative few eps."""
         return np.linalg.norm(self.C - self.Q, axis=1)

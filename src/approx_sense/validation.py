@@ -3,7 +3,7 @@ and zero-tolerance exactness/dominance checks for the closed forms.
 
 Every suite is a pure function of (trials, seed) and returns a CoverageReport.
 Per-trial randomness comes from counter-derived seeds, so reports are
-bit-identical across runs and thread counts.
+bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -94,14 +94,9 @@ class CoverageReport:
         }
 
 
-def _run_trials(n: int, fn, threads: int = 1) -> list:
-    """Map fn over trial indices; results are collected in index order."""
-    if threads <= 1:
-        return [fn(i) for i in range(n)]
-    from concurrent.futures import ThreadPoolExecutor  # only here: a 1-thread run skips it
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
+def _run_trials(n: int, fn) -> list:
+    """fn of each trial index, in index order."""
+    return [fn(i) for i in range(n)]
 
 
 def _report(name, results, target, floor, seed, stats=()) -> CoverageReport:
@@ -191,21 +186,19 @@ def _axis_union_trial(rng: np.random.Generator, union: bool):
     return gap <= 1e-9, 1e-9 - gap
 
 
-def suite_ellipse_exact(trials: int = 100, seed: int = 0, threads: int = 1) -> CoverageReport:
+def suite_ellipse_exact(trials: int = 100, seed: int = 0) -> CoverageReport:
     """One p-ellipse: enumeration equals the closed-form complexity."""
-    results = _run_trials(trials, lambda i: _axis_union_trial(derived_rng(seed, 20, i), False),
-                          threads)
+    results = _run_trials(trials, lambda i: _axis_union_trial(derived_rng(seed, 20, i), False))
     return _report("ellipse_exact", results, 1.0, 1.0, seed)
 
 
-def suite_union_exact(trials: int = 100, seed: int = 0, threads: int = 1) -> CoverageReport:
+def suite_union_exact(trials: int = 100, seed: int = 0) -> CoverageReport:
     """Axis-aligned unions: enumeration equals the max-member closed form."""
-    results = _run_trials(trials, lambda i: _axis_union_trial(derived_rng(seed, 21, i), True),
-                          threads)
+    results = _run_trials(trials, lambda i: _axis_union_trial(derived_rng(seed, 21, i), True))
     return _report("union_exact", results, 1.0, 1.0, seed)
 
 
-def suite_crude_sandwich(trials: int = 50, seed: int = 0, threads: int = 1) -> CoverageReport:
+def suite_crude_sandwich(trials: int = 50, seed: int = 0) -> CoverageReport:
     """Enumerated complexity of the positive-orthant p-ball of radius
     R m^(1/p) sits inside the magnitude sandwich."""
 
@@ -220,11 +213,11 @@ def suite_crude_sandwich(trials: int = 50, seed: int = 0, threads: int = 1) -> C
         ok = lower - 1e-12 <= enum <= upper + 1e-12
         return ok, min(enum - lower, upper - enum)
 
-    results = _run_trials(trials, one, threads)
+    results = _run_trials(trials, one)
     return _report("crude_sandwich", results, 1.0, 1.0, seed)
 
 
-def suite_cluster_dominance(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageReport:
+def suite_cluster_dominance(trials: int = 200, seed: int = 0) -> CoverageReport:
     """Finite point sets drawn inside a clustered model never beat the
     cluster bound; zero-center models must reduce to the union value exactly."""
 
@@ -258,11 +251,11 @@ def suite_cluster_dominance(trials: int = 200, seed: int = 0, threads: int = 1) 
         ok = ok and reduced == union
         return ok, bound - enum
 
-    results = _run_trials(trials, one, threads)
+    results = _run_trials(trials, one)
     return _report("cluster_dominance", results, 1.0, 1.0, seed)
 
 
-def suite_kernel_dominance(trials: int = 100, seed: int = 0, threads: int = 1) -> CoverageReport:
+def suite_kernel_dominance(trials: int = 100, seed: int = 0) -> CoverageReport:
     """Weight-distortion bound dominates the Monte Carlo complexity of
     quantised linear sensitivity sets (at 4 standard errors)."""
 
@@ -285,7 +278,7 @@ def suite_kernel_dominance(trials: int = 100, seed: int = 0, threads: int = 1) -
         ok = value - 4.0 * se <= bound
         return ok, bound - value
 
-    results = _run_trials(trials, one, threads)
+    results = _run_trials(trials, one)
     return _report("kernel_dominance", results, 1.0, 1.0, seed)
 
 
@@ -294,7 +287,7 @@ def suite_kernel_dominance(trials: int = 100, seed: int = 0, threads: int = 1) -
 # ---------------------------------------------------------------------------
 
 
-def suite_lemma1(trials: int = 500, seed: int = 0, threads: int = 1) -> CoverageReport:
+def suite_lemma1(trials: int = 500, seed: int = 0) -> CoverageReport:
     """Sup over an 11 x 11 weight grid of |true - empirical| sensitivity is
     covered by the deviation bound built from the sampled complexity.
 
@@ -317,7 +310,7 @@ def suite_lemma1(trials: int = 500, seed: int = 0, threads: int = 1) -> Coverage
         fast = fast_rate_deviation_bound(rad, t_two, C, m, delta).value
         return sup_dev <= bound, bound - sup_dev, sup_dev > fast
 
-    results = _run_trials(trials, one, threads)
+    results = _run_trials(trials, one)
     fast_violations = sum(fast_violated for _, _, fast_violated in results)
     return _report(
         "lemma1",
@@ -391,7 +384,7 @@ class _LinearTrialContext:
         return _gaussian_clipped_error(weights, teacher, self.SD, self.NOISE_SD, self.loss)
 
 
-def suite_prop2(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageReport:
+def suite_prop2(trials: int = 200, seed: int = 0) -> CoverageReport:
     """Deployment guarantee for the threshold-constrained learner:
     err(A f_hat_t) <= err(f_t^*) + rho t + 2 rho rad(H_A) + 4 sqrt(ln(9/d)/2m)."""
     ctx = _LinearTrialContext(seed, 40)
@@ -417,11 +410,11 @@ def suite_prop2(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
         rhs = deployment.value
         return err_af <= rhs, rhs - err_af
 
-    results = _run_trials(trials, one, threads)
+    results = _run_trials(trials, one)
     return _report("prop2", results, target=1.0 - ctx.DELTA, floor=0.9, seed=seed)
 
 
-def suite_prop3(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageReport:
+def suite_prop3(trials: int = 200, seed: int = 0) -> CoverageReport:
     """Adaptive-threshold guarantee for the sensitivity-regularised learner:
     err(A f_hat) <= inf_t {err(f_t^*) + 2 rho t} + 2 rho rad(H_A) + 4 sqrt(ln(8/d)/2m)."""
     ctx = _LinearTrialContext(seed, 41)
@@ -443,11 +436,11 @@ def suite_prop3(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
         rhs = regularized_bound(errs, rho, ts, tr["rad_HA"], ctx.M, ctx.DELTA).value
         return err_af <= rhs, rhs - err_af
 
-    results = _run_trials(trials, one, threads)
+    results = _run_trials(trials, one)
     return _report("prop3", results, target=1.0 - ctx.DELTA, floor=0.9, seed=seed)
 
 
-def suite_prop4(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageReport:
+def suite_prop4(trials: int = 200, seed: int = 0) -> CoverageReport:
     """Equivalence of the lambda-regularised and threshold-constrained
     learners at t = true sensitivity of the lambda solution."""
     delta = 0.05
@@ -500,11 +493,11 @@ def suite_prop4(trials: int = 200, seed: int = 0, threads: int = 1) -> CoverageR
         rhs = lambda_equivalence_bound(rho, rad_HA, m, delta, lam, eps_u).value
         return lhs <= rhs, rhs - lhs
 
-    results = _run_trials(trials, one, threads)
+    results = _run_trials(trials, one)
     return _report("prop4", results, target=1.0 - delta, floor=0.95, seed=seed)
 
 
-def suite_prop10(trials: int = 300, seed: int = 0, threads: int = 1) -> CoverageReport:
+def suite_prop10(trials: int = 300, seed: int = 0) -> CoverageReport:
     """Fast-rate deviation bound on a uniformly low-sensitivity class
     (2-sensitivity at most t = 0.1 for every member)."""
     delta = 0.1
@@ -525,12 +518,11 @@ def suite_prop10(trials: int = 300, seed: int = 0, threads: int = 1) -> Coverage
         bound = fast_rate_deviation_bound(rad, t, C, m, delta).value
         return sup_dev <= bound, bound - sup_dev
 
-    results = _run_trials(trials, one, threads)
+    results = _run_trials(trials, one)
     return _report("prop10", results, target=1.0 - delta, floor=0.9, seed=seed)
 
 
-def suite_stochastic_unbiased(trials: int | None = None, seed: int = 0,
-                              threads: int = 1) -> CoverageReport:
+def suite_stochastic_unbiased(trials: int | None = None, seed: int = 0) -> CoverageReport:
     """Unbiasedness of the stochastic rounder plus the singleton-family
     reduction identity of the expected-operator bound: two fixed checks,
     so a trial count is refused."""
@@ -589,15 +581,13 @@ SUITES = {
 }
 
 
-def run_suite(name: str, trials: int | None = None, seed: int = 0, threads: int = 1) -> CoverageReport:
+def run_suite(name: str, trials: int | None = None, seed: int = 0) -> CoverageReport:
     if name not in SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose one of {sorted(SUITES)}", suite=name
         )
-    if threads < 1:
-        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     if trials is None:  # the suite's own default
-        return SUITES[name](seed=seed, threads=threads)
+        return SUITES[name](seed=seed)
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    return SUITES[name](trials=trials, seed=seed, threads=threads)
+    return SUITES[name](trials=trials, seed=seed)

@@ -358,3 +358,27 @@ def test_zero_delta_is_an_invalid_parameter(make):
     # delta is checked before any term divides by it
     with pytest.raises(InvalidParameterError):
         make(0.0)
+
+
+# a negative complexity is reported under the name of the caller's parameter
+NEGATIVE_COMPLEXITY = {
+    "uniform_restricted": ("rad_Ht", lambda: uniform_restricted_bound(0.1, -0.5, 1.0, 50, 0.05)),
+    "srm_uniform": ("rad_Ht_k", lambda: srm_uniform_bound(0.1, -0.5, 0.25, 1.0, 50, 0.05)),
+    "joint": ("rad_HA", lambda: joint_bounds(0.1, 0.1, -0.5, 1.0, 0.1, 50, 0.05)),
+    "regularized": ("rad_HA", lambda: regularized_bound(0.1, 1.0, 0.05, -0.5, 50, 0.05)),
+    "lambda_equivalence": ("rad_HA",
+                           lambda: lambda_equivalence_bound(1.0, -0.5, 50, 0.05, 0.5, 0.1)),
+    "stochastic": ("exp_rad", lambda: stochastic_bound(0.1, 0.1, -0.5, 1.0, 50, 0.05)),
+    "srm_selection": ("rad_Ht_k",
+                      lambda: srm_selection_bound([0.1], [-0.5], [0.5], 1.0, 50, 0.05)),
+    "sensitivity_deviation": ("rad_of_sensitivity_class",
+                              lambda: sensitivity_deviation_bound(-0.5, 1.0, 50, 0.05)),
+    "fast_rate_deviation": ("rad", lambda: fast_rate_deviation_bound(-0.5, 0.1, 1.0, 50, 0.05)),
+}
+
+
+@pytest.mark.parametrize("name, make", NEGATIVE_COMPLEXITY.values(), ids=NEGATIVE_COMPLEXITY)
+def test_negative_complexity_names_the_callers_parameter(name, make):
+    with pytest.raises(InvalidParameterError) as excinfo:
+        make()
+    assert excinfo.value.message == f"{name} must be >= 0"

@@ -824,6 +824,7 @@ def test_bound_joint_emits_three_reports(tmp_path):
 
 
 def test_validate_deterministic_and_thread_independent(tmp_path):
+    # --threads is checked and changes nothing: trials run in order on one thread
     args = ["validate", "--suite", "crude_sandwich", "--trials", "8", "--seed", "4"]
     run_cli(*args, "--out", str(tmp_path / "v1"))
     run_cli(*args, "--out", str(tmp_path / "v2"))
@@ -837,6 +838,7 @@ def test_validate_deterministic_and_thread_independent(tmp_path):
 
 @pytest.mark.parametrize("threads", [0, -1])
 def test_validate_rejects_threads_below_one(tmp_path, capsys, threads):
+    # the option changes nothing, but a value no thread count can have is refused
     code, out, err = run_cli("validate", "--suite", "crude_sandwich", "--trials", "2",
                              "--threads", str(threads), "--out", str(tmp_path), capsys=capsys)
     assert code == 2 and out == ""
@@ -852,8 +854,8 @@ COVERAGE_TRIALS = {"lemma1": 40, "prop10": 20, "prop2": 4, "prop4": 4}
 @pytest.mark.parametrize("suite", sorted(COVERAGE_TRIALS))
 def test_validate_coverage_thread_independent(tmp_path, suite):
     # each trial's Monte Carlo sign draws (two per prop4 trial), and lemma1's
-    # fast_rate_violations (summed from per-trial results, not from a counter
-    # the worker threads share), must not depend on the thread count
+    # fast_rate_violations (summed from per-trial results), must not depend
+    # on the --threads value, which the one-thread trial loop does not read
     args = ["validate", "--suite", suite, "--trials", str(COVERAGE_TRIALS[suite]), "--seed", "2"]
     assert run_cli(*args, "--threads", "1", "--out", str(tmp_path / "t1"))[0] == 0
     assert run_cli(*args, "--threads", "4", "--out", str(tmp_path / "t4"))[0] == 0
@@ -980,6 +982,16 @@ MALFORMED = {
     "domain_dim_mismatch": ("train", {"learner/domain/dim": 3}, "dimension_mismatch", None),
     "empty_teacher_weights": ("train", {"task/teacher_weights": []}, "config_invalid",
                               "task/teacher_weights"),
+    "srm_empty_weights": ("train", {"learner/algorithm": "srm", "learner/lambda": DROP,
+                                    "learner/thresholds": [0.5], "learner/weights": []},
+                          "config_invalid", "learner/weights"),
+    "srm_empty_thresholds": ("train", {"learner/algorithm": "srm", "learner/lambda": DROP,
+                                       "learner/thresholds": []},
+                             "config_invalid", "learner/thresholds"),
+    "lambda_grid_srm_empty_lambdas": ("train", {"learner/algorithm": "lambda_grid_srm",
+                                                "learner/lambda": DROP, "learner/lambdas": [],
+                                                "learner/weights": [1.0]},
+                                      "config_invalid", "learner/lambdas"),
     "bound_without_m": ("bound", {"params/m": DROP}, "config_invalid", "params/m"),
     "bound_m_not_a_number": ("bound", {"params/m": "x"}, "config_invalid", "params/m"),
     "pointset_overflows_exact": ("pointset", ("--method", "exact"), "invalid_parameter", None),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -585,10 +586,10 @@ def test_lambda_grid_transforms_each_block_once(monkeypatch):
     _, labelled, unlabelled = _make_data(seed=20, m_u=2000)
     domain = SearchDomain(dim=2, halfwidth=1.0, mode="grid", points_per_axis=21)
     blocks = []
-    block_q = learners._Block.__dict__["Q"].compute
+    block_q = learners._Block.__dict__["Q"].func
 
     class CountedBlock(learners._Block):
-        @learners._lazy
+        @functools.cached_property
         def Q(self):
             blocks.append(len(self.C))
             return block_q(self)

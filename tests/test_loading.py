@@ -91,6 +91,11 @@ COMMANDS = {
 }
 
 
+# the validate case runs once more with --threads 2, which must start no pool
+CASES = [pytest.param(command, (), id=command) for command in sorted(COMMANDS)]
+CASES.append(pytest.param("validate", ("--threads", "2"), id="validate-threads-2"))
+
+
 def _argv(tmp_path: Path, command: str) -> list[str]:
     if command == "sensitivity":
         sample = tmp_path / "sample.csv"
@@ -105,11 +110,12 @@ def _argv(tmp_path: Path, command: str) -> list[str]:
     return [command, "--config", _write(tmp_path, f"{command}.json", config)]
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_a_subcommand_loads_only_what_it_runs(tmp_path, command):
+@pytest.mark.parametrize("command, extra", CASES)
+def test_a_subcommand_loads_only_what_it_runs(tmp_path, command, extra):
+    argv = [*_argv(tmp_path, command), *extra, "--out", str(tmp_path / "out")]
     got = _run(f"""
         from approx_sense.cli import main
-        result["rc"] = main({_argv(tmp_path, command)!r} + ["--out", str(tmp / "out")])
+        result["rc"] = main({argv!r})
     """, tmp_path)
     assert got["rc"] == 0
     loaded = set(got["modules"])
@@ -126,9 +132,9 @@ def test_a_name_replaced_before_the_first_command_is_the_one_called(tmp_path):
         import approx_sense.cli as cli
         calls = []
 
-        def fake_suite(name, trials=None, seed=0, threads=1):
+        def fake_suite(name, trials=None, seed=0):
             calls.append(("run_suite", name))
-            return real_suite(name, trials=trials, seed=seed, threads=threads)
+            return real_suite(name, trials=trials, seed=seed)
 
         import approx_sense.validation
         real_suite = approx_sense.validation.run_suite
