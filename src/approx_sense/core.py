@@ -95,8 +95,122 @@ def _without_none(record) -> dict:
 
 
 def derived_rng(seed: int, *key: int) -> np.random.Generator:
-    """Counter-based seed split: child streams are indexed by ``key`` integers."""
+    """Counter-based seed split: child streams are indexed by ``key`` integers.
+
+    One call costs about 15 us, most of it in SeedSequence's hash; a loop
+    over an index takes its streams from ``derived_rngs``.
+    """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+
+
+# numpy's SeedSequence hash constants and pool size (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_STREAM_BLOCK = 4096  # indices whose seed words derived_rngs hashes at once
+
+
+def _words32(n: int) -> list[int]:
+    """SeedSequence's split of a non-negative integer: its 32-bit words,
+    low first, and one word for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value, consts: list):
+    """SeedSequence's hashmix of ``value`` (an int or a uint32 array) with the
+    hash constant ``consts[0]``, which it advances by ``consts[1]``."""
+    old = consts[0]
+    consts[0] = new = old * consts[1] & _MASK32
+    value = (value ^ old) * new & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit values, both ints or both arrays."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
+    return result ^ result >> 16
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """The 4 uint64 state words that a SeedSequence generates for PCG64,
+    computed ahead; PCG64's one ``generate_state(4, np.uint64)`` call reads
+    them.  Such a generator cannot ``spawn``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+class _DerivedRngs:
+    """derived_rng(seed, *key, i) for 0 <= i < count.  The pool that
+    SeedSequence mixes from the seed and key words is computed once; the
+    index words are mixed in, and the PCG64 state words generated, with
+    uint32 array arithmetic for the block of up to _STREAM_BLOCK indices that
+    holds i.  Only that block's words are kept (32 B per index), and each
+    Generator is made when its index is read."""
+
+    def __init__(self, seed: int, key: tuple, count: int):
+        # with a spawn key (the index is one) the seed words are padded to the pool
+        run = _words32(seed)
+        entropy = run + [0] * (_POOL - len(run)) + [w for k in key for w in _words32(k)]
+        consts = [_INIT_A, _MULT_A]
+        pool = [_hashmix(w, consts) for w in entropy[:_POOL]]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+        for w in entropy[_POOL:]:
+            for dst in range(_POOL):
+                pool[dst] = _mix(pool[dst], _hashmix(w, consts))
+        self.pool, self.hash_const, self.count = pool, consts[0], count
+        self.start, self.words = 0, np.empty((0, 4), np.uint64)
+
+    def _block(self, start: int, stop: int) -> np.ndarray:
+        """The PCG64 state words of indices start..stop-1, one row each; the
+        block lies in one 4096-aligned range, so only its low word varies."""
+        n = stop - start
+        pool = [np.full(n, p, np.uint32) for p in self.pool]
+        low = np.arange(start & _MASK32, (start & _MASK32) + n, dtype=np.uint32)
+        consts = [self.hash_const, _MULT_A]
+        for w in [low] + [np.full(n, w, np.uint32) for w in _words32(start)[1:]]:
+            for dst in range(_POOL):
+                pool[dst] = _mix(pool[dst], _hashmix(w, consts))
+        state = np.empty((n, 2 * _POOL), "<u4")
+        consts = [_INIT_B, _MULT_B]
+        for k in range(2 * _POOL):
+            state[:, k] = _hashmix(pool[k % _POOL], consts)
+        return state.view("<u8").astype(np.uint64, copy=False)
+
+    def __call__(self, i: int) -> np.random.Generator:
+        offset = i - self.start
+        if not 0 <= offset < len(self.words):
+            if not 0 <= i < self.count:
+                raise IndexError(f"stream index {i} is outside range({self.count})")
+            self.start = i - i % _STREAM_BLOCK
+            self.words = self._block(self.start, min(self.start + _STREAM_BLOCK, self.count))
+            offset = i - self.start
+        return np.random.Generator(np.random.PCG64(_SeedWords(self.words[offset])))
+
+
+def derived_rngs(seed: int, *key: int, count: int):
+    """The function i -> derived_rng(seed, *key, i) for 0 <= i < count: each
+    generator in the same state, at a sixth of the cost per index.
+
+    The seed and key are checked here, with derived_rng's errors.  Memory
+    stays bounded for any count (_DerivedRngs), and an index is read
+    directly, without those below it.
+    """
+    np.random.SeedSequence(entropy=seed, spawn_key=(*key, 0))  # derived_rng's checks
+    return _DerivedRngs(int(seed), tuple(map(int, key)), count)
 
 
 def _mc_mean_se(draws: np.ndarray) -> tuple[float, float]:

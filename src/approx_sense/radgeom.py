@@ -110,20 +110,22 @@ def dual_norm(v: np.ndarray, p: float) -> float | np.ndarray:
     return float(norm) if norm.ndim == 0 else norm
 
 
-def _sign_chunks(m: int, half: bool = False):
+def _sign_chunks(m: int, half: bool = False, bits: int = _CHUNK_BITS):
     """Sign patterns k < 2^m (sigma_j = +1 iff bit j of k is set), or with ``half``
-    k < 2^(m-1), in 2^14-row chunks.  The low-bit block is built once, with
-    every high column -1 as chunk 0 has them, and yielded as one read-only
-    buffer.  Chunk c differs from chunk c - 1 only in the high columns of the
-    bits that c ^ (c - 1) sets, so only those are rewritten."""
+    k < 2^(m-1), in blocks of 2^bits rows.  The low-bit block is built once, with
+    every high column -1 as block 0 has them, and yielded as one read-only
+    buffer.  Block c differs from block c - 1 only in the high columns of the
+    bits that c ^ (c - 1) sets, so only those are rewritten.  With bits = 11
+    (_SLICE_BITS) the buffer is about 360 KB at m = 22, small enough to stay in
+    cache, where a 2^14-row block is 2.8 MB."""
     n_patterns = 1 << (m - 1 if half else m)
-    low = np.arange(min(n_patterns, 1 << _CHUNK_BITS))[:, None]
+    low = np.arange(min(n_patterns, 1 << bits))[:, None]
     block = ((low >> np.arange(m)) & 1) * 2.0 - 1.0
     view = block.view()
     view.flags.writeable = False
     for c in range(n_patterns // len(block)):
         for j in range((c ^ (c - 1)).bit_length() if c else 0):
-            block[:, _CHUNK_BITS + j] = 1.0 if (c >> j) & 1 else -1.0
+            block[:, bits + j] = 1.0 if (c >> j) & 1 else -1.0
         yield view
 
 
@@ -152,11 +154,13 @@ def _check_enumeration_m(m: int) -> None:
 def exact_rademacher_rows(rows: np.ndarray) -> float:
     """Exact (1/m) 2^-m sum over sign patterns of max_i <sigma, row_i>.
 
-    Chunk n-1-c is chunk c negated, rows reversed, so only half the chunks are
-    multiplied out; partials stay in chunk order, so the result is bit-stable.
-    Each chunk is multiplied in 2^11-row slices against the ``rows.T`` view into
-    one reused transposed buffer, which keeps every product's bits while the
-    max/min reductions run along its contiguous axis.
+    Chunk n-1-c of 2^14 patterns is chunk c negated, rows reversed, so only
+    half the chunks are multiplied out; partials stay in chunk order, so the
+    result is bit-stable.  Each chunk is multiplied in 2^11-row slices, each
+    taken from _sign_chunks' 2^11-row block (only its high columns change from
+    slice to slice), against the ``rows.T`` view into one reused transposed
+    buffer, which keeps every product's bits while the max/min reductions run
+    along its contiguous axis.
     """
     # a GEMM's last bit may depend on the memory layout of its operands, not
     # only on their numbers: enumerate a C-contiguous copy
@@ -170,15 +174,16 @@ def exact_rademacher_rows(rows: np.ndarray) -> float:
     buf = np.empty((len(rows), sub))
     hi, lo = np.empty(chunk), np.empty(chunk)
     partial_sums = [0.0] * n_chunks
-    for c, sigma in enumerate(_sign_chunks(m, half=mirror)):
-        for s in range(0, chunk, sub):
-            np.matmul(sigma[s:s + sub], rows.T, out=buf.T)
-            np.maximum.reduce(buf, axis=0, out=hi[s:s + sub])
-            if mirror:
-                np.minimum.reduce(buf, axis=0, out=lo[s:s + sub])
-        partial_sums[c] = float(hi.sum())
+    for k, sigma in enumerate(_sign_chunks(m, half=mirror, bits=_SLICE_BITS)):
+        c, s = divmod(k * sub, chunk)
+        np.matmul(sigma, rows.T, out=buf.T)
+        np.maximum.reduce(buf, axis=0, out=hi[s:s + sub])
         if mirror:
-            partial_sums[-1 - c] = float(np.negative(lo, out=lo)[::-1].sum())
+            np.minimum.reduce(buf, axis=0, out=lo[s:s + sub])
+        if s + sub == chunk:
+            partial_sums[c] = float(hi.sum())
+            if mirror:
+                partial_sums[-1 - c] = float(np.negative(lo, out=lo)[::-1].sum())
     return math.fsum(partial_sums) / (1 << m) / m
 
 

@@ -24,6 +24,7 @@ from .core import (
     _without_none,
     apply_operator,
     derived_rng,
+    derived_rngs,
     predictions,
 )
 from .errors import DeterministicOperatorError, InvalidParameterError, StochasticOperatorError
@@ -136,10 +137,12 @@ def _per_draw(
     """``value(base, drawn)`` per operator draw, draw i from the generator
     ``stream(i)``: the predictions of ``h`` and of its draw on ``inputs``.
 
-    Each generator draws as ``apply_operator`` would; the draws are rounded as
-    one block, and each distinct drawn weight vector is evaluated once with
-    the matrix-vector product of ``predictions``, so every value is bit-equal
-    to its own per-draw evaluation.
+    ``stream`` is a core.derived_rngs function, which makes each draw's
+    generator without hashing its seed again.  Each generator draws as
+    ``apply_operator`` would; the draws are rounded as one block, and each
+    distinct drawn weight vector is evaluated once with the matrix-vector
+    product of ``predictions``, so every value is bit-equal to its own
+    per-draw evaluation.
     """
     feats = h.feature_map.transform(np.asarray(inputs, dtype=float))
     base = feats @ h.weights
@@ -168,7 +171,7 @@ def expected_sensitivity(
         )
     if n_omega < 1:
         raise InvalidParameterError("n_omega must be >= 1")
-    vals = _per_draw(op, h, sample.inputs, n_omega, lambda i: derived_rng(seed, 4, i),
+    vals = _per_draw(op, h, sample.inputs, n_omega, derived_rngs(seed, 4, count=n_omega),
                      lambda base, drawn: _p_mean(base - drawn, p))
     value, se = _mc_mean_se(vals)
     return SensitivityEstimate(
@@ -219,7 +222,7 @@ def variance_condition_check(
         raise InvalidParameterError("n_omega must be >= 1")
     reports = []
     for j, h in enumerate(hypotheses):
-        sq = _per_draw(op, h, sample.inputs, n_omega, lambda i: derived_rng(seed, 5, j, i),
+        sq = _per_draw(op, h, sample.inputs, n_omega, derived_rngs(seed, 5, j, count=n_omega),
                        lambda base, drawn: float(np.mean((drawn - base) ** 2)))
         lhs, se = _mc_mean_se(sq)
         cap = 1.0 if capacity_fn == "constant_one" else float(np.linalg.norm(h.weights))

@@ -2,7 +2,8 @@
 and zero-tolerance exactness/dominance checks for the closed forms.
 
 Every suite is a pure function of (trials, seed) and returns a CoverageReport.
-Per-trial randomness comes from counter-derived seeds, so reports are
+Per-trial randomness comes from counter-derived seeds, trial i's stream being
+derived_rng(seed, stream, i) (made by core.derived_rngs), so reports are
 bit-identical across runs.
 """
 
@@ -22,6 +23,7 @@ from .core import (
     _distinct_rows,
     apply_operator,
     derived_rng,
+    derived_rngs,
     empirical_error,
     linear_hypothesis,
     loss_values,
@@ -138,17 +140,18 @@ def _uniform_box_abs_mean(residuals: np.ndarray) -> np.ndarray:
     return np.where(a > 0, a / 2.0 + b**2 / (6.0 * np.where(a > 0, a, 1.0)), 0.0)
 
 
-def _deviation_trial(residuals: np.ndarray, m: int, seed: int, stream: int, n_sigma: int,
-                     multiplier: int):
+def _deviation_trial(residuals: np.ndarray, m: int, seed: int, stream: int, trials: int,
+                     n_sigma: int, multiplier: int):
     """The trial of the deviation suites over residual rows r: trial i draws
     m inputs uniform on [-1, 1]^2 and returns the sup over r of
     |E|<x, r>| - mean |<x_i, r>||, the sampled complexity of the gap rows
     and the constant C."""
     d_true = _uniform_box_abs_mean(residuals)
     sup_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
+    streams = derived_rngs(seed, stream, count=trials)
 
     def draw(i: int) -> tuple[float, float, float]:
-        inputs = derived_rng(seed, stream, i).uniform(-1.0, 1.0, size=(m, 2))
+        inputs = streams(i).uniform(-1.0, 1.0, size=(m, 2))
         gaps = np.abs(inputs @ residuals.T)
         sup_dev = float(np.max(np.abs(d_true - gaps.mean(axis=0))))
         rad, _ = mc_rademacher_rows(gaps.T, n_sigma=n_sigma, seed=seed * multiplier + i)
@@ -188,22 +191,25 @@ def _axis_union_trial(rng: np.random.Generator, union: bool):
 
 def suite_ellipse_exact(trials: int = 100, seed: int = 0) -> CoverageReport:
     """One p-ellipse: enumeration equals the closed-form complexity."""
-    results = _run_trials(trials, lambda i: _axis_union_trial(derived_rng(seed, 20, i), False))
+    streams = derived_rngs(seed, 20, count=trials)
+    results = _run_trials(trials, lambda i: _axis_union_trial(streams(i), False))
     return _report("ellipse_exact", results, 1.0, 1.0, seed)
 
 
 def suite_union_exact(trials: int = 100, seed: int = 0) -> CoverageReport:
     """Axis-aligned unions: enumeration equals the max-member closed form."""
-    results = _run_trials(trials, lambda i: _axis_union_trial(derived_rng(seed, 21, i), True))
+    streams = derived_rngs(seed, 21, count=trials)
+    results = _run_trials(trials, lambda i: _axis_union_trial(streams(i), True))
     return _report("union_exact", results, 1.0, 1.0, seed)
 
 
 def suite_crude_sandwich(trials: int = 50, seed: int = 0) -> CoverageReport:
     """Enumerated complexity of the positive-orthant p-ball of radius
     R m^(1/p) sits inside the magnitude sandwich."""
+    streams = derived_rngs(seed, 22, count=trials)
 
     def one(i: int):
-        rng = derived_rng(seed, 22, i)
+        rng = streams(i)
         m = int(rng.integers(2, 11))
         p = 1.0 if rng.integers(2) == 0 else 2.0
         radius = float(rng.uniform(0.2, 2.0))
@@ -220,9 +226,10 @@ def suite_crude_sandwich(trials: int = 50, seed: int = 0) -> CoverageReport:
 def suite_cluster_dominance(trials: int = 200, seed: int = 0) -> CoverageReport:
     """Finite point sets drawn inside a clustered model never beat the
     cluster bound; zero-center models must reduce to the union value exactly."""
+    streams = derived_rngs(seed, 23, count=trials)
 
     def one(i: int):
-        rng = derived_rng(seed, 23, i)
+        rng = streams(i)
         m = int(rng.integers(3, 9))
         p = _EXPONENTS[rng.integers(len(_EXPONENTS))]
         n_clusters = int(rng.integers(1, 5))
@@ -258,9 +265,10 @@ def suite_cluster_dominance(trials: int = 200, seed: int = 0) -> CoverageReport:
 def suite_kernel_dominance(trials: int = 100, seed: int = 0) -> CoverageReport:
     """Weight-distortion bound dominates the Monte Carlo complexity of
     quantised linear sensitivity sets (at 4 standard errors)."""
+    streams = derived_rngs(seed, 24, count=trials)
 
     def one(i: int):
-        rng = derived_rng(seed, 24, i)
+        rng = streams(i)
         d = int(rng.integers(1, 6))
         m = int(rng.integers(5, 51))
         step = float(rng.uniform(0.2, 0.8))
@@ -302,7 +310,7 @@ def suite_lemma1(trials: int = 500, seed: int = 0) -> CoverageReport:
     residuals, _ = _distinct_rows(grid - op.transform_weights(grid))
     # exact 2-sensitivity for the fast-rate variance term: ||r|| / sqrt(3)
     t_two = float(np.max(np.linalg.norm(residuals, axis=1)) / math.sqrt(3.0))
-    draw = _deviation_trial(residuals, m, seed, 31, 800, 100_003)
+    draw = _deviation_trial(residuals, m, seed, 31, trials, 800, 100_003)
 
     def one(i: int):
         sup_dev, rad, C = draw(i)
@@ -333,9 +341,9 @@ class _LinearTrialContext:
     NOISE_SD = 0.1
     N_CANDIDATES = 120
 
-    def __init__(self, seed: int, stream: int):
+    def __init__(self, seed: int, stream: int, trials: int):
         self.seed = seed
-        self.stream = stream
+        self.streams = derived_rngs(seed, stream, 1, count=trials)
         self.op = UniformQuantizer(step=0.5, clamp=1.0)
         self.loss = LossSpec(kind="clipped_absolute", lipschitz=1.0)
         # true_d1 as a learner regulariser: E|<x, r>| = ||r|| SD sqrt(2 / pi)
@@ -346,7 +354,7 @@ class _LinearTrialContext:
         return np.linalg.norm(np.atleast_2d(residuals), axis=1) * self.SD * math.sqrt(2.0 / math.pi)
 
     def trial(self, i: int):
-        rng = derived_rng(self.seed, self.stream, 1, i)
+        rng = self.streams(i)
         teacher = rng.uniform(-0.8, 0.8, size=self.D)
         x_lab = rng.normal(0.0, self.SD, size=(self.M, self.D))
         y_lab = x_lab @ teacher + rng.normal(0.0, self.NOISE_SD, size=self.M)
@@ -387,7 +395,7 @@ class _LinearTrialContext:
 def suite_prop2(trials: int = 200, seed: int = 0) -> CoverageReport:
     """Deployment guarantee for the threshold-constrained learner:
     err(A f_hat_t) <= err(f_t^*) + rho t + 2 rho rad(H_A) + 4 sqrt(ln(9/d)/2m)."""
-    ctx = _LinearTrialContext(seed, 40)
+    ctx = _LinearTrialContext(seed, 40, trials)
     rho = ctx.loss.lipschitz
 
     def one(i: int):
@@ -417,7 +425,7 @@ def suite_prop2(trials: int = 200, seed: int = 0) -> CoverageReport:
 def suite_prop3(trials: int = 200, seed: int = 0) -> CoverageReport:
     """Adaptive-threshold guarantee for the sensitivity-regularised learner:
     err(A f_hat) <= inf_t {err(f_t^*) + 2 rho t} + 2 rho rad(H_A) + 4 sqrt(ln(8/d)/2m)."""
-    ctx = _LinearTrialContext(seed, 41)
+    ctx = _LinearTrialContext(seed, 41, trials)
     rho = ctx.loss.lipschitz
     # the last threshold, 0.78, exceeds every candidate's true sensitivity
     # (at most 0.56 * SD * sqrt(2 / pi) < 0.21), so some threshold is feasible
@@ -458,9 +466,10 @@ def suite_prop4(trials: int = 200, seed: int = 0) -> CoverageReport:
     sup_residual = float(np.max(np.linalg.norm(residuals, axis=1)))
     quantized, _ = _distinct_rows(op.transform_weights(cands))
     residual_rows, _ = _distinct_rows(residuals)
+    streams = derived_rngs(seed, 51, count=trials)
 
     def one(i: int):
-        rng = derived_rng(seed, 51, i)
+        rng = streams(i)
         teacher = rng.uniform(-0.8, 0.8, size=2)
         lam = float(rng.uniform(0.05, 1.0))
         x_lab = rng.normal(0.0, sd, size=(m, 2))
@@ -511,7 +520,7 @@ def suite_prop10(trials: int = 300, seed: int = 0) -> CoverageReport:
     residuals, _ = _distinct_rows(weights - op.transform_weights(weights))
     # uniform box inputs: 2-sensitivity is exactly ||r|| / sqrt(3) <= t
     assert float(np.max(np.linalg.norm(residuals, axis=1))) / math.sqrt(3.0) <= t
-    draw = _deviation_trial(residuals, m, seed, 61, 600, 66_601)
+    draw = _deviation_trial(residuals, m, seed, 61, trials, 600, 66_601)
 
     def one(i: int):
         sup_dev, rad, C = draw(i)

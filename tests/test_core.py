@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,14 @@ from approx_sense import (
     predictions,
     true_error_mc,
 )
-from approx_sense.core import _distinct_rows, _p_mean, _p_means
+from approx_sense.core import (
+    _STREAM_BLOCK,
+    _distinct_rows,
+    _p_mean,
+    _p_means,
+    derived_rng,
+    derived_rngs,
+)
 from approx_sense.dataio import read_sample_csv, write_sample_csv
 
 
@@ -273,6 +281,67 @@ def test_p_means_rows_equal_the_one_row_mean_bit_for_bit(G, p):
     expected = [float(np.mean(np.abs(g) ** p) ** (1.0 / p)) for g in G]
     assert _p_means(G, p).tolist() == expected
     assert [_p_mean(g, p) for g in G] == expected
+
+
+# ---------------------------------------------------------------------------
+# seeded streams
+# ---------------------------------------------------------------------------
+
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3]  # one word, its largest, two words, three
+EDGE_INDICES = [0, 1, 16, _STREAM_BLOCK - 1, _STREAM_BLOCK, _STREAM_BLOCK + 1,
+                2**32 - 1, 2**32, 2**32 + _STREAM_BLOCK + 3]
+
+
+def _state(rng: np.random.Generator) -> dict:
+    return rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**140),
+    key=st.lists(st.sampled_from([0, 4, 2**32 - 1, 2**32, 2**40 + 7]) | st.integers(0, 2**70),
+                 min_size=1, max_size=3),
+    index=st.sampled_from(EDGE_INDICES) | st.integers(0, 2**40),
+)
+@example(seed=2**64 + 3, key=[5, 2**32], index=_STREAM_BLOCK - 1)
+@example(seed=2**32 - 1, key=[2**33 + 1], index=_STREAM_BLOCK)
+@example(seed=0, key=[4], index=2**32)
+def test_derived_rngs_match_derived_rng_states(seed, key, index):
+    # read at the index and beside it, in and across block boundaries, for a
+    # count that ends at the index and one that runs a block past it
+    for count in {index + 1, index + _STREAM_BLOCK + 1}:
+        streams = derived_rngs(seed, *key, count=count)
+        for i in sorted({max(index - 1, 0), index, min(index + 1, count - 1)}):
+            assert _state(streams(i)) == _state(derived_rng(seed, *key, i)), (count, i)
+
+
+def test_derived_rngs_read_a_far_index_without_those_below():
+    index = 2**32 + 5
+    tracemalloc.start()
+    try:
+        rng = derived_rngs(2**64 + 3, 7, 2**32, count=2**40)(index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _state(rng) == _state(derived_rng(2**64 + 3, 7, 2**32, index))
+    assert peak < 2**20  # one block of 4096 indices, not 2^32 of them
+
+
+@pytest.mark.parametrize("seed, key", [(-1, (4,)), (3, (-2,)), (3, (4, -1))])
+def test_derived_rngs_reject_what_derived_rng_rejects(seed, key):
+    with pytest.raises(ValueError) as want:
+        derived_rng(seed, *key, 0)
+    for count in (1, _STREAM_BLOCK):
+        with pytest.raises(ValueError) as got:
+            derived_rngs(seed, *key, count=count)(0)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_derived_rngs_reject_an_index_outside_the_count():
+    streams = derived_rngs(5, 4, count=16)
+    for i in (-1, 16):
+        with pytest.raises(IndexError, match="outside range"):
+            streams(i)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ from approx_sense import (
 from approx_sense import _bind, cli
 from approx_sense.dataio import read_matrix_csv
 from approx_sense.radgeom import (
+    _CHUNK_BITS,
+    _SLICE_BITS,
     _mc_signs,
     _sign_chunks,
     conjugate_exponent,
@@ -237,13 +239,16 @@ def test_exact_enumeration_matches_reference_hex():
 
 
 @pytest.mark.parametrize("half", [False, True])
-@pytest.mark.parametrize("m", [15, 16, 17])
-def test_sign_chunks_are_the_bits_of_their_pattern_indices(m, half):
+@pytest.mark.parametrize("m, bits", [(m, _CHUNK_BITS) for m in (15, 16, 17)]
+                         + [(m, _SLICE_BITS) for m in (12, 13, 14, 15, 16, 17)])
+def test_sign_chunks_are_the_bits_of_their_pattern_indices(m, bits, half):
     # each chunk rewrites only the high columns whose bit changed since the
-    # previous chunk, so check every chunk as it is yielded, in one buffer
+    # previous chunk, so check every chunk as it is yielded, in one buffer;
+    # exact_rademacher_rows reads 2^11-row blocks, the other callers 2^14
     n_patterns = 1 << (m - 1 if half else m)
     start = 0
-    for chunk in _sign_chunks(m, half=half):
+    for chunk in _sign_chunks(m, half=half, bits=bits):
+        assert len(chunk) == min(n_patterns, 1 << bits)
         k = np.arange(start, start + len(chunk))[:, None]
         assert np.array_equal(chunk, ((k >> np.arange(m)) & 1) * 2.0 - 1.0)
         assert not chunk.flags.writeable

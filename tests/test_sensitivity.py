@@ -297,6 +297,17 @@ def test_batched_draws_equal_per_draw_loop(d, on_grid, step, p, n_omega, seed):
         assert (report.lhs, report.lhs_standard_error) == _mean_se(sq)
 
 
+def test_expected_sensitivity_value_is_pinned():
+    # 4,100 draws span two blocks of core.derived_rngs' hashed seed words;
+    # the value and its error are those of one derived_rng per draw
+    rng = np.random.default_rng(5)
+    h = linear_hypothesis(rng.uniform(-1.0, 1.0, 6))
+    sample = UnlabelledSample(inputs=rng.uniform(-1.0, 1.0, (200, 6)))
+    est = expected_sensitivity(h, StochasticRounder(step=0.25, clamp=1.0), sample, 1.0, 4100, 2026)
+    assert (est.value.hex(), est.standard_error.hex()) == (
+        "0x1.f8d61e7a8f7ddp-4", "0x1.776b887fe928ep-12")
+
+
 # ---------------------------------------------------------------------------
 # coverage (reduced-trial variants of the acceptance suites)
 # ---------------------------------------------------------------------------

@@ -116,3 +116,36 @@ def test_a_build_that_loses_the_rename_reads_the_winners_inputs(tmp_path, monkey
     assert ops == [("op", ("sensitivity", "--config", "w_3/config.json"))]
     assert os.listdir(root) == ["w_3"]
     assert (root / "w_3" / "config.json").read_text() == "winner"
+
+
+def test_op_times_reports_each_op_of_a_pass(tmp_path, monkeypatch):
+    path = ROOT / "perfbench" / "workloads.py"
+    wl_spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(wl_spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks itself up
+    wl_spec.loader.exec_module(workloads)
+    ops = workloads.build("train_grid", 3, tmp_path / "inputs")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "op_times.py"), "train_grid", "--seed", "3",
+         "--repeat", "2"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    header, *rows, total = done.stdout.splitlines()
+    assert header == "train_grid, seed 3: best of 2 in-process passes, ms at reference speed"
+    assert [row.split()[0] for row in rows] == [op.name for op in ops]
+    times = {row.split()[0]: float(row.split()[1]) for row in rows}
+    touch = {op.name for op in ops if op.check.get("touch")}
+    assert all(row.endswith("(touch)") == (row.split()[0] in touch) for row in rows)
+    assert all(t > 0 for t in times.values())
+    assert total.split()[:4] == ["sum", "without", "touch", "ops"]
+    assert float(total.split()[4]) == pytest.approx(
+        sum(t for name, t in times.items() if name not in touch), abs=0.02)
+
+
+@pytest.mark.parametrize("args", [["no_such_workload"], ["oracles", "--repeat", "0"]])
+def test_op_times_usage_errors(args):
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "op_times.py"), *args],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "usage: op_times.py" in done.stderr
